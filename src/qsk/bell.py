@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_unitary, unitary_powers
+from .linalg import EigenDecomposition, eig_unitary, unitary_powers
 
 TOL_NORM = 1e-9
 
@@ -105,17 +105,27 @@ class Realization:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.d, 2))
 
-    def validate(self, tol: float = TOL_NORM) -> None:
+    def validate(self, tol: float = TOL_NORM) -> tuple[EigenDecomposition, ...]:
+        """Check shapes, finiteness, normalization and the order-d property.
+
+        Returns the decompositions of (A1, A2, B1, B2) computed on the way.
+        """
         da, db = self.dims
         if self.state.shape != (da * db,):
             raise ValueError(f"state dimension {self.state.shape} != {da}*{db}")
-        if abs(np.linalg.norm(self.state) - 1.0) > tol:
+        if not np.isfinite(self.state).all():
+            raise ValueError("state has non-finite entries")
+        if not abs(np.linalg.norm(self.state) - 1.0) <= tol:
             raise ValueError("state is not normalized")
+        decomps = []
         for side, obs, dim in (("A", self.observables_a, da), ("B", self.observables_b, db)):
             for i, o in enumerate(obs):
                 if o.shape != (dim, dim):
                     raise ValueError(f"observable {side}{i + 1} has shape {o.shape}")
-                eig_unitary(o, self.d)  # raises NotOrderDError on failure
+                if not np.isfinite(o).all():
+                    raise ValueError(f"observable {side}{i + 1} has non-finite entries")
+                decomps.append(eig_unitary(o, self.d))  # raises NotOrderDError on failure
+        return tuple(decomps)
 
 
 def born_probabilities(r: Realization) -> CorrelationTensor:

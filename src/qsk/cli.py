@@ -7,17 +7,13 @@ canonical (sorted keys, fixed separators) so identical inputs produce
 byte-identical files.
 
 Exit codes: 0 all selected checks pass, 1 a check failed, 2 input error.
-The environment variable ``QSK_THREADS`` caps worker threads for the
-commands that sweep independent values of d.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +76,16 @@ def realization_to_json(r: bell.Realization, metadata: dict | None = None) -> di
     }
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def realization_from_json(data: dict) -> bell.Realization:
     try:
-        d = int(data["d"])
-        dims = (int(data["dims"][0]), int(data["dims"][1]))
+        d = _integer(data["d"], "d")
+        dims = (_integer(data["dims"][0], "dims"), _integer(data["dims"][1], "dims"))
         state = _vector_from_json(data["state"])
         obs_a = tuple(_matrix_from_json(m) for m in data["A"])
         obs_b = tuple(_matrix_from_json(m) for m in data["B"])
@@ -395,31 +397,12 @@ def build_verification_report(
 # commands
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("QSK_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def cmd_bounds(args) -> int:
-    ds = list(range(args.d_min, args.d_max + 1))
-
-    def brute(d: int) -> float | None:
-        if d > args.brute_cap:
-            return None
-        return bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d), cap=args.brute_cap)[0]
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            brutes = list(pool.map(brute, ds))
-    else:
-        brutes = [brute(d) for d in ds]
-
     rows = []
-    for d, bf in zip(ds, brutes):
+    for d in range(args.d_min, args.d_max + 1):
+        bf = None
+        if d <= args.brute_cap:
+            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d), cap=args.brute_cap)[0]
         beta_c = satwap.classical_bound(d)
         beta_q = satwap.quantum_bound(d)
         rows.append(

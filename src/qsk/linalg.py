@@ -48,11 +48,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def is_unitary(a: np.ndarray, tol: float = TOL_UNITARY) -> bool:
-    n = a.shape[0]
-    return a.shape == (n, n) and np.linalg.norm(dagger(a) @ a - np.eye(n)) <= tol
-
-
 def assert_unitary(a: np.ndarray, tol: float = TOL_UNITARY, what: str = "matrix") -> None:
     n = a.shape[0]
     err = np.linalg.norm(dagger(a) @ a - np.eye(n))
@@ -190,13 +185,6 @@ def partial_trace(state: np.ndarray, dims: tuple[int, int], keep: str) -> np.nda
     if keep.upper() == "B":
         return m.T @ m.conj()
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def normalize_state(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CorrelationTensor, CorrelatorTensor, Realization, Scenario, _fourier_matrix
+from .bell import CorrelationTensor, CorrelatorTensor, Realization, _fourier_matrix
 from .linalg import kron, omega, unitary_powers
 
 TOL_REAL = 1e-9
@@ -126,7 +126,3 @@ def probability_form(f: BellFunctional) -> np.ndarray:
 def evaluate_probabilities(f: BellFunctional, t: CorrelationTensor) -> float:
     """Value computed in the probability picture, t-dot-p."""
     return float(np.sum(probability_form(f) * t.probabilities))
-
-
-def scenario(d: int) -> Scenario:
-    return Scenario(d, 2)

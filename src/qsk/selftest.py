@@ -22,7 +22,8 @@ import numpy as np
 
 from . import canonical
 from .bell import Realization, correlators_from_realization
-from .linalg import dagger, eig_unitary, haar_random_unitary, kron, omega
+from .linalg import EigenDecomposition, dagger, haar_random_unitary, kron, omega
+from .linalg import eig_unitary  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
 from .sos import check_trace_conditions, extract_blocks
 
@@ -70,13 +71,12 @@ class ExtractionResult:
     log: tuple[str, ...]
 
 
-def check_multiplicities(b: np.ndarray, d: int) -> int:
-    """Common eigenvalue multiplicity m of an order-d observable.
+def check_multiplicities(decomp: EigenDecomposition) -> int:
+    """Common eigenvalue multiplicity m of a decomposed order-d observable.
 
     All d eigenvalues w**j must occur equally often and the dimension must
     be d*m; unequal multiplicities mean the input cannot maximally violate.
     """
-    decomp = eig_unitary(b, d)
     mults = decomp.multiplicities
     m = mults[0]
     if any(x != m for x in mults) or m == 0:
@@ -87,33 +87,36 @@ def check_multiplicities(b: np.ndarray, d: int) -> int:
     return m
 
 
-def align_first_observable(b1: np.ndarray, d: int) -> np.ndarray:
+def align_first_observable(decomp: EigenDecomposition) -> np.ndarray:
     """Unitary V with V B1 V^dag = Z (x) I, eigenspaces ordered by w**j.
 
     The intra-eigenspace bases are arbitrary at this stage; the second
     observable's block alignment fixes them.
     """
-    check_multiplicities(b1, d)
-    decomp = eig_unitary(b1, d)
+    check_multiplicities(decomp)
     return dagger(decomp.vectors)
 
 
-def extract_bob(b1: np.ndarray, b2: np.ndarray, d: int) -> np.ndarray:
+def extract_bob(
+    b1: np.ndarray, b2: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Unitary U_B with U_B B1 U_B^dag = Z (x) I and U_B B2 U_B^dag = T (x) I.
 
+    ``dec1`` and ``dec2`` are the decompositions of ``b1`` and ``b2``.
     After aligning B1, the first block row F_0i of the rotated B2 supplies
     the intra-eigenspace corrections: block i of the fixing unitary is
     (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag = (4/d^2) I,
-    which is a consequence of maximal violation.
+    which is a consequence of maximal violation.  Returns U_B together
+    with the two conjugation residuals it verified.
     """
-    m_b1 = check_multiplicities(b1, d)
-    m_b2 = check_multiplicities(b2, d)
-    if m_b1 != m_b2:
+    d = dec1.d
+    v = align_first_observable(dec1)
+    m = dec1.multiplicities[0]
+    m_b2 = check_multiplicities(dec2)
+    if m != m_b2:
         raise ExtractionError(
-            "multiplicities", f"observables disagree on aux dimension: {m_b1} vs {m_b2}"
+            "multiplicities", f"observables disagree on aux dimension: {m} vs {m_b2}"
         )
-    m = m_b1
-    v = align_first_observable(b1, d)
     blocks = extract_blocks(v @ b2 @ dagger(v), d, m)
     fixing = np.zeros((d * m, d * m), dtype=complex)
     fixing[:m, :m] = np.eye(m)
@@ -128,35 +131,39 @@ def extract_bob(b1: np.ndarray, b2: np.ndarray, d: int) -> np.ndarray:
             )
         fixing[i * m : (i + 1) * m, i * m : (i + 1) * m] = u_i
     u_b = fixing @ v
-    _verify_conjugation(u_b, b1, kron(canonical.z_observable(d), np.eye(m)), "first")
-    _verify_conjugation(u_b, b2, kron(canonical.t_observable(d), np.eye(m)), "second")
-    return u_b
+    targets = (canonical.z_observable(d), canonical.t_observable(d))
+    return u_b, _verify_conjugation(u_b, (b1, b2), targets, m)
 
 
-def _verify_conjugation(u, source, target, which: str) -> float:
-    res = float(np.linalg.norm(u @ source @ dagger(u) - target))
-    if res > TOL_EXTRACT:
-        raise ExtractionError(
-            "block-alignment", f"{which} observable misses its canonical form by {res:.3e}"
-        )
-    return res
+def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
+    """Residuals |u S u^dag - T (x) I_m| of the first and second observable."""
+    residuals = []
+    for which, source, target in zip(("first", "second"), sources, targets):
+        res = float(np.linalg.norm(u @ source @ dagger(u) - kron(target, np.eye(m))))
+        if res > TOL_EXTRACT:
+            raise ExtractionError(
+                "block-alignment", f"{which} observable misses its canonical form by {res:.3e}"
+            )
+        residuals.append(res)
+    return residuals[0], residuals[1]
 
 
-def extract_alice(a1: np.ndarray, a2: np.ndarray, d: int) -> np.ndarray:
+def extract_alice(
+    a1: np.ndarray, a2: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+) -> tuple[np.ndarray, tuple[float, float]]:
     """Unitary U_A carrying (A1, A2) to the ideal Alice pair (x) I.
 
     A maximally violating Alice pair obeys exactly the same operator
     relations as Bob's (the two one-party combination families coincide up
     to phases), so the Bob pipeline aligns it to (Z, T) (x) I; composing
-    with the qudit-side rotation w_alice lands on the ideal pair.
+    with the qudit-side rotation w_alice lands on the ideal pair.  Returns
+    U_A together with the two conjugation residuals it verified.
     """
-    v = extract_bob(a1, a2, d)
+    d = dec1.d
+    v, _ = extract_bob(a1, a2, dec1, dec2)
     m = a1.shape[0] // d
     u_a = kron(canonical.w_alice(d), np.eye(m)) @ v
-    ideal1, ideal2 = canonical.ideal_alice_observables(d)
-    _verify_conjugation(u_a, a1, kron(ideal1, np.eye(m)), "first")
-    _verify_conjugation(u_a, a2, kron(ideal2, np.eye(m)), "second")
-    return u_a
+    return u_a, _verify_conjugation(u_a, (a1, a2), canonical.ideal_alice_observables(d), m)
 
 
 def canonicalize_state(
@@ -210,13 +217,13 @@ def extract(r: Realization) -> ExtractionResult:
     d = r.d
     log: list[str] = []
     try:
-        r.validate()
+        dec_a1, dec_a2, dec_b1, dec_b2 = r.validate()
         value = evaluate(BellFunctional.satwap(d), correlators_from_realization(r))
     except ValueError as exc:
         raise ExtractionError("input-validation", str(exc)) from exc
     gap = abs(value - quantum_bound(d))
     gate = tol_violation(d)
-    if gap > gate:
+    if not gap <= gate:
         raise ExtractionError(
             "violation-gate",
             f"value {value:.9f} misses the quantum bound {quantum_bound(d)} "
@@ -240,31 +247,10 @@ def extract(r: Realization) -> ExtractionResult:
             )
     log.append("vanishing-trace conditions: all four observables pass")
 
-    u_b = extract_bob(*r.observables_b, d)
-    mb = r.dims[1] // d
-    res_b1 = float(
-        np.linalg.norm(
-            u_b @ r.observables_b[0] @ dagger(u_b)
-            - kron(canonical.z_observable(d), np.eye(mb))
-        )
-    )
-    res_b2 = float(
-        np.linalg.norm(
-            u_b @ r.observables_b[1] @ dagger(u_b)
-            - kron(canonical.t_observable(d), np.eye(mb))
-        )
-    )
+    u_b, (res_b1, res_b2) = extract_bob(*r.observables_b, dec_b1, dec_b2)
     log.append(f"Bob alignment: residuals ({res_b1:.2e}, {res_b2:.2e})")
 
-    u_a = extract_alice(*r.observables_a, d)
-    ma = r.dims[0] // d
-    ideal1, ideal2 = canonical.ideal_alice_observables(d)
-    res_a1 = float(
-        np.linalg.norm(u_a @ r.observables_a[0] @ dagger(u_a) - kron(ideal1, np.eye(ma)))
-    )
-    res_a2 = float(
-        np.linalg.norm(u_a @ r.observables_a[1] @ dagger(u_a) - kron(ideal2, np.eye(ma)))
-    )
+    u_a, (res_a1, res_a2) = extract_alice(*r.observables_a, dec_a1, dec_a2)
     log.append(f"Alice alignment: residuals ({res_a1:.2e}, {res_a2:.2e})")
 
     state = canonicalize_state(r, u_a, u_b)
@@ -276,7 +262,7 @@ def extract(r: Realization) -> ExtractionResult:
     return ExtractionResult(
         u_a=u_a,
         u_b=u_b,
-        aux_dims=(ma, mb),
+        aux_dims=(r.dims[0] // d, r.dims[1] // d),
         aux_state=state.aux_state,
         fidelity=state.fidelity,
         residuals={
@@ -312,6 +298,8 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
     Haar-random local unitaries, and asserts that the correlators are
     unchanged; extraction must see through exactly this freedom.
     """
+    if aux_a < 1 or aux_b < 1:
+        raise ValueError(f"aux dimensions must be positive, got {aux_a}x{aux_b}")
     rng = np.random.default_rng(np.random.Philox(seed))
     da, db = r.dims
     aux = rng.standard_normal(aux_a * aux_b) + 1j * rng.standard_normal(aux_a * aux_b)

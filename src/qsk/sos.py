@@ -76,26 +76,35 @@ def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> COperatorSet:
     return COperatorSet(d=d, side="alice", ops=ops)
 
 
-def _sos_residual(r: Realization, side: str) -> float:
+def _sos_terms(r: Realization, side: str):
+    """Yield ((i, k), X_{i,k}) for the decomposition on ``side``, in (i, k) order.
+
+    X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for "alice".
+    """
     d = r.d
-    da, db = r.dims
-    n = da * db
-    f = BellFunctional.satwap(d)
-    acc = quantum_bound(d) * np.eye(n) - bell_operator(f, r)
     if side == "bob":
         cset = c_operators(*r.observables_b, d)
         partner = [unitary_powers(o, d) for o in r.observables_a]
-    else:
+    elif side == "alice":
         cset = cbar_operators(*r.observables_a, d)
         partner = [unitary_powers(o, d) for o in r.observables_b]
+    else:
+        raise ValueError(f"side must be 'bob' or 'alice', got {side!r}")
     for i in (1, 2):
         for k in range(1, d):
             if side == "bob":
-                term = kron(partner[i - 1][k], cset.ops[(i, k)])
+                yield (i, k), kron(partner[i - 1][k], cset.ops[(i, k)])
             else:
-                term = kron(cset.ops[(i, k)], partner[i - 1][k])
-            p = np.eye(n) - term
-            acc -= 0.5 * (dagger(p) @ p)
+                yield (i, k), kron(cset.ops[(i, k)], partner[i - 1][k])
+
+
+def _sos_residual(r: Realization, side: str) -> float:
+    da, db = r.dims
+    n = da * db
+    acc = quantum_bound(r.d) * np.eye(n) - bell_operator(BellFunctional.satwap(r.d), r)
+    for _, term in _sos_terms(r, side):
+        p = np.eye(n) - term
+        acc -= 0.5 * (dagger(p) @ p)
     return float(np.linalg.norm(acc))
 
 
@@ -115,26 +124,8 @@ def stabilizer_residuals(r: Realization, side: str = "bob") -> dict[tuple[int, i
     These vanish exactly when the realization maximally violates; they are
     the conditions that drive the extraction.
     """
-    d = r.d
     psi = r.state
-    n = psi.size
-    out = {}
-    if side == "bob":
-        cset = c_operators(*r.observables_b, d)
-        partner = [unitary_powers(o, d) for o in r.observables_a]
-    elif side == "alice":
-        cset = cbar_operators(*r.observables_a, d)
-        partner = [unitary_powers(o, d) for o in r.observables_b]
-    else:
-        raise ValueError(f"side must be 'bob' or 'alice', got {side!r}")
-    for i in (1, 2):
-        for k in range(1, d):
-            if side == "bob":
-                term = kron(partner[i - 1][k], cset.ops[(i, k)])
-            else:
-                term = kron(cset.ops[(i, k)], partner[i - 1][k])
-            out[(i, k)] = float(np.linalg.norm(psi - term @ psi))
-    return out
+    return {ik: float(np.linalg.norm(psi - term @ psi)) for ik, term in _sos_terms(r, side)}
 
 
 def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:

@@ -36,7 +36,7 @@ from qsk.cyclotomic import (
     lemma2_conclude,
     proper_divisors,
 )
-from qsk.linalg import dagger, omega
+from qsk.linalg import dagger, eig_unitary, omega
 from qsk.randomness import certified_bits, ideal_guessing_probability, outcome_distribution
 from qsk.satwap import BellFunctional, classical_bound, evaluate, quantum_bound
 from qsk.selftest import (
@@ -330,7 +330,7 @@ def test_criterion_9_negative_soundness():
     report = check_trace_conditions(lopsided, 4)
     assert not report.passed and report.witness == 1
     with pytest.raises(ExtractionError):
-        check_multiplicities(lopsided, 4)
+        check_multiplicities(eig_unitary(lopsided, 4))
     _report(
         9,
         "perturbed and non-violating realizations are rejected at the gate; unequal "

@@ -211,3 +211,25 @@ def test_deterministic_strategy_tensor():
     p.validate()
     assert p.probabilities[0, 0, 1, 2] == 1.0
     assert p.probabilities[1, 1, 0, 2] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_realization_validate_rejects_non_finite_entries(bad):
+    r = ideal_realization(3)
+    state = r.state.copy()
+    state[1] = bad
+    with pytest.raises(ValueError, match="state has non-finite"):
+        Realization(3, r.dims, state, r.observables_a, r.observables_b).validate()
+    b2 = r.observables_b[1].copy()
+    b2[0, 0] = bad
+    with pytest.raises(ValueError, match="observable B2 has non-finite"):
+        Realization(3, r.dims, r.state, r.observables_a, (r.observables_b[0], b2)).validate()
+
+
+def test_realization_validate_returns_the_four_decompositions():
+    r = ideal_realization(3)
+    decomps = r.validate()
+    observables = (*r.observables_a, *r.observables_b)
+    assert len(decomps) == 4
+    for decomp, o in zip(decomps, observables):
+        assert decomp.reconstruction_error(o) < 1e-9

@@ -171,3 +171,38 @@ def test_tol_scale_loosens_checks():
     report = build_verification_report(3, ("bounds",), tol_scale=1e6)
     assert report.passed
     assert all(c.tolerance >= 1e-3 for c in report.checks)
+
+
+def _write_realization(tmp_path, **changes):
+    payload = realization_to_json(ideal_realization(2))
+    payload.update(changes)
+    path = tmp_path / "edited.json"
+    path.write_text(canonical_dumps(payload))
+    return str(path)
+
+
+def test_verify_file_with_nan_state_is_an_input_error(tmp_path, capsys):
+    state = realization_to_json(ideal_realization(2))["state"]
+    state[0] = [float("nan"), 0.0]
+    path = _write_realization(tmp_path, state=state)
+    assert "NaN" in open(path).read()
+    assert main(["verify", "--file", path, "--extract", "--format", "json"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_verify_file_with_non_integral_d_is_an_input_error(tmp_path, capsys):
+    path = _write_realization(tmp_path, d=2.7)
+    assert main(["verify", "--file", path]) == EXIT_INPUT_ERROR
+    assert "d must be an integer" in capsys.readouterr().err
+
+
+def test_verify_file_with_non_integral_dims_is_an_input_error(tmp_path, capsys):
+    path = _write_realization(tmp_path, dims=[2.5, 2])
+    assert main(["verify", "--file", path]) == EXIT_INPUT_ERROR
+    assert "dims must be an integer" in capsys.readouterr().err
+
+
+def test_scramble_rejects_nonpositive_aux_dimension(capsys):
+    assert main(["scramble", "--d", "3", "--aux-a", "0"]) == EXIT_INPUT_ERROR
+    assert "aux dimensions must be positive" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from qsk.canonical import (
     t_observable,
     z_observable,
 )
-from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega
+from qsk.linalg import dagger, eig_unitary, frobenius_distance, haar_random_unitary, kron, omega
 from qsk.satwap import BellFunctional, bell_operator, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
@@ -28,18 +28,23 @@ from qsk.selftest import (
 rng = np.random.default_rng(2718281)
 
 
+def _stage(fn, o1, o2, d):
+    """Run an extraction stage on a pair with freshly computed decompositions."""
+    return fn(o1, o2, eig_unitary(o1, d), eig_unitary(o2, d))
+
+
 def test_check_multiplicities():
-    assert check_multiplicities(kron(z_observable(3), np.eye(2)), 3) == 2
-    assert check_multiplicities(t_observable(4), 4) == 1
+    assert check_multiplicities(eig_unitary(kron(z_observable(3), np.eye(2)), 3)) == 2
+    assert check_multiplicities(eig_unitary(t_observable(4), 4)) == 1
     with pytest.raises(ExtractionError) as err:
-        check_multiplicities(np.diag([1.0, 1.0, omega(3, 1)]), 3)
+        check_multiplicities(eig_unitary(np.diag([1.0, 1.0, omega(3, 1)]), 3))
     assert "multiplicit" in str(err.value)
 
 
 def test_align_first_observable_block_diagonal_input():
     d, m = 3, 2
     b1 = kron(z_observable(d), np.eye(m))
-    v = align_first_observable(b1, d)
+    v = align_first_observable(eig_unitary(b1, d))
     assert frobenius_distance(v @ b1 @ dagger(v), b1) < 1e-9
 
 
@@ -47,7 +52,7 @@ def test_align_first_observable_round_trip():
     d, m = 3, 2
     g = haar_random_unitary(d * m, rng)
     b1 = g @ kron(z_observable(d), np.eye(m)) @ dagger(g)
-    v = align_first_observable(b1, d)
+    v = align_first_observable(eig_unitary(b1, d))
     assert frobenius_distance(v @ b1 @ dagger(v), kron(z_observable(d), np.eye(m))) < 1e-8
 
 
@@ -55,7 +60,7 @@ def test_align_first_observable_reorders_eigenvalues():
     d = 4
     perm = [2, 0, 3, 1]
     b1 = np.diag([omega(d, j) for j in perm]).astype(complex)
-    v = align_first_observable(b1, d)
+    v = align_first_observable(eig_unitary(b1, d))
     assert frobenius_distance(v @ b1 @ dagger(v), z_observable(d)) < 1e-9
 
 
@@ -65,14 +70,18 @@ def test_extract_bob_round_trip(d, m):
     g = haar_random_unitary(d * m, rng)
     b1 = g @ kron(z_observable(d), np.eye(m)) @ dagger(g)
     b2 = g @ kron(t_observable(d), np.eye(m)) @ dagger(g)
-    u = extract_bob(b1, b2, d)
+    u, residuals = _stage(extract_bob, b1, b2, d)
     assert frobenius_distance(u @ b1 @ dagger(u), kron(z_observable(d), np.eye(m))) < 1e-7
     assert frobenius_distance(u @ b2 @ dagger(u), kron(t_observable(d), np.eye(m))) < 1e-7
+    assert residuals == (
+        frobenius_distance(u @ b1 @ dagger(u), kron(z_observable(d), np.eye(m))),
+        frobenius_distance(u @ b2 @ dagger(u), kron(t_observable(d), np.eye(m))),
+    )
 
 
 def test_extract_bob_unscrambled():
     d = 5
-    u = extract_bob(z_observable(d), t_observable(d), d)
+    u, _ = _stage(extract_bob, z_observable(d), t_observable(d), d)
     assert frobenius_distance(u @ z_observable(d) @ dagger(u), z_observable(d)) < 1e-9
     assert frobenius_distance(u @ t_observable(d) @ dagger(u), t_observable(d)) < 1e-9
 
@@ -80,7 +89,7 @@ def test_extract_bob_unscrambled():
 def test_extract_bob_rejects_commuting_pair():
     d = 3
     with pytest.raises(ExtractionError) as err:
-        extract_bob(z_observable(d), z_observable(d), d)
+        _stage(extract_bob, z_observable(d), z_observable(d), d)
     assert err.value.stage == "block-alignment"
 
 
@@ -91,15 +100,19 @@ def test_extract_alice_round_trip(d, m):
     g = haar_random_unitary(d * m, rng)
     a1 = g @ kron(ia1, np.eye(m)) @ dagger(g)
     a2 = g @ kron(ia2, np.eye(m)) @ dagger(g)
-    u = extract_alice(a1, a2, d)
+    u, residuals = _stage(extract_alice, a1, a2, d)
     assert frobenius_distance(u @ a1 @ dagger(u), kron(ia1, np.eye(m))) < 1e-7
     assert frobenius_distance(u @ a2 @ dagger(u), kron(ia2, np.eye(m))) < 1e-7
+    assert residuals == (
+        frobenius_distance(u @ a1 @ dagger(u), kron(ia1, np.eye(m))),
+        frobenius_distance(u @ a2 @ dagger(u), kron(ia2, np.eye(m))),
+    )
 
 
 def test_extract_alice_unscrambled():
     d = 4
     ia1, ia2 = ideal_alice_observables(d)
-    u = extract_alice(ia1, ia2, d)
+    u, _ = _stage(extract_alice, ia1, ia2, d)
     assert frobenius_distance(u @ ia1 @ dagger(u), ia1) < 1e-9
     assert frobenius_distance(u @ ia2 @ dagger(u), ia2) < 1e-9
 
@@ -107,7 +120,7 @@ def test_extract_alice_unscrambled():
 def test_extract_alice_rejects_unrelated_observables():
     d = 4
     with pytest.raises(ExtractionError):
-        extract_alice(random_order_d(d, d, rng), random_order_d(d, d, rng), d)
+        _stage(extract_alice, random_order_d(d, d, rng), random_order_d(d, d, rng), d)
 
 
 def test_canonicalize_state_ideal():
@@ -250,3 +263,39 @@ def test_scramble_reproducible():
 def test_violation_tolerance_scales_with_d():
     assert tol_violation(2) == pytest.approx(2e-6)
     assert tol_violation(10) == pytest.approx(1e-5)
+
+
+def test_extract_decomposes_each_observable_once(monkeypatch):
+    import qsk.bell
+    import qsk.selftest
+
+    r = scramble(ideal_realization(3), 2, 2, seed=11)
+    calls = []
+
+    def counting(a, d, *args, **kwargs):
+        calls.append(a.shape)
+        return eig_unitary(a, d, *args, **kwargs)
+
+    for module in (qsk.bell, qsk.selftest):
+        monkeypatch.setattr(module, "eig_unitary", counting)
+    result = extract(r)
+    assert result.fidelity >= 1 - 1e-7
+    assert len(calls) == 4
+
+
+def test_extract_rejects_nan_state_at_input_validation():
+    r = ideal_realization(3)
+    state = r.state.copy()
+    state[0] = np.nan
+    bad = Realization(
+        d=3, dims=r.dims, state=state, observables_a=r.observables_a, observables_b=r.observables_b
+    )
+    with pytest.raises(ExtractionError) as err:
+        extract(bad)
+    assert err.value.stage == "input-validation"
+
+
+def test_scramble_rejects_nonpositive_aux():
+    for aux_a, aux_b in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError):
+            scramble(ideal_realization(2), aux_a, aux_b, seed=1)

@@ -254,3 +254,8 @@ def test_random_quadruples_share_no_special_structure():
     )
     assert sos_residual_bob(r) < 1e-8
     assert sos_residual_alice(r) < 1e-8
+
+
+def test_stabilizer_residuals_rejects_unknown_side():
+    with pytest.raises(ValueError, match="side must be"):
+        stabilizer_residuals(ideal_realization(2), "carol")
