@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EigenDecomposition, eig_unitary, unitary_powers
+from .linalg import EigenDecomposition, dagger, eig_unitary, unitary_powers
 
 TOL_NORM = 1e-9
 
@@ -46,14 +46,14 @@ class CorrelationTensor:
         d, m = self.scenario.d, self.scenario.m
         if self.probabilities.shape != (m, m, d, d):
             raise ValueError(f"probability tensor has shape {self.probabilities.shape}")
-        if self.probabilities.min() < -tol:
+        if not self.probabilities.min() >= -tol:
             raise ValueError(f"negative probability {self.probabilities.min():.3e}")
         sums = self.probabilities.sum(axis=(2, 3))
         for x in range(m):
             for y in range(m):
                 if self.setting_counts is not None and self.setting_counts[x, y] == 0:
                     continue
-                if abs(sums[x, y] - 1.0) > tol:
+                if not abs(sums[x, y] - 1.0) <= tol:
                     raise ValueError(f"setting ({x},{y}) sums to {sums[x, y]!r}")
 
 
@@ -68,10 +68,10 @@ class CorrelatorTensor:
         d, m = self.scenario.d, self.scenario.m
         if self.values.shape != (m, m, d, d):
             raise ValueError(f"correlator tensor has shape {self.values.shape}")
-        if np.abs(self.values[:, :, 0, 0] - 1.0).max() > tol:
+        if not np.abs(self.values[:, :, 0, 0] - 1.0).max() <= tol:
             raise ValueError("<A^0 B^0> must equal 1")
         flipped = self.values[:, :, (-np.arange(d)) % d][:, :, :, (-np.arange(d)) % d]
-        if np.abs(flipped - self.values.conj()).max() > tol:
+        if not np.abs(flipped - self.values.conj()).max() <= tol:
             raise ValueError("conjugation symmetry <A^(d-k) B^(d-l)> = <A^k B^l>* violated")
 
 
@@ -129,23 +129,34 @@ class Realization:
 
 
 def born_probabilities(r: Realization) -> CorrelationTensor:
-    """p(a,b|x,y) = <psi| P_x^(a) (x) Q_y^(b) |psi> from spectral projectors."""
+    """p(a,b|x,y) = <psi| P_x^(a) (x) Q_y^(b) |psi> from the eigenbases.
+
+    With ``Phi = V_x^dag Psi conj(W_y)`` in the eigenbases V_x of A_x and
+    W_y of B_y, ``p[x, y, a, b]`` sums ``|Phi|^2`` over the columns of
+    eigenvalue group a and the rows of group b: ``M |Phi|^2 M^T`` with the
+    0/1 group-membership matrices M.
+    """
     d = r.d
     psi = r.state.reshape(r.dims)
-    proj_a = [eig_unitary(o, d) for o in r.observables_a]
-    proj_b = [eig_unitary(o, d) for o in r.observables_b]
+    dec_a = [eig_unitary(o, d) for o in r.observables_a]
+    dec_b = [eig_unitary(o, d) for o in r.observables_b]
     p = np.zeros((2, 2, d, d))
     for x in range(2):
-        pa = [proj_a[x].projector(a) for a in range(d)]
+        left = dagger(dec_a[x].vectors) @ psi
         for y in range(2):
-            qb = [proj_b[y].projector(b) for b in range(d)]
-            for a in range(d):
-                left = psi.conj().T @ pa[a] @ psi
-                for b in range(d):
-                    p[x, y, a, b] = np.trace(left @ qb[b].T).real
+            weights = np.abs(left @ dec_b[y].vectors.conj()) ** 2
+            p[x, y] = _membership(dec_a[x]) @ weights @ _membership(dec_b[y]).T
     tensor = CorrelationTensor(r.scenario, p)
     tensor.validate(tol=1e-7)
     return tensor
+
+
+def _membership(decomp: EigenDecomposition) -> np.ndarray:
+    """The (d, n) 0/1 matrix with a 1 at [j, c] when column c lies in group j."""
+    m = np.zeros((decomp.d, decomp.vectors.shape[1]))
+    for j, cols in enumerate(decomp.groups):
+        m[j, list(cols)] = 1.0
+    return m
 
 
 def _fourier_matrix(d: int) -> np.ndarray:
@@ -165,14 +176,20 @@ def probabilities_from_correlators(c: CorrelatorTensor) -> CorrelationTensor:
     d = c.scenario.d
     w = _fourier_matrix(d).conj()
     p = np.einsum("ka,xykl,lb->xyab", w.T, c.values, w) / d**2
-    if np.abs(p.imag).max() > 1e-9:
+    if not np.abs(p.imag).max() <= 1e-9:
         raise ValueError("inverse transform produced complex probabilities")
     return CorrelationTensor(c.scenario, p.real)
 
 
-def expectation(op_a: np.ndarray, op_b: np.ndarray, psi: np.ndarray) -> complex:
-    """<psi| op_a (x) op_b |psi> without forming the Kronecker product."""
-    return complex(np.einsum("ab,ac,cd,bd->", psi.conj(), op_a, psi, op_b))
+def expectation(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The (K, L) values <psi| A_k (x) B_l |psi> for stacks (K, da, da), (L, db, db).
+
+    ``psi`` is the state as a (da, db) matrix.  With ``G_k = psi^dag A_k psi``
+    each value is ``sum(G_k * B_l)`` (B itself, not its transpose), so the
+    whole table is one matrix product and no Kronecker product is formed.
+    """
+    g = psi.conj().T @ ops_a @ psi
+    return g.reshape(len(ops_a), -1) @ ops_b.reshape(len(ops_b), -1).T
 
 
 def correlators_from_realization(r: Realization) -> CorrelatorTensor:
@@ -181,12 +198,7 @@ def correlators_from_realization(r: Realization) -> CorrelatorTensor:
     psi = r.state.reshape(r.dims)
     pow_a = [unitary_powers(o, d) for o in r.observables_a]
     pow_b = [unitary_powers(o, d) for o in r.observables_b]
-    values = np.zeros((2, 2, d, d), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            for k in range(d):
-                for l in range(d):
-                    values[x, y, k, l] = expectation(pow_a[x][k], pow_b[y][l], psi)
+    values = np.array([[expectation(pa, pb, psi) for pb in pow_b] for pa in pow_a])
     return CorrelatorTensor(r.scenario, values)
 
 
@@ -205,7 +217,7 @@ def local_bound_bruteforce(functional, cap: int = 12) -> tuple[float, Determinis
     # strategy outputs (a, b) there.
     w = _fourier_matrix(d)
     v = np.einsum("xykl,ka,lb->xyab", coeff, w, w)
-    if np.abs(v.imag).max() > 1e-9:
+    if not np.abs(v.imag).max() <= 1e-9:
         raise ValueError("functional is not real on deterministic strategies")
     v = v.real
     total = (

@@ -597,9 +597,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_dimensions(args) -> None:
+    """Reject an out-of-range d on the command line before any command runs."""
+    for dest in ("d", "d_min", "d_max"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 2:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 2, got {value}")
+    if args.command == "bounds" and args.d_min > args.d_max:
+        raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_dimensions(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

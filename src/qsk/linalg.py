@@ -32,13 +32,28 @@ def omega(d: int, q: float = 1.0) -> complex:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; of each matrix in a stack (..., n, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (dimensions multiply)."""
     return np.kron(a, b)
+
+
+def kron_sum(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """``sum_t ls[t] (x) rs[t]`` for stacks (T, na, na) and (T, nb, nb).
+
+    Entry [(i,j), (k,l)] of the sum is ``sum_t L_t[i,k] R_t[j,l]``, so for
+    each (i, j) the (na, nb) slab over (k, l) is the (na, T) @ (T, nb)
+    product of ``L[:, i, :]^T`` and ``R[:, j, :]``.  One batched matmul
+    writes all slabs straight into the row-major (na*nb, na*nb) layout.
+    """
+    _, na, _ = ls.shape
+    nb = rs.shape[1]
+    left = np.ascontiguousarray(ls.transpose(1, 2, 0))  # [i, k, t]
+    right = np.ascontiguousarray(rs.transpose(1, 0, 2))  # [j, t, l]
+    return np.matmul(left[:, None], right[None]).reshape(na * nb, na * nb)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -51,7 +66,7 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 def assert_unitary(a: np.ndarray, tol: float = TOL_UNITARY, what: str = "matrix") -> None:
     n = a.shape[0]
     err = np.linalg.norm(dagger(a) @ a - np.eye(n))
-    if err > tol:
+    if not err <= tol:
         raise ValueError(f"{what} is not unitary: |U^dag U - I| = {err:.3e}")
 
 
@@ -63,11 +78,12 @@ def unitary_power(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(dagger(a), -k)
 
 
-def unitary_powers(a: np.ndarray, d: int) -> list[np.ndarray]:
-    """All powers ``a**0 .. a**(d-1)`` computed by repeated multiplication."""
-    powers = [np.eye(a.shape[0], dtype=complex)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ a)
+def unitary_powers(a: np.ndarray, d: int) -> np.ndarray:
+    """The stack (d, n, n) of powers ``a**0 .. a**(d-1)``, by repeated multiplication."""
+    powers = np.empty((d, *a.shape), dtype=complex)
+    powers[0] = np.eye(a.shape[0])
+    for k in range(1, d):
+        np.matmul(powers[k - 1], a, out=powers[k])
     return powers
 
 
@@ -126,13 +142,14 @@ def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecom
     raw = np.linalg.eigvals(a)
     mult = [0] * d
     for lam in raw:
-        j = int(np.round(np.angle(lam) * d / (2 * np.pi))) % d
+        # float until the gate has passed: int() of a NaN would raise the wrong error
+        j = np.round(np.angle(lam) * d / (2 * np.pi)) % d
         dist = abs(lam - omega(d, j))
-        if dist > tol_snap:
+        if not dist <= tol_snap:
             raise NotOrderDError(
                 f"eigenvalue {lam:.6f} is {dist:.3e} from the nearest d-th root of unity"
             )
-        mult[j] += 1
+        mult[int(j)] += 1
 
     # Orthonormal bases per eigenspace from the Fourier-inverted projectors;
     # stable under degeneracy, unlike generic eigensolver output.
@@ -144,7 +161,7 @@ def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecom
     for j in range(d):
         m = mult[j]
         tr = np.trace(projs[j]).real
-        if abs(tr - m) > 1e-6:
+        if not abs(tr - m) <= 1e-6:
             raise NotOrderDError(
                 f"projector trace {tr:.6f} disagrees with eigenvalue multiplicity {m}"
             )
@@ -166,7 +183,7 @@ def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecom
         groups=tuple(groups),
     )
     err = decomp.reconstruction_error(a)
-    if err > TOL_EIG:
+    if not err <= TOL_EIG:
         raise NotOrderDError(f"eigendecomposition reconstruction error {err:.3e}")
     return decomp
 

@@ -42,7 +42,7 @@ def outcome_distribution(r: Realization, party: str, setting: int) -> np.ndarray
         marg = probs.sum(axis=2)[:, setting - 1]
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    if np.abs(marg[0] - marg[1]).max() > 1e-9:
+    if not np.abs(marg[0] - marg[1]).max() <= 1e-9:
         raise ValueError("marginals signal between the parties")
     return marg[0]
 
@@ -55,7 +55,7 @@ def ideal_guessing_probability(r: Realization, party: str, setting: int) -> floa
     """
     value = evaluate(BellFunctional.satwap(r.d), correlators_from_realization(r))
     gap = abs(value - quantum_bound(r.d))
-    if gap > tol_violation(r.d):
+    if not gap <= tol_violation(r.d):
         raise ValueError(
             f"realization misses the maximal value by {gap:.3e}; no guessing "
             "bound is claimed off the maximal point"

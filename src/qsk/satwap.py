@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import CorrelationTensor, CorrelatorTensor, Realization, _fourier_matrix
-from .linalg import kron, omega, unitary_powers
+from .linalg import kron_sum, omega, unitary_powers
 
 TOL_REAL = 1e-9
 
@@ -55,10 +55,10 @@ class BellFunctional:
     def validate_satwap(self, tol: float = 1e-12) -> None:
         for k in range(1, self.d):
             ak = self.coefficients[0, 0, k, self.d - k]
-            if abs(abs(ak) - 1 / np.sqrt(2)) > tol:
+            if not abs(abs(ak) - 1 / np.sqrt(2)) <= tol:
                 raise ValueError(f"|a_{k}| != 1/sqrt(2)")
             adk = self.coefficients[0, 0, self.d - k, k]
-            if abs(adk - ak.conjugate()) > tol:
+            if not abs(adk - ak.conjugate()) <= tol:
                 raise ValueError(f"a_{self.d - k} != conj(a_{k})")
 
 
@@ -67,7 +67,7 @@ def evaluate(f: BellFunctional, c: CorrelatorTensor) -> float:
     if c.scenario.d != f.d:
         raise ValueError(f"scenario d={c.scenario.d} does not match functional d={f.d}")
     val = complex(np.sum(f.coefficients * c.values))
-    if abs(val.imag) > TOL_REAL:
+    if not abs(val.imag) <= TOL_REAL:
         raise ValueError(
             f"imaginary residue {val.imag:.3e}: malformed correlators or wrong "
             "coefficient convention"
@@ -102,11 +102,9 @@ def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
     op = np.zeros((da * db, da * db), dtype=complex)
     for x in range(2):
         for y in range(2):
-            for k in range(d):
-                for l in range(d):
-                    ckl = f.coefficients[x, y, k, l]
-                    if ckl != 0:
-                        op += ckl * kron(pow_a[x][k], pow_b[y][l])
+            ks, ls = np.nonzero(f.coefficients[x, y])
+            weights = f.coefficients[x, y, ks, ls][:, None, None]
+            op += kron_sum(weights * pow_a[x][ks], pow_b[y][ls])
     return op
 
 
@@ -118,7 +116,7 @@ def probability_form(f: BellFunctional) -> np.ndarray:
     """
     w = _fourier_matrix(f.d)
     t = np.einsum("xykl,ka,lb->xyab", f.coefficients, w, w)
-    if np.abs(t.imag).max() > 1e-12:
+    if not np.abs(t.imag).max() <= 1e-12:
         raise ValueError("probability-form coefficients are not real")
     return t.real
 

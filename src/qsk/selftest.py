@@ -123,7 +123,7 @@ def extract_bob(
     for i in range(1, d):
         u_i = (d / 2) * omega(d, -(i + 1) / 2) * blocks[0, i]
         err = np.linalg.norm(u_i @ dagger(u_i) - np.eye(m))
-        if err > TOL_BLOCK_UNITARY:
+        if not err <= TOL_BLOCK_UNITARY:
             raise ExtractionError(
                 "block-alignment",
                 f"realization does not maximally violate: block (0,{i}) of the "
@@ -140,7 +140,7 @@ def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
     residuals = []
     for which, source, target in zip(("first", "second"), sources, targets):
         res = float(np.linalg.norm(u @ source @ dagger(u) - kron(target, np.eye(m))))
-        if res > TOL_EXTRACT:
+        if not res <= TOL_EXTRACT:
             raise ExtractionError(
                 "block-alignment", f"{which} observable misses its canonical form by {res:.3e}"
             )
@@ -325,6 +325,6 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
         correlators_from_realization(scrambled).values
         - correlators_from_realization(r).values
     ).max()
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise AssertionError(f"scrambling changed the correlations by {drift:.3e}")
     return scrambled

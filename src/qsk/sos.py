@@ -20,7 +20,7 @@ import numpy as np
 
 from .bell import Realization
 from .cyclotomic import proper_divisors
-from .linalg import dagger, kron, omega, unitary_power, unitary_powers
+from .linalg import dagger, kron_sum, omega, unitary_power, unitary_powers
 from .satwap import BellFunctional, bell_operator, coefficient_a, quantum_bound
 
 
@@ -77,7 +77,7 @@ def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> COperatorSet:
 
 
 def _sos_terms(r: Realization, side: str):
-    """Yield ((i, k), X_{i,k}) for the decomposition on ``side``, in (i, k) order.
+    """Yield ((i, k), L, R) with X_{i,k} = L (x) R, in (i, k) order.
 
     X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for "alice".
     """
@@ -93,18 +93,27 @@ def _sos_terms(r: Realization, side: str):
     for i in (1, 2):
         for k in range(1, d):
             if side == "bob":
-                yield (i, k), kron(partner[i - 1][k], cset.ops[(i, k)])
+                yield (i, k), partner[i - 1][k], cset.ops[(i, k)]
             else:
-                yield (i, k), kron(cset.ops[(i, k)], partner[i - 1][k])
+                yield (i, k), cset.ops[(i, k)], partner[i - 1][k]
 
 
 def _sos_residual(r: Realization, side: str) -> float:
-    da, db = r.dims
-    n = da * db
-    acc = quantum_bound(r.d) * np.eye(n) - bell_operator(BellFunctional.satwap(r.d), r)
-    for _, term in _sos_terms(r, side):
-        p = np.eye(n) - term
-        acc -= 0.5 * (dagger(p) @ p)
+    """Residual of the decomposition, summed in Kronecker-factored form.
+
+    With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``
+    holds for any L, R (no unitarity is assumed), so the sum over terms is
+    ``T I - S - S^dag + sum (L^dag L) (x) (R^dag R)`` with ``S = sum X``,
+    and the residual is ``beta_Q I - BellOp - (1/2)`` of that.
+    """
+    _, ls, rs = zip(*_sos_terms(r, side))
+    ls, rs = np.array(ls), np.array(rs)
+    s = kron_sum(ls, rs)
+    acc = s + dagger(s)
+    acc -= kron_sum(dagger(ls) @ ls, dagger(rs) @ rs)
+    acc *= 0.5
+    acc -= bell_operator(BellFunctional.satwap(r.d), r)
+    acc[np.diag_indices_from(acc)] += quantum_bound(r.d) - 0.5 * len(ls)
     return float(np.linalg.norm(acc))
 
 
@@ -124,8 +133,10 @@ def stabilizer_residuals(r: Realization, side: str = "bob") -> dict[tuple[int, i
     These vanish exactly when the realization maximally violates; they are
     the conditions that drive the extraction.
     """
-    psi = r.state
-    return {ik: float(np.linalg.norm(psi - term @ psi)) for ik, term in _sos_terms(r, side)}
+    psi = r.state.reshape(r.dims)
+    return {
+        ik: float(np.linalg.norm(psi - lf @ psi @ rf.T)) for ik, lf, rf in _sos_terms(r, side)
+    }
 
 
 def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:

@@ -233,3 +233,34 @@ def test_realization_validate_returns_the_four_decompositions():
     assert len(decomps) == 4
     for decomp, o in zip(decomps, observables):
         assert decomp.reconstruction_error(o) < 1e-9
+
+
+def test_correlation_tensor_validate_rejects_all_nan():
+    t = CorrelationTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan))
+    with pytest.raises(ValueError):
+        t.validate()
+
+
+def test_correlator_tensor_validate_rejects_nan_at_the_origin():
+    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="must equal 1"):
+        c.validate()
+
+
+def test_correlator_tensor_validate_rejects_nan_off_the_origin():
+    values = correlators_from_realization(ideal_realization(3)).values.copy()
+    values[0, 1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="conjugation symmetry"):
+        CorrelatorTensor(Scenario(3), values).validate()
+
+
+def test_inverse_transform_rejects_nan_correlators():
+    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="complex probabilities"):
+        probabilities_from_correlators(c)
+
+
+def test_local_bound_rejects_nan_coefficients():
+    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="not real"):
+        local_bound_bruteforce(f)

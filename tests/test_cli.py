@@ -206,3 +206,19 @@ def test_verify_file_with_non_integral_dims_is_an_input_error(tmp_path, capsys):
 def test_scramble_rejects_nonpositive_aux_dimension(capsys):
     assert main(["scramble", "--d", "3", "--aux-a", "0"]) == EXIT_INPUT_ERROR
     assert "aux dimensions must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bounds", "--d-min", "0"], "--d-min must be >= 2, got 0"),
+        (["bounds", "--d-min", "3", "--d-max", "2"], "--d-min 3 exceeds --d-max 2"),
+        (["simulate", "--d", "1", "--shots", "10"], "--d must be >= 2, got 1"),
+        (["scramble", "--d", "1"], "--d must be >= 2, got 1"),
+    ],
+)
+def test_out_of_range_d_is_an_input_error(argv, message, capsys):
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -1,0 +1,154 @@
+"""The batched contraction kernels against their loop-and-Kronecker oracles.
+
+Realizations use unequal local dimensions (aux 2x3 and 3x2, so da != db
+exercises every reshape and transpose), Haar-random order-d observables and
+a random, non-maximally entangled state.  A second set of cases uses
+generic non-unitary matrices, where the SOS identity fails by O(1), so the
+residual kernels are compared on a value that is not near zero.
+"""
+
+import numpy as np
+import pytest
+
+import _oracles
+from _helpers import random_realization
+
+import qsk.bell
+import qsk.linalg
+from qsk.bell import Realization, born_probabilities, correlators_from_realization, expectation
+from qsk.linalg import kron_sum, unitary_powers
+from qsk.satwap import BellFunctional, bell_operator
+from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
+
+CASES = [(d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (3, 2))]
+
+
+def _realization(d: int, aux: tuple[int, int], seed: int) -> Realization:
+    rng = np.random.default_rng(seed)
+    return random_realization(d, rng, dim_a=d * aux[0], dim_b=d * aux[1])
+
+
+def _generic(d: int, aux: tuple[int, int], seed: int) -> Realization:
+    """Same shapes, but the observables are arbitrary complex matrices."""
+    rng = np.random.default_rng(seed)
+    da, db = d * aux[0], d * aux[1]
+
+    def matrix(n):
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+    state = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+    return Realization(
+        d=d,
+        dims=(da, db),
+        state=state / np.linalg.norm(state),
+        observables_a=(matrix(da), matrix(da)),
+        observables_b=(matrix(db), matrix(db)),
+    )
+
+
+def test_kron_sum_matches_summed_kron_products():
+    rng = np.random.default_rng(7)
+    for t, na, nb in ((1, 1, 1), (3, 2, 5), (4, 5, 2), (6, 3, 3)):
+        ls = rng.standard_normal((t, na, na)) + 1j * rng.standard_normal((t, na, na))
+        rs = rng.standard_normal((t, nb, nb)) + 1j * rng.standard_normal((t, nb, nb))
+        expected = sum(np.kron(ls[i], rs[i]) for i in range(t))
+        assert np.abs(kron_sum(ls, rs) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+def test_expectation_table_matches_entrywise_einsum(d, aux):
+    r = _realization(d, aux, seed=10 * d + aux[0])
+    psi = r.state.reshape(r.dims)
+    pa = unitary_powers(r.observables_a[0], d)
+    pb = unitary_powers(r.observables_b[1], d)
+    table = expectation(pa, pb, psi)
+    assert table.shape == (d, d)
+    expected = np.array([[_oracles.expectation(a, b, psi) for b in pb] for a in pa])
+    assert np.abs(table - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+def test_correlators_match_entrywise_oracle(d, aux):
+    r = _realization(d, aux, seed=20 * d + aux[0])
+    values = correlators_from_realization(r).values
+    assert np.abs(values - _oracles.correlators(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+def test_born_probabilities_match_nested_trace_oracle(d, aux):
+    r = _realization(d, aux, seed=30 * d + aux[0])
+    p = born_probabilities(r).probabilities
+    assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+def test_bell_operator_matches_kron_loop(d, aux):
+    f = BellFunctional.satwap(d)
+    for r in (_realization(d, aux, seed=40 * d + aux[0]), _generic(d, aux, seed=41 * d)):
+        assert np.abs(bell_operator(f, r) - _oracles.bell_operator(f, r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+def test_sos_residuals_match_dense_oracle(d, aux):
+    # order-d observables: the identity holds, both residuals sit at rounding level
+    r = _realization(d, aux, seed=50 * d + aux[0])
+    assert abs(sos_residual_bob(r) - _oracles.sos_residual(r, "bob")) <= 1e-12
+    assert abs(sos_residual_alice(r) - _oracles.sos_residual(r, "alice")) <= 1e-12
+    # generic matrices: the identity fails by O(1), and the kernel must report it
+    g = _generic(d, aux, seed=51 * d + aux[0])
+    for fast, side in ((sos_residual_bob, "bob"), (sos_residual_alice, "alice")):
+        expected = _oracles.sos_residual(g, side)
+        assert expected > 0.1
+        assert abs(fast(g) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("d,aux", CASES)
+@pytest.mark.parametrize("side", ["bob", "alice"])
+def test_stabilizer_residuals_match_kron_oracle(d, aux, side):
+    r = _realization(d, aux, seed=60 * d + aux[0])
+    fast = stabilizer_residuals(r, side)
+    slow = _oracles.stabilizer_residuals(r, side)
+    assert fast.keys() == slow.keys()
+    assert max(abs(fast[ik] - slow[ik]) for ik in slow) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# structural guards: the kernels stay batched
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_correlators_make_one_expectation_call_per_setting_pair(monkeypatch):
+    calls = _counting(monkeypatch, qsk.bell, "expectation")
+    correlators_from_realization(_realization(5, (2, 3), seed=1))
+    assert len(calls) == 4
+
+
+def test_born_probabilities_decompose_each_observable_once(monkeypatch):
+    calls = _counting(monkeypatch, qsk.bell, "eig_unitary")
+    born_probabilities(_realization(3, (2, 3), seed=2))
+    assert len(calls) == 4
+
+
+def test_operator_kernels_form_no_kronecker_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Kronecker product formed")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(qsk.linalg, "kron", forbidden)
+    r = _realization(3, (2, 3), seed=3)
+    bell_operator(BellFunctional.satwap(3), r)
+    sos_residual_bob(r)
+    sos_residual_alice(r)
+    stabilizer_residuals(r, "bob")
+    stabilizer_residuals(r, "alice")

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import qsk.linalg
 from qsk.linalg import (
+    EigenDecomposition,
     NotOrderDError,
+    assert_unitary,
     dagger,
     eig_unitary,
     frobenius_distance,
     haar_random_unitary,
     kron,
+    kron_sum,
     omega,
     partial_trace,
     unitary_power,
@@ -144,3 +148,39 @@ def test_haar_random_unitary_is_unitary():
     for n in (2, 5, 16):
         u = haar_random_unitary(n, rng)
         assert frobenius_distance(dagger(u) @ u, np.eye(n)) < 1e-10
+
+
+def test_kron_sum_of_one_term_is_the_kron_product():
+    a = haar_random_unitary(2, rng)
+    b = haar_random_unitary(3, rng)
+    assert np.abs(kron_sum(a[None], b[None]) - np.kron(a, b)).max() <= 1e-15
+
+
+# Every gate reads ``not (x <= tol)``: a NaN residual must fail, not pass.
+
+
+def test_assert_unitary_rejects_nan_entry():
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        assert_unitary(m)
+
+
+def test_eig_unitary_snap_gate_rejects_nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[0], np.nan + 0j))
+    with pytest.raises(NotOrderDError, match="nearest d-th root"):
+        eig_unitary(z_observable(3), 3)
+
+
+def test_eig_unitary_trace_gate_rejects_nan_projector(monkeypatch):
+    monkeypatch.setattr(
+        qsk.linalg, "spectral_projectors", lambda a, d: [np.full(a.shape, np.nan)] * d
+    )
+    with pytest.raises(NotOrderDError, match="projector trace"):
+        eig_unitary(z_observable(3), 3)
+
+
+def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
+    monkeypatch.setattr(EigenDecomposition, "reconstruction_error", lambda self, a: np.nan)
+    with pytest.raises(NotOrderDError, match="reconstruction error"):
+        eig_unitary(z_observable(3), 3)

@@ -3,7 +3,8 @@ import pytest
 
 from _helpers import random_realization
 
-from qsk.bell import sample_statistics
+import qsk.randomness
+from qsk.bell import CorrelationTensor, Scenario, sample_statistics
 from qsk.canonical import ideal_realization
 from qsk.randomness import (
     certified_bits,
@@ -83,3 +84,16 @@ def test_empirical_uniformity():
         ).sum(axis=0) / counts
         se = np.sqrt((1 / d) * (1 - 1 / d) / counts)
         assert np.abs(marginal - 1 / d).max() <= 5 * se
+
+
+def test_signaling_gate_rejects_nan_probabilities(monkeypatch):
+    nan = CorrelationTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan))
+    monkeypatch.setattr(qsk.randomness, "born_probabilities", lambda r: nan)
+    with pytest.raises(ValueError, match="signal"):
+        outcome_distribution(ideal_realization(3), "B", 1)
+
+
+def test_gap_gate_rejects_nan_bell_value(monkeypatch):
+    monkeypatch.setattr(qsk.randomness, "evaluate", lambda f, c: float("nan"))
+    with pytest.raises(ValueError, match="misses the maximal value"):
+        ideal_guessing_probability(ideal_realization(3), "B", 1)

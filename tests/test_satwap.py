@@ -7,6 +7,7 @@ from _helpers import random_probability_tensor, random_realization
 
 from qsk.bell import (
     CorrelationTensor,
+    CorrelatorTensor,
     Scenario,
     born_probabilities,
     correlators_from_probabilities,
@@ -160,3 +161,22 @@ def test_quantum_bound_is_supremum(d):
         r = random_realization(d, rng, dim_a=d * (1 + trial % 2), dim_b=d)
         value = evaluate(f, correlators_from_realization(r))
         assert value <= quantum_bound(d) + 1e-6
+
+
+def test_evaluate_rejects_nan_correlators():
+    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        evaluate(BellFunctional.satwap(3), c)
+
+
+def test_probability_form_rejects_nan_coefficients():
+    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="not real"):
+        probability_form(f)
+
+
+def test_validate_satwap_rejects_nan_coefficient():
+    f = BellFunctional.satwap(3)
+    f.coefficients[0, 0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="a_1"):
+        f.validate_satwap()

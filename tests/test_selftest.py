@@ -3,7 +3,8 @@ import pytest
 
 from _helpers import random_order_d, random_realization
 
-from qsk.bell import Realization, correlators_from_realization
+import qsk.selftest
+from qsk.bell import CorrelatorTensor, Realization, Scenario, correlators_from_realization
 from qsk.canonical import (
     ideal_alice_observables,
     ideal_realization,
@@ -299,3 +300,25 @@ def test_scramble_rejects_nonpositive_aux():
     for aux_a, aux_b in ((0, 2), (2, 0), (-1, 1)):
         with pytest.raises(ValueError):
             scramble(ideal_realization(2), aux_a, aux_b, seed=1)
+
+
+def test_scramble_drift_gate_rejects_nan_correlators(monkeypatch):
+    nan = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    monkeypatch.setattr(qsk.selftest, "correlators_from_realization", lambda r: nan)
+    with pytest.raises(AssertionError, match="changed the correlations"):
+        scramble(ideal_realization(3), 2, 1, seed=0)
+
+
+def test_block_alignment_gate_rejects_nan_block():
+    d = 3
+    z, t = z_observable(d), t_observable(d)
+    b2 = t.copy()
+    b2[0, 1] = np.nan
+    with pytest.raises(ExtractionError, match=r"F F\^dag"):
+        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d))
+
+
+def test_conjugation_gate_rejects_nan_unitary():
+    z, t = z_observable(3), t_observable(3)
+    with pytest.raises(ExtractionError, match="misses its canonical form"):
+        qsk.selftest._verify_conjugation(np.full((3, 3), np.nan), (z, t), (z, t), 1)
