@@ -165,17 +165,16 @@ def _fourier_matrix(d: int) -> np.ndarray:
 
 
 def correlators_from_probabilities(t: CorrelationTensor) -> CorrelatorTensor:
-    """Two-dimensional discrete Fourier transform of p(a,b|x,y)."""
+    """Two-dimensional discrete Fourier transform of p(a,b|x,y): ``W p W^T``."""
     w = _fourier_matrix(t.scenario.d)
-    values = np.einsum("ka,xyab,lb->xykl", w, t.probabilities, w)
-    return CorrelatorTensor(t.scenario, values)
+    return CorrelatorTensor(t.scenario, w @ t.probabilities @ w.T)
 
 
 def probabilities_from_correlators(c: CorrelatorTensor) -> CorrelationTensor:
     """Exact inverse of :func:`correlators_from_probabilities`."""
     d = c.scenario.d
-    w = _fourier_matrix(d).conj()
-    p = np.einsum("ka,xykl,lb->xyab", w.T, c.values, w) / d**2
+    w = _fourier_matrix(d).conj() / d
+    p = w.T @ c.values @ w
     if not np.abs(p.imag).max() <= 1e-9:
         raise ValueError("inverse transform produced complex probabilities")
     return CorrelationTensor(c.scenario, p.real)

@@ -85,6 +85,8 @@ def _integer(value, what: str) -> int:
 def realization_from_json(data: dict) -> bell.Realization:
     try:
         d = _integer(data["d"], "d")
+        if len(data["dims"]) != 2:
+            raise ValueError(f"dims must be a pair of integers, got {data['dims']!r}")
         dims = (_integer(data["dims"][0], "dims"), _integer(data["dims"][1], "dims"))
         state = _vector_from_json(data["state"])
         obs_a = tuple(_matrix_from_json(m) for m in data["A"])

@@ -1,11 +1,15 @@
 """Exact rational polynomial arithmetic and the equal-coefficients argument.
 
-Everything here is exact (``fractions.Fraction`` coefficients, arbitrary
-precision); no tolerances appear anywhere in this module.  The headline
-result: a rational polynomial of degree < d that vanishes at ``w**n`` for
-every proper divisor n of d has all coefficients equal.  The divisibility
-route used to conclude this — successive exact division by the cyclotomic
-polynomials ``Phi_{d/n}`` — is itself the checkable artifact.
+Everything here is exact and no tolerances appear anywhere in this module.
+A polynomial is stored as integer numerators over one common positive
+denominator, so products and divisions are integer convolutions and
+integer pseudo-division (Knuth, TAOCP Vol. 2, 4.6.1): arbitrary-precision
+``int`` arithmetic throughout, with ``fractions.Fraction`` only at the
+read-out of single coefficients.  The headline result: a rational
+polynomial of degree < d that vanishes at ``w**n`` for every proper
+divisor n of d has all coefficients equal.  The divisibility route used
+to conclude this -- successive exact division by the cyclotomic
+polynomials ``Phi_{d/n}`` -- is itself the checkable artifact.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def proper_divisors(d: int) -> list[int]:
@@ -26,39 +31,50 @@ def proper_divisors(d: int) -> list[int]:
 class RationalPolynomial:
     """Dense polynomial over the rationals, coefficients ascending in degree.
 
-    Normalized so the leading coefficient is nonzero (the zero polynomial
-    is the empty tuple, degree -1).
+    Coefficient i is ``numerators[i] / denominator``.  The form is
+    canonical, so ``==`` is equality of polynomials: no trailing zero
+    numerator, ``denominator > 0`` and coprime to the numerators, and the
+    zero polynomial is ``((), 1)`` (degree -1).  Build instances with
+    :meth:`from_list`, which canonicalizes.
     """
 
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int = 1
 
     @classmethod
     def from_list(cls, coeffs) -> RationalPolynomial:
         c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return cls(tuple(c))
+        den = lcm(1, *(x.denominator for x in c))
+        return _canonical([x.numerator * (den // x.denominator) for x in c], den)
 
     @classmethod
     def zero(cls) -> RationalPolynomial:
-        return cls(())
+        return cls((), 1)
 
     @classmethod
     def constant(cls, value) -> RationalPolynomial:
         return cls.from_list([value])
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as exact fractions, ascending in degree."""
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     def __add__(self, other: RationalPolynomial) -> RationalPolynomial:
-        a, b = self.coefficients, other.coefficients
+        den = lcm(self.denominator, other.denominator)
+        fa, fb = den // self.denominator, den // other.denominator
+        a, b = self.numerators, other.numerators
         n = max(len(a), len(b))
-        return RationalPolynomial.from_list(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+        return _canonical(
+            [(a[i] * fa if i < len(a) else 0) + (b[i] * fb if i < len(b) else 0) for i in range(n)],
+            den,
         )
 
     def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
@@ -66,82 +82,123 @@ class RationalPolynomial:
 
     def scale(self, factor) -> RationalPolynomial:
         f = Fraction(factor)
-        return RationalPolynomial.from_list([c * f for c in self.coefficients])
+        return _canonical(
+            [c * f.numerator for c in self.numerators], self.denominator * f.denominator
+        )
 
     def __mul__(self, other: RationalPolynomial) -> RationalPolynomial:
+        """Integer convolution of the numerators over the product of denominators."""
         if self.is_zero() or other.is_zero():
             return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial.from_list(out)
+        b = _nonzero_terms(other.numerators)
+        out = [0] * (len(self.numerators) + len(other.numerators) - 1)
+        for i, a in enumerate(self.numerators):
+            if a:
+                for j, bj in b:
+                    out[i + j] += a * bj
+        return _canonical(out, self.denominator * other.denominator)
 
     def evaluate(self, x: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + complex(c)
+        for c in reversed(self.numerators):
+            acc = acc * x + c / self.denominator
         return acc
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        den = self.denominator
         parts = []
-        for i, c in enumerate(self.coefficients):
+        for i, c in enumerate(self.numerators):
             if c == 0:
                 continue
             term = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) == 1:
+            if i > 0 and abs(c) == den:
                 parts.append(term if c > 0 else f"-{term}")
             elif i == 0:
-                parts.append(str(c))
+                parts.append(str(Fraction(c, den)))
             else:
-                parts.append(f"{c}*{term}")
+                parts.append(f"{Fraction(c, den)}*{term}")
         joined = " + ".join(parts)
         return joined.replace("+ -", "- ")
+
+
+def _canonical(nums: list[int], denominator: int) -> RationalPolynomial:
+    """Canonical form of ``nums / denominator`` (ints, denominator > 0); trims ``nums``."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if not nums:
+        return RationalPolynomial((), 1)
+    if denominator != 1:
+        g = gcd(denominator, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            denominator //= g
+    return RationalPolynomial(tuple(nums), denominator)
+
+
+def _nonzero_terms(numerators: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(j, c) for j, c in enumerate(numerators) if c]
 
 
 def poly_divmod(
     f: RationalPolynomial, g: RationalPolynomial
 ) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """Euclidean division: f = q*g + r exactly with deg r < deg g."""
+    """Euclidean division: f = q*g + r exactly with deg r < deg g.
+
+    Integer pseudo-division of the numerators F by G keeps the invariant
+    ``s F = Q G + R`` with integer Q, R and scale s.  A step whose leading
+    remainder term is not divisible by G's leading numerator first
+    multiplies R, Q and s by the smallest factor of it that makes the
+    term divisible; for a monic divisor such as ``Phi_n`` that never
+    happens.  Then ``q = Q g_den / (s f_den)`` and ``r = R / (s f_den)``.
+    """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(f.coefficients)
-    gc = g.coefficients
     dg = g.degree
-    lead = gc[-1]
     if f.degree < dg:
         return RationalPolynomial.zero(), f
-    quot = [Fraction(0)] * (f.degree - dg + 1)
+    rem = list(f.numerators)
+    terms = _nonzero_terms(g.numerators)
+    lead = g.numerators[-1]
+    scale = 1
+    quot = [0] * (f.degree - dg + 1)
     for i in range(f.degree - dg, -1, -1):
-        c = rem[i + dg] / lead
+        t = rem[i + dg]
+        if t == 0:
+            continue
+        if t % lead:
+            m = abs(lead) // gcd(t, lead)
+            rem = [c * m for c in rem]
+            quot = [c * m for c in quot]
+            scale *= m
+            t *= m
+        c = t // lead
         quot[i] = c
-        if c != 0:
-            for j, gj in enumerate(gc):
-                rem[i + j] -= c * gj
-    return RationalPolynomial.from_list(quot), RationalPolynomial.from_list(rem[:dg])
+        for j, gj in terms:
+            rem[i + j] -= c * gj
+    den = scale * f.denominator
+    return (
+        _canonical([c * g.denominator for c in quot], den),
+        _canonical(rem[:dg], den),
+    )
 
 
 def _x_power_minus_one(n: int) -> RationalPolynomial:
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(-1)
-    coeffs[n] = Fraction(1)
-    return RationalPolynomial(tuple(coeffs))
+    return RationalPolynomial((-1,) + (0,) * (n - 1) + (1,))
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> RationalPolynomial:
     """The n-th cyclotomic polynomial Phi_n, by recursive exact division.
 
-    Phi_n = (x^n - 1) / prod_{m | n, m < n} Phi_m; integer coefficients.
+    Phi_n = (x^n - 1) / prod_{m | n, m < n} Phi_m; integer coefficients, so
+    the cached polynomials hold small ints over denominator 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return RationalPolynomial.from_list([-1, 1])
+        return RationalPolynomial((-1, 1))
     num = _x_power_minus_one(n)
     for m in range(1, n):
         if n % m == 0:
@@ -154,12 +211,12 @@ def cyclotomic_poly(n: int) -> RationalPolynomial:
 
 def all_ones_poly(d: int) -> RationalPolynomial:
     """1 + x + ... + x^(d-1)."""
-    return RationalPolynomial(tuple([Fraction(1)] * d))
+    return RationalPolynomial((1,) * d)
 
 
 def check_product_identity(d: int) -> bool:
     """prod_i Phi_{d/n_i} over proper divisors n_i equals 1 + x + ... + x^(d-1)."""
-    prod = RationalPolynomial.constant(1)
+    prod = RationalPolynomial((1,))
     for n in proper_divisors(d):
         prod = prod * cyclotomic_poly(d // n)
     return prod == all_ones_poly(d)

@@ -87,19 +87,20 @@ def unitary_powers(a: np.ndarray, d: int) -> np.ndarray:
     return powers
 
 
-def spectral_projectors(a: np.ndarray, d: int) -> list[np.ndarray]:
-    """Spectral projectors of an order-d unitary via Fourier inversion.
+def spectral_projectors(a: np.ndarray, d: int) -> np.ndarray:
+    """The stack (d, n, n) of spectral projectors of an order-d unitary.
 
     ``P_j = (1/d) sum_k w**(-j k) a**k`` projects onto the ``w**j``
     eigenspace; this inverts the relation ``a = sum_j w**j P_j`` exactly,
     so it is also how measurement projectors are recovered from an
-    observable (outcome ``a`` <-> eigenvalue ``w**a``).
+    observable (outcome ``a`` <-> eigenvalue ``w**a``).  The whole stack
+    is one (d, d) @ (d, n*n) product of the inverse DFT matrix, 1/d
+    included, with the flattened powers.
     """
-    powers = unitary_powers(a, d)
-    return [
-        sum(omega(d, -j * k) * powers[k] for k in range(d)) / d
-        for j in range(d)
-    ]
+    k = np.arange(d)
+    dft = np.exp(-2j * np.pi * (np.outer(k, k) % d) / d) / d
+    n = a.shape[0]
+    return (dft @ unitary_powers(a, d).reshape(d, n * n)).reshape(d, n, n)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecom
         if m == 0:
             continue
         u, s, _ = np.linalg.svd(projs[j])
-        if s[m - 1] < 0.5 or (m < dim and s[m] > 0.5):
+        if not (s[m - 1] >= 0.5 and (m == dim or s[m] <= 0.5)):
             raise NotOrderDError(f"eigenspace {j} is numerically ill-defined")
         blocks.append(u[:, :m])
         eigenvalues.extend([omega(d, j)] * m)

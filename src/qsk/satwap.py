@@ -111,11 +111,11 @@ def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
 def probability_form(f: BellFunctional) -> np.ndarray:
     """Real coefficients t[x,y,a,b] such that the value is sum(t * p).
 
-    This is the inverse Fourier image of the correlator coefficients;
-    conjugation symmetry of the a_k makes every entry real.
+    This is the inverse Fourier image ``W^T c W`` of the correlator
+    coefficients; conjugation symmetry of the a_k makes every entry real.
     """
     w = _fourier_matrix(f.d)
-    t = np.einsum("xykl,ka,lb->xyab", f.coefficients, w, w)
+    t = w.T @ f.coefficients @ w
     if not np.abs(t.imag).max() <= 1e-12:
         raise ValueError("probability-form coefficients are not real")
     return t.real

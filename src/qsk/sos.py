@@ -173,7 +173,7 @@ class TraceConditionReport:
     def witness(self) -> int | None:
         """A divisor with nonvanishing trace, if any."""
         for n, v in self.entries:
-            if v > self.tolerance:
+            if not v <= self.tolerance:
                 return n
         return None
 
@@ -265,22 +265,24 @@ class RootIdentityReport:
 
 
 def check_root_identities(d: int) -> RootIdentityReport:
-    """Verify the two root-of-unity sum identities over all valid indices."""
-    r1 = 0.0
-    for k in range(1, d):
-        for i in range(d):
-            total = sum(
-                (1 - omega(d, k * (j - i))) / (1 - omega(d, i - j))
-                for j in range(d)
-                if j != i
-            )
-            r1 = max(r1, abs(total - k))
-    r2 = 0.0
+    """Verify the two root-of-unity sum identities over all valid indices.
+
+    Both sums are evaluated at once over their whole index grids, every
+    exponent reduced mod d into one table of the d-th roots of unity; the
+    excluded j = i terms have numerator 1 - w^0 = 0 exactly and get a unit
+    denominator.
+    """
     ks = np.arange(d)
-    for n in range(1, d):
-        total = np.sum(ks * np.exp(2j * np.pi * ks * n / d))
-        r2 = max(r2, abs(total - d / (omega(d, n) - 1)))
-    return RootIdentityReport(d=d, ratio_sum=r1, weighted_sum=float(r2))
+    roots = np.exp(2j * np.pi * ks / d)
+    k = ks[1:, None, None]
+    diff = ks[None, :] - ks[:, None]  # [i, j] = j - i
+    den = 1 - roots[-diff % d]
+    np.fill_diagonal(den, 1)
+    total = ((1 - roots[k * diff % d]) / den).sum(axis=-1)
+    r1 = float(np.abs(total - k[:, :, 0]).max())
+    weighted = roots[np.outer(ks[1:], ks) % d] @ ks
+    r2 = float(np.abs(weighted - d / (roots[1:] - 1)).max())
+    return RootIdentityReport(d=d, ratio_sum=r1, weighted_sum=r2)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
-"""Loop-and-Kronecker reference forms of the batched kernels (test oracles).
+"""Loop-and-Kronecker reference forms of the fast kernels (test oracles).
 
 Each function here is the direct transcription of a definition: one
 ``einsum`` per correlator entry, one trace per Born probability, one dense
-``kron`` per Bell-operator or sum-of-squares term.  They are slow (O(n^4)
-per entry or per term) and exist only to cross-check the fast kernels in
-:mod:`qsk` at small d.
+``kron`` per Bell-operator or sum-of-squares term, ``Fraction`` arithmetic
+term by term for polynomials, an ``einsum`` per Fourier transform and a
+sum of weighted powers per spectral projector.  They are slow and exist
+only to cross-check the fast kernels in :mod:`qsk`.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 
-from qsk.bell import Realization
-from qsk.linalg import dagger, eig_unitary, unitary_powers
+from qsk.bell import Realization, _fourier_matrix
+from qsk.linalg import dagger, eig_unitary, omega, unitary_powers
 from qsk.satwap import BellFunctional, quantum_bound
 from qsk.sos import c_operators, cbar_operators
 
@@ -107,3 +111,119 @@ def stabilizer_residuals(r: Realization, side: str) -> dict[tuple[int, int], flo
     """|psi - X_{i,k} psi| with X_{i,k} applied as a dense matrix."""
     psi = r.state
     return {ik: float(np.linalg.norm(psi - term @ psi)) for ik, term in sos_terms(r, side)}
+
+
+def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Product of two ascending coefficient tuples, one Fraction product per term."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def poly_divmod(
+    f: tuple[Fraction, ...], g: tuple[Fraction, ...]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Schoolbook division f = q g + r over Fraction coefficients."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    dg, df = len(g) - 1, len(f) - 1
+    if df < dg:
+        return (), tuple(f)
+    rem = list(f)
+    quot = [Fraction(0)] * (df - dg + 1)
+    for i in range(df - dg, -1, -1):
+        c = rem[i + dg] / g[-1]
+        quot[i] = c
+        if c != 0:
+            for j, gj in enumerate(g):
+                rem[i + j] -= c * gj
+    return _trim(quot), _trim(rem[:dg])
+
+
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n from the Moebius product, independently.
+
+    ``Phi_n = prod_{m | n} (1 - x^m)^mu(n/m)`` for n >= 2, expanded as a
+    power series truncated at degree phi(n): multiplying by ``1 - x^m`` is
+    ``c[i] -= c[i-m]`` and dividing by it is ``c[i] += c[i-m]``.
+    """
+    if n == 1:
+        return (-1, 1)
+    degree = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    c = [1] + [0] * degree
+    for m in range(1, n + 1):
+        if n % m:
+            continue
+        mu = _moebius(n // m)
+        if mu == 1:
+            for i in range(degree, m - 1, -1):
+                c[i] -= c[i - m]
+        elif mu == -1:
+            for i in range(m, degree + 1):
+                c[i] += c[i - m]
+    return tuple(c)
+
+
+def _moebius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def correlators_from_probabilities(p: np.ndarray) -> np.ndarray:
+    """<A_x^k B_y^l> = sum_ab w^(ka) w^(lb) p(a,b|x,y) as one einsum."""
+    w = _fourier_matrix(p.shape[-1])
+    return np.einsum("ka,xyab,lb->xykl", w, p, w)
+
+
+def probabilities_from_correlators(c: np.ndarray) -> np.ndarray:
+    """The inverse transform, 1/d^2 sum_kl w^(-ka) w^(-lb) <A_x^k B_y^l>."""
+    d = c.shape[-1]
+    w = _fourier_matrix(d).conj()
+    return np.einsum("ka,xykl,lb->xyab", w.T, c, w) / d**2
+
+
+def probability_form(coefficients: np.ndarray) -> np.ndarray:
+    """t[x,y,a,b] = sum_kl c[x,y,k,l] w^(ka) w^(lb) as one einsum."""
+    w = _fourier_matrix(coefficients.shape[-1])
+    return np.einsum("xykl,ka,lb->xyab", coefficients, w, w)
+
+
+def spectral_projectors(a: np.ndarray, d: int) -> list[np.ndarray]:
+    """P_j = (1/d) sum_k w^(-jk) a^k, one weighted sum of powers per j."""
+    powers = unitary_powers(a, d)
+    return [sum(omega(d, -j * k) * powers[k] for k in range(d)) / d for j in range(d)]
+
+
+def root_identities(d: int) -> tuple[float, float]:
+    """Residuals of both root-of-unity sum identities, index by index."""
+    r1 = 0.0
+    for k in range(1, d):
+        for i in range(d):
+            total = sum(
+                (1 - omega(d, k * (j - i))) / (1 - omega(d, i - j)) for j in range(d) if j != i
+            )
+            r1 = max(r1, abs(total - k))
+    r2 = 0.0
+    for n in range(1, d):
+        total = sum(k * omega(d, k * n) for k in range(d))
+        r2 = max(r2, abs(total - d / (omega(d, n) - 1)))
+    return r1, r2

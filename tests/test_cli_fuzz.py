@@ -1,0 +1,115 @@
+"""Hostile realization files: every mutation exits 0, 1 or 2 without a traceback.
+
+A valid scrambled realization (d = 2, aux 2x1) is mutated one way per
+example: a key dropped, one numeric leaf replaced by a non-finite value, a
+string, ``null`` or a list, a row made ragged, ``dims`` rewritten, or ``d``
+replaced by a non-integral or out-of-range value.  ``verify --file
+--extract`` must answer with an exit code in {0, 1, 2} and an error line,
+never an uncaught exception, and no file carrying a non-finite number may
+exit 0.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qsk.canonical import ideal_realization
+from qsk.cli import EXIT_OK, main, realization_to_json
+from qsk.selftest import scramble
+
+BASE = realization_to_json(scramble(ideal_realization(2), 2, 1, seed=11))
+KEYS = ("d", "dims", "state", "A", "B")
+BAD_LEAVES = (math.nan, math.inf, -math.inf, "0.5", None, [1.0], 1e308)
+BAD_D = (2.5, 2.0, "2", None, True, [2], 0, 1, -2, 3, 7)
+BAD_DIMS = ([2, 4], [4], [4, 2, 1], [0, 8], [-2, -4], [4.0, 2], ["4", 2], None)
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every number under the state and observables."""
+    if isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+    else:
+        yield path
+
+
+def _row_paths(node, path=()):
+    """Paths to every list of [re, im] pairs (state vector or matrix row)."""
+    if isinstance(node, list) and node and isinstance(node[0], list):
+        if isinstance(node[0][0], list):
+            for i, child in enumerate(node):
+                yield from _row_paths(child, path + (i,))
+        else:
+            yield path
+
+
+def _get(node, path):
+    for i in path:
+        node = node[i]
+    return node
+
+
+LEAVES = [(key,) + p for key in ("state", "A", "B") for p in _leaf_paths(BASE[key])]
+ROWS = [(key,) + p for key in ("state", "A", "B") for p in _row_paths(BASE[key])]
+
+
+@st.composite
+def mutations(draw):
+    data = json.loads(json.dumps(BASE))
+    kind = draw(st.sampled_from(("drop", "leaf", "ragged", "dims", "d")))
+    non_finite = False
+    if kind == "drop":
+        del data[draw(st.sampled_from(KEYS))]
+    elif kind == "leaf":
+        path = draw(st.sampled_from(LEAVES))
+        value = draw(st.sampled_from(BAD_LEAVES))
+        _get(data, path[:-1])[path[-1]] = value
+        non_finite = isinstance(value, float) and not math.isfinite(value)
+    elif kind == "ragged":
+        row = _get(data, draw(st.sampled_from(ROWS)))
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append([0.0, 0.0])
+    elif kind == "dims":
+        data["dims"] = draw(st.sampled_from(BAD_DIMS))
+    else:
+        data["d"] = draw(st.sampled_from(BAD_D))
+    return kind, data, non_finite
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_unmutated_base_file_is_accepted(workdir):
+    path = workdir / "base.json"
+    path.write_text(json.dumps(BASE))
+    assert main(["verify", "--file", str(path), "--extract"]) == EXIT_OK
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mutations())
+def test_mutated_realization_files_fail_safely(workdir, mutation):
+    kind, data, non_finite = mutation
+    path = workdir / "mutated.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--file", str(path), "--extract", "--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if non_finite:
+        assert code != EXIT_OK
+    if code == 2:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+    if kind in ("drop", "ragged", "dims"):
+        assert code != EXIT_OK

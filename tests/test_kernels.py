@@ -11,13 +11,23 @@ import numpy as np
 import pytest
 
 import _oracles
-from _helpers import random_realization
+from _helpers import random_order_d, random_probability_tensor, random_realization
 
 import qsk.bell
 import qsk.linalg
-from qsk.bell import Realization, born_probabilities, correlators_from_realization, expectation
-from qsk.linalg import kron_sum, unitary_powers
-from qsk.satwap import BellFunctional, bell_operator
+from qsk.bell import (
+    CorrelationTensor,
+    CorrelatorTensor,
+    Realization,
+    Scenario,
+    born_probabilities,
+    correlators_from_probabilities,
+    correlators_from_realization,
+    expectation,
+    probabilities_from_correlators,
+)
+from qsk.linalg import kron_sum, spectral_projectors, unitary_powers
+from qsk.satwap import BellFunctional, bell_operator, probability_form
 from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
 
 CASES = [(d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (3, 2))]
@@ -110,6 +120,27 @@ def test_stabilizer_residuals_match_kron_oracle(d, aux, side):
     slow = _oracles.stabilizer_residuals(r, side)
     assert fast.keys() == slow.keys()
     assert max(abs(fast[ik] - slow[ik]) for ik in slow) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 17])
+def test_fourier_transforms_match_einsum_oracles(d):
+    rng = np.random.default_rng(70 + d)
+    p = random_probability_tensor(d, rng)
+    c = correlators_from_probabilities(CorrelationTensor(Scenario(d), p)).values
+    assert np.abs(c - _oracles.correlators_from_probabilities(p)).max() <= 1e-12
+    back = probabilities_from_correlators(CorrelatorTensor(Scenario(d), c)).probabilities
+    assert np.abs(back - _oracles.probabilities_from_correlators(c).real).max() <= 1e-12
+    assert np.abs(back - p).max() <= 1e-12
+    f = BellFunctional.satwap(d)
+    assert np.abs(probability_form(f) - _oracles.probability_form(f.coefficients)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,dim", [(2, 2), (3, 7), (5, 5), (8, 12)])
+def test_spectral_projectors_match_weighted_power_sums(d, dim):
+    a = random_order_d(dim, d, np.random.default_rng(80 + d))
+    projs = spectral_projectors(a, d)
+    assert projs.shape == (d, dim, dim)
+    assert np.abs(projs - np.array(_oracles.spectral_projectors(a, d))).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,18 @@ def test_eig_unitary_trace_gate_rejects_nan_projector(monkeypatch):
         eig_unitary(z_observable(3), 3)
 
 
+def test_eig_unitary_eigenspace_gate_rejects_nan_singular_values(monkeypatch):
+    svd = np.linalg.svd
+
+    def nan_svd(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return u, np.full_like(s, np.nan), vh
+
+    monkeypatch.setattr(np.linalg, "svd", nan_svd)
+    with pytest.raises(NotOrderDError, match="ill-defined"):
+        eig_unitary(z_observable(3), 3)
+
+
 def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "reconstruction_error", lambda self, a: np.nan)
     with pytest.raises(NotOrderDError, match="reconstruction error"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _oracles
 from _helpers import random_order_d, random_realization
 
 from qsk.bell import Realization
@@ -13,6 +14,7 @@ from qsk.canonical import (
 )
 from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega
 from qsk.sos import (
+    TraceConditionReport,
     c_operators,
     cbar_operators,
     check_commutation_relation,
@@ -188,6 +190,22 @@ def test_root_identities_frozen_small_cases():
 @pytest.mark.parametrize("d", list(range(2, 25)))
 def test_root_identities_sweep(d):
     assert check_root_identities(d).max_residual < 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 16])
+def test_root_identities_match_loop_oracle(d):
+    report = check_root_identities(d)
+    ratio, weighted = _oracles.root_identities(d)
+    assert abs(report.ratio_sum - ratio) <= 1e-12
+    assert abs(report.weighted_sum - weighted) <= 1e-12
+    if d == 16:
+        assert report.max_residual <= 1e-13
+
+
+def test_trace_condition_witness_names_a_nan_entry():
+    report = TraceConditionReport(d=6, entries=((1, 0.0), (2, float("nan")), (3, 0.0)))
+    assert not report.passed
+    assert report.witness == 2
 
 
 def test_fij_structure_canonical_with_aux():
