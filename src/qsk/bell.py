@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import EigenDecomposition, dagger, eig_unitary, unitary_powers
 
 TOL_NORM = 1e-9
+BRUTE_FORCE_CAP = 12  # largest d for the d^4 enumeration of local strategies
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def correlators_from_realization(r: Realization) -> CorrelatorTensor:
     return CorrelatorTensor(r.scenario, values)
 
 
-def local_bound_bruteforce(functional, cap: int = 12) -> tuple[float, DeterministicStrategy]:
+def local_bound_bruteforce(functional) -> tuple[float, DeterministicStrategy]:
     """Exact local bound by enumerating all d^4 deterministic strategies.
 
     ``functional`` must expose ``d`` and a complex coefficient array
@@ -209,8 +210,8 @@ def local_bound_bruteforce(functional, cap: int = 12) -> tuple[float, Determinis
     (x, y, k, l).  Returns the bound together with an attaining strategy.
     """
     d = functional.d
-    if d > cap:
-        raise ValueError(f"d={d} exceeds the enumeration cap {cap}")
+    if d > BRUTE_FORCE_CAP:
+        raise ValueError(f"d={d} exceeds the enumeration cap {BRUTE_FORCE_CAP}")
     coeff = functional.coefficients
     # V[x,y,a,b] = value contributed by setting pair (x,y) when the
     # strategy outputs (a, b) there.

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, bell, canonical, cyclotomic, randomness, satwap, selftest
+from . import __version__, bell, canonical, cyclotomic, randomness, satwap, selftest, sos
+from .linalg import dagger, haar_random_unitary
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-BRUTE_FORCE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,8 @@ def _json_default(o):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default) + "\n"
+    kw = dict(sort_keys=True, separators=(",", ":"), allow_nan=False, default=_json_default)
+    return json.dumps(obj, **kw) + "\n"
 
 
 def realization_to_json(r: bell.Realization, metadata: dict | None = None) -> dict:
@@ -175,34 +176,33 @@ class VerificationReport:
         print(f"overall: {'pass' if self.passed else 'FAIL'}", file=stream)
 
 
-def _bounds_checks(d: int, tol: float, checks: list[CheckResult]) -> tuple[float, float, float]:
+def _bounds_checks(
+    ideal: bell.Realization, tol: float, checks: list[CheckResult]
+) -> tuple[float, float, float]:
+    d = ideal.d
     beta_c = satwap.classical_bound(d)
     beta_q = satwap.quantum_bound(d)
-    ideal = canonical.ideal_realization(d)
     value = satwap.evaluate(
         satwap.BellFunctional.satwap(d), bell.correlators_from_realization(ideal)
     )
     checks.append(CheckResult("quantum-bound-attained", abs(value - beta_q), 1e-9 * tol))
-    if d <= BRUTE_FORCE_CAP:
+    if d <= bell.BRUTE_FORCE_CAP:
         brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
         checks.append(CheckResult("classical-bound-brute-force", abs(brute - beta_c), 1e-9 * tol))
     return value, beta_c, beta_q
 
 
-def _sos_checks(d: int, seed: int, tol: float, checks: list[CheckResult]) -> None:
-    from .linalg import haar_random_unitary
-    from .sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
-
-    ideal = canonical.ideal_realization(d)
-    checks.append(CheckResult("sos-bob-canonical", sos_residual_bob(ideal), 1e-8 * tol))
-    checks.append(CheckResult("sos-alice-canonical", sos_residual_alice(ideal), 1e-8 * tol))
+def _sos_checks(ideal: bell.Realization, seed: int, tol: float, checks: list[CheckResult]) -> None:
+    d = ideal.d
+    checks.append(CheckResult("sos-bob-canonical", sos.sos_residual_bob(ideal), 1e-8 * tol))
+    checks.append(CheckResult("sos-alice-canonical", sos.sos_residual_alice(ideal), 1e-8 * tol))
     stab = max(
-        max(stabilizer_residuals(ideal, "bob").values()),
-        max(stabilizer_residuals(ideal, "alice").values()),
+        max(sos.stabilizer_residuals(ideal, "bob").values()),
+        max(sos.stabilizer_residuals(ideal, "alice").values()),
     )
     checks.append(CheckResult("sos-stabilizers-canonical", stab, 1e-9 * tol))
     rng = np.random.default_rng(np.random.Philox(seed))
-    z = canonical.z_observable(d)
+    z = ideal.observables_b[0]
     random_obs = []
     for _ in range(4):
         g = haar_random_unitary(d, rng)
@@ -210,44 +210,35 @@ def _sos_checks(d: int, seed: int, tol: float, checks: list[CheckResult]) -> Non
     r = bell.Realization(
         d=d,
         dims=(d, d),
-        state=canonical.maximally_entangled(d),
+        state=ideal.state,
         observables_a=(random_obs[0], random_obs[1]),
         observables_b=(random_obs[2], random_obs[3]),
     )
-    worst = max(sos_residual_bob(r), sos_residual_alice(r))
+    worst = max(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
     checks.append(CheckResult("sos-operator-identity-random", worst, 1e-8 * tol))
 
 
-def _trace_checks(d: int, tol: float, checks: list[CheckResult]) -> None:
-    from .sos import (
-        check_commutation_relation,
-        check_intermediate_identities,
-        check_root_identities,
-        check_trace_conditions,
-    )
-
-    z, t = canonical.z_observable(d), canonical.t_observable(d)
-    worst = 0.0
-    for obs in (z, t):
-        worst = max(worst, max((v for _, v in check_trace_conditions(obs, d).entries), default=0.0))
+def _trace_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> None:
+    d = ideal.d
+    z, t = ideal.observables_b
+    worst = max(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries)
     checks.append(CheckResult("trace-conditions-canonical", worst, 1e-8 * tol))
     checks.append(
-        CheckResult("twisted-commutation", check_commutation_relation(z, t, d), 1e-8 * tol)
+        CheckResult("twisted-commutation", sos.check_commutation_relation(z, t, d), 1e-8 * tol)
     )
     checks.append(
         CheckResult(
-            "trace-identities", check_intermediate_identities(z, t, d).max_residual, 1e-8 * tol
+            "trace-identities", sos.check_intermediate_identities(z, t, d).max_residual, 1e-8 * tol
         )
     )
     checks.append(
-        CheckResult("root-identities", check_root_identities(d).max_residual, 1e-8 * tol)
+        CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8 * tol)
     )
 
 
-def _cglmp_checks(d: int, tol: float, checks: list[CheckResult]) -> None:
-    from .linalg import dagger
-
-    z, t = canonical.z_observable(d), canonical.t_observable(d)
+def _cglmp_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> None:
+    d = ideal.d
+    z, t = ideal.observables_b
     w1, w2 = canonical.w1_w2(d)
     a1p, a2p, b1p, b2p = canonical.cglmp_observables(d)
     conj = max(
@@ -258,7 +249,7 @@ def _cglmp_checks(d: int, tol: float, checks: list[CheckResult]) -> None:
     )
     checks.append(CheckResult("cglmp-conjugations", conj, 1e-8 * tol))
     wa = canonical.w_alice(d)
-    ideal1, ideal2 = canonical.ideal_alice_observables(d)
+    ideal1, ideal2 = ideal.observables_a
     fact2 = max(
         float(np.linalg.norm(wa @ z @ dagger(wa) - ideal1)),
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
@@ -266,7 +257,7 @@ def _cglmp_checks(d: int, tol: float, checks: list[CheckResult]) -> None:
     checks.append(CheckResult("alice-rotation", fact2, 1e-8 * tol))
     drift = np.abs(
         bell.born_probabilities(canonical.cglmp_realization(d)).probabilities
-        - bell.born_probabilities(canonical.ideal_realization(d)).probabilities
+        - bell.born_probabilities(ideal).probabilities
     ).max()
     checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8 * tol))
 
@@ -305,8 +296,8 @@ def _extract_checks(
     }
 
 
-def _randomness_checks(d: int, tol: float, checks: list[CheckResult]) -> dict:
-    ideal = canonical.ideal_realization(d)
+def _randomness_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> dict:
+    d = ideal.d
     dist = randomness.outcome_distribution(ideal, "B", 1)
     checks.append(
         CheckResult("uniform-outcomes", float(np.abs(dist - 1.0 / d).max()), 1e-9 * tol)
@@ -353,7 +344,8 @@ def build_verification_report(
     """Run the selected module check groups and collect a report.
 
     With an explicit ``realization``, the bounds/extract groups run against
-    it; otherwise the canonical realization for ``d`` is used throughout.
+    it; otherwise the canonical realization for ``d`` is used throughout,
+    built once and only if a selected group reads it (all but cyclotomic).
     """
     checks: list[CheckResult] = []
     report = VerificationReport(d=d, seed=seed, tol_scale=tol_scale, checks=checks)
@@ -374,22 +366,23 @@ def build_verification_report(
             report.extraction = _extract_checks(realization, tol, checks)
         return report
 
+    ideal = canonical.ideal_realization(d) if set(selectors) - {"cyclotomic"} else None
     if "bounds" in selectors:
-        value, beta_c, beta_q = _bounds_checks(d, tol, checks)
+        value, beta_c, beta_q = _bounds_checks(ideal, tol, checks)
         report.bell_value = value
         report.classical_bound = beta_c
         report.quantum_bound = beta_q
     if "sos" in selectors:
-        _sos_checks(d, seed, tol, checks)
+        _sos_checks(ideal, seed, tol, checks)
     if "traces" in selectors:
-        _trace_checks(d, tol, checks)
+        _trace_checks(ideal, tol, checks)
     if "cglmp" in selectors:
-        _cglmp_checks(d, tol, checks)
+        _cglmp_checks(ideal, tol, checks)
     if "extract" in selectors:
-        scrambled = selftest.scramble(canonical.ideal_realization(d), 2, 2, seed)
+        scrambled = selftest.scramble(ideal, 2, 2, seed)
         report.extraction = _extract_checks(scrambled, tol, checks)
     if "randomness" in selectors:
-        report.randomness = _randomness_checks(d, tol, checks)
+        report.randomness = _randomness_checks(ideal, tol, checks)
     if "cyclotomic" in selectors:
         _cyclotomic_checks(d, checks)
     return report
@@ -404,7 +397,7 @@ def cmd_bounds(args) -> int:
     for d in range(args.d_min, args.d_max + 1):
         bf = None
         if d <= args.brute_cap:
-            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d), cap=args.brute_cap)[0]
+            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))[0]
         beta_c = satwap.classical_bound(d)
         beta_q = satwap.quantum_bound(d)
         rows.append(
@@ -560,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="classical/quantum bounds table over a range of d")
     p.add_argument("--d-min", type=int, default=2)
     p.add_argument("--d-max", type=int, default=8)
-    p.add_argument("--brute-cap", type=int, default=8, help="largest d for brute force")
+    cap_help = f"largest d for brute force, at most {bell.BRUTE_FORCE_CAP}"
+    p.add_argument("--brute-cap", type=int, default=8, help=cap_help)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_bounds)
 
@@ -571,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sel in ALL_SELECTORS:
         p.add_argument(f"--{sel}", action="store_true", help=f"run the {sel} group")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-scale", type=float, default=1.0, help="multiply all tolerances")
+    p.add_argument("--tol-scale", type=float, default=1.0, help="multiply all tolerances (> 0)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_verify)
 
@@ -599,20 +593,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_dimensions(args) -> None:
-    """Reject an out-of-range d on the command line before any command runs."""
+def _check_arguments(args) -> None:
+    """Reject out-of-range numbers on the command line before any command runs."""
     for dest in ("d", "d_min", "d_max"):
         value = getattr(args, dest, None)
         if value is not None and value < 2:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 2, got {value}")
     if args.command == "bounds" and args.d_min > args.d_max:
         raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
+    if args.command == "bounds" and args.brute_cap > bell.BRUTE_FORCE_CAP:
+        raise ValueError(f"--brute-cap must be <= {bell.BRUTE_FORCE_CAP}, got {args.brute_cap}")
+    if args.command == "verify" and not 0 < args.tol_scale < math.inf:
+        raise ValueError(f"--tol-scale must be finite and > 0, got {args.tol_scale}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_dimensions(args)
+        _check_arguments(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,14 +70,6 @@ def assert_unitary(a: np.ndarray, tol: float = TOL_UNITARY, what: str = "matrix"
         raise ValueError(f"{what} is not unitary: |U^dag U - I| = {err:.3e}")
 
 
-def unitary_power(a: np.ndarray, k: int) -> np.ndarray:
-    """Integer power ``a**k``; negative ``k`` is a power of the adjoint."""
-    if k >= 0:
-        return np.linalg.matrix_power(a, k)
-    assert_unitary(a, what="base of negative power")
-    return np.linalg.matrix_power(dagger(a), -k)
-
-
 def unitary_powers(a: np.ndarray, d: int) -> np.ndarray:
     """The stack (d, n, n) of powers ``a**0 .. a**(d-1)``, by repeated multiplication."""
     powers = np.empty((d, *a.shape), dtype=complex)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bell import Realization
 from .cyclotomic import proper_divisors
-from .linalg import dagger, kron_sum, omega, unitary_power, unitary_powers
+from .linalg import dagger, kron_sum, omega, unitary_powers
 from .satwap import BellFunctional, bell_operator, coefficient_a, quantum_bound
 
 
@@ -139,22 +139,37 @@ def stabilizer_residuals(r: Realization, side: str = "bob") -> dict[tuple[int, i
     }
 
 
-def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:
-    """max_k |B1^k B2^-k - w^-k B2^k B1^-k|.
+def _roots(d: int) -> np.ndarray:
+    """The d-th roots of unity ``w**0 .. w**(d-1)``, indexed by exponent mod d."""
+    return np.exp(2j * np.pi * np.arange(d) / d)
 
-    The twisted commutation relation is a consequence of maximal violation
-    and holds for the canonical pair; a commuting pair fails it.
+
+def _order_residual(powers: np.ndarray, b: np.ndarray) -> float:
+    """|B^d - I| from the stack B^0 .. B^(d-1).
+
+    Reading B^k as ``powers[k % d]`` is exact only when this vanishes, so
+    every check that reduces exponents mod d reports it as well.
+    """
+    return float(np.linalg.norm(powers[-1] @ b - powers[0]))
+
+
+def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:
+    """max_k |B1^k B2^-k - w^-k B2^k B1^-k|, and |B^d - I| of both inputs.
+
+    Every power, B^-k = B^(d-k) included, is read off one power stack per
+    observable, which presumes B^d = I; the result is the larger of the
+    relation's residual and the two order residuals, so a pair that is not
+    of order d fails even where its relation would hold.  The relation is a
+    consequence of maximal violation and holds for the canonical pair; a
+    commuting pair fails it.
     """
     p1 = unitary_powers(b1, d)
     p2 = unitary_powers(b2, d)
-    i1 = unitary_powers(dagger(b1), d)
-    i2 = unitary_powers(dagger(b2), d)
-    worst = 0.0
-    for k in range(1, d):
-        lhs = p1[k] @ i2[k]
-        rhs = omega(d, -k) * (p2[k] @ i1[k])
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    k = np.arange(1, d)
+    lhs = p1[k] @ p2[-k % d]
+    rhs = _roots(d)[-k % d, None, None] * (p2[k] @ p1[-k % d])
+    worst = float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
+    return max(worst, _order_residual(p1, b1), _order_residual(p2, b2))
 
 
 @dataclass(frozen=True)
@@ -181,17 +196,13 @@ class TraceConditionReport:
 def check_trace_conditions(b: np.ndarray, d: int, tolerance: float = 1e-8) -> TraceConditionReport:
     """Vanishing of Tr(B^n) for every proper divisor n of d.
 
-    Equal eigenvalue multiplicities imply all these traces vanish; a
-    witness divisor certifies unequal multiplicities.
+    The traces are taken of the power stack B^0 .. B^(d-1), so no exponent
+    is reduced mod d.  Equal eigenvalue multiplicities imply all these
+    traces vanish; a witness divisor certifies unequal multiplicities.
     """
-    divisors = set(proper_divisors(d))
-    entries = []
-    power = np.eye(b.shape[0], dtype=complex)
-    for n in range(1, d):
-        power = power @ b
-        if n in divisors:
-            entries.append((n, float(abs(np.trace(power)))))
-    return TraceConditionReport(d=d, entries=tuple(entries), tolerance=tolerance)
+    powers = unitary_powers(b, d)
+    entries = tuple((n, float(abs(np.trace(powers[n])))) for n in proper_divisors(d))
+    return TraceConditionReport(d=d, entries=entries, tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -203,51 +214,48 @@ class TraceIdentityReport:
     ladder_second: float     # Tr(B2^y) = w^(sy) Tr(B1^(2sy) B2^((-2s+1)y))
     half_phase: float        # Tr(B1^x) = w^(-x/2) Tr(B2^x), x <= floor(d/2)
     doubled_power: float     # Tr(B1^-x B2^(2x)) = w^x Tr(B1^x)
+    order: float             # max_i |B_i^d - I|; the others read exponents mod d
 
     @property
     def max_residual(self) -> float:
-        return max(self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power)
+        return max(
+            self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power, self.order
+        )
 
 
-def check_intermediate_identities(
-    b1: np.ndarray, b2: np.ndarray, d: int, s_values: tuple[int, ...] = (0, 1, 2, 3)
-) -> TraceIdentityReport:
+def check_intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> TraceIdentityReport:
     """Trace identities that follow from the twisted commutation relation.
 
-    Sampled over s in ``s_values`` and all x, y in [0, d); the identities
-    are d-periodic in the exponents so the sample is exhaustive in x, y.
-    The doubled-power identity carries the phase w**x (the phase follows
-    from multiplying the commutation relation at k = x by B2^x and
-    tracing; on the canonical pair both sides vanish for x in [1, d)).
+    Every trace is an entry of the table ``tr[a, b] = Tr(B1^a B2^b)`` over
+    a, b in Z_d, one (d, n^2) @ (n^2, d) product of the two power stacks;
+    every exponent and every phase w**(sx) is reduced mod d.  The ladders
+    are d-periodic in s as well as in x and y, so they are checked over
+    every s, x, y in Z_d.  The doubled-power identity carries the phase
+    w**x (it follows from multiplying the commutation relation at k = x by
+    B2^x and tracing; on the canonical pair both sides vanish for x in
+    [1, d)).  The reduction presumes B^d = I, so ``order`` holds |B^d - I|
+    of both inputs and a pair that is not of order d fails.
     """
-    r1 = r2 = r3 = r4 = 0.0
-    for s in s_values:
-        for x in range(d):
-            lhs = np.trace(unitary_power(b1, x))
-            rhs = omega(d, s * x) * np.trace(
-                unitary_power(b1, (2 * s + 1) * x) @ unitary_power(b2, -2 * s * x)
-            )
-            r1 = max(r1, abs(lhs - rhs))
-        for y in range(d):
-            lhs = np.trace(unitary_power(b2, y))
-            rhs = omega(d, s * y) * np.trace(
-                unitary_power(b1, 2 * s * y) @ unitary_power(b2, (-2 * s + 1) * y)
-            )
-            r2 = max(r2, abs(lhs - rhs))
-    for x in range(1, d // 2 + 1):
-        lhs = np.trace(unitary_power(b1, x))
-        rhs = omega(d, -x / 2) * np.trace(unitary_power(b2, x))
-        r3 = max(r3, abs(lhs - rhs))
-    for x in range(1, d):
-        lhs = np.trace(unitary_power(b1, -x) @ unitary_power(b2, 2 * x))
-        rhs = omega(d, x) * np.trace(unitary_power(b1, x))
-        r4 = max(r4, abs(lhs - rhs))
+    p1 = unitary_powers(b1, d)
+    p2 = unitary_powers(b2, d)
+    n = b1.shape[0]
+    tr = p1.reshape(d, n * n) @ p2.swapaxes(1, 2).reshape(d, n * n).T
+    roots = _roots(d)
+    s, x = np.ogrid[:d, :d]
+    phase = roots[s * x % d]
+    r1 = np.abs(tr[x, 0] - phase * tr[(2 * s + 1) * x % d, -2 * s * x % d]).max()
+    r2 = np.abs(tr[0, x] - phase * tr[2 * s * x % d, (1 - 2 * s) * x % d]).max()
+    h = np.arange(1, d // 2 + 1)
+    r3 = np.abs(tr[h, 0] - np.exp(-1j * np.pi * h / d) * tr[0, h]).max()
+    k = np.arange(1, d)
+    r4 = np.abs(tr[-k % d, 2 * k % d] - roots[k] * tr[k, 0]).max()
     return TraceIdentityReport(
         d=d,
         ladder_first=float(r1),
         ladder_second=float(r2),
         half_phase=float(r3),
         doubled_power=float(r4),
+        order=max(_order_residual(p1, b1), _order_residual(p2, b2)),
     )
 
 
@@ -273,7 +281,7 @@ def check_root_identities(d: int) -> RootIdentityReport:
     denominator.
     """
     ks = np.arange(d)
-    roots = np.exp(2j * np.pi * ks / d)
+    roots = _roots(d)
     k = ks[1:, None, None]
     diff = ks[None, :] - ks[:, None]  # [i, j] = j - i
     den = 1 - roots[-diff % d]

@@ -4,8 +4,10 @@ Each function here is the direct transcription of a definition: one
 ``einsum`` per correlator entry, one trace per Born probability, one dense
 ``kron`` per Bell-operator or sum-of-squares term, ``Fraction`` arithmetic
 term by term for polynomials, an ``einsum`` per Fourier transform and a
-sum of weighted powers per spectral projector.  They are slow and exist
-only to cross-check the fast kernels in :mod:`qsk`.
+sum of weighted powers per spectral projector, and a ``matrix_power``
+per operator power (negative exponents through the adjoint, no exponent
+reduced mod d).  They are slow and exist only to cross-check the fast
+kernels in :mod:`qsk`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from qsk.bell import Realization, _fourier_matrix
-from qsk.linalg import dagger, eig_unitary, omega, unitary_powers
+from qsk.linalg import assert_unitary, dagger, eig_unitary, omega, unitary_powers
 from qsk.satwap import BellFunctional, quantum_bound
 from qsk.sos import c_operators, cbar_operators
 
@@ -227,3 +229,52 @@ def root_identities(d: int) -> tuple[float, float]:
         total = sum(k * omega(d, k * n) for k in range(d))
         r2 = max(r2, abs(total - d / (omega(d, n) - 1)))
     return r1, r2
+
+
+def unitary_power(a: np.ndarray, k: int) -> np.ndarray:
+    """Integer power ``a**k``; negative ``k`` is a power of the adjoint."""
+    if k >= 0:
+        return np.linalg.matrix_power(a, k)
+    assert_unitary(a, what="base of negative power")
+    return np.linalg.matrix_power(dagger(a), -k)
+
+
+def commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:
+    """max_k |B1^k B2^-k - w^-k B2^k B1^-k| from adjoint powers, k by k."""
+    worst = 0.0
+    for k in range(1, d):
+        lhs = unitary_power(b1, k) @ unitary_power(b2, -k)
+        rhs = omega(d, -k) * (unitary_power(b2, k) @ unitary_power(b1, -k))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> tuple[float, ...]:
+    """(ladder_first, ladder_second, half_phase, doubled_power), index by index.
+
+    The ladders run over every s in [0, d), with the exponents and phases
+    as written, unreduced.
+    """
+    r1 = r2 = r3 = r4 = 0.0
+    for s in range(d):
+        for x in range(d):
+            lhs = np.trace(unitary_power(b1, x))
+            rhs = omega(d, s * x) * np.trace(
+                unitary_power(b1, (2 * s + 1) * x) @ unitary_power(b2, -2 * s * x)
+            )
+            r1 = max(r1, abs(lhs - rhs))
+        for y in range(d):
+            lhs = np.trace(unitary_power(b2, y))
+            rhs = omega(d, s * y) * np.trace(
+                unitary_power(b1, 2 * s * y) @ unitary_power(b2, (-2 * s + 1) * y)
+            )
+            r2 = max(r2, abs(lhs - rhs))
+    for x in range(1, d // 2 + 1):
+        lhs = np.trace(unitary_power(b1, x))
+        rhs = omega(d, -x / 2) * np.trace(unitary_power(b2, x))
+        r3 = max(r3, abs(lhs - rhs))
+    for x in range(1, d):
+        lhs = np.trace(unitary_power(b1, -x) @ unitary_power(b2, 2 * x))
+        rhs = omega(d, x) * np.trace(unitary_power(b1, x))
+        r4 = max(r4, abs(lhs - rhs))
+    return float(r1), float(r2), float(r3), float(r4)

@@ -122,9 +122,7 @@ def test_criterion_4_trace_and_commutation_conditions():
             worst_t = max(worst_t, abs(np.trace(np.linalg.matrix_power(t, n))))
             worst_z = max(worst_z, abs(np.trace(np.linalg.matrix_power(z, n))))
         worst_rest = max(worst_rest, check_commutation_relation(z, t, d))
-        worst_rest = max(
-            worst_rest, check_intermediate_identities(z, t, d, s_values=(0, 1, 2, 3)).max_residual
-        )
+        worst_rest = max(worst_rest, check_intermediate_identities(z, t, d).max_residual)
     assert worst_t <= 1e-8, f"worst |Tr(T^n)| = {worst_t:.3e}"
     assert worst_z <= 1e-12, f"worst |Tr(Z^n)| = {worst_z:.3e}"
     assert worst_rest <= 1e-8, f"worst identity residual {worst_rest:.3e}"

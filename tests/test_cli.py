@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qsk.canonical
 from qsk.bell import correlators_from_realization
 from qsk.canonical import ideal_realization
 from qsk.cli import (
@@ -177,7 +178,8 @@ def _write_realization(tmp_path, **changes):
     payload = realization_to_json(ideal_realization(2))
     payload.update(changes)
     path = tmp_path / "edited.json"
-    path.write_text(canonical_dumps(payload))
+    # plain json.dumps: canonical_dumps refuses the NaN some of these files carry
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -222,3 +224,52 @@ def test_out_of_range_d_is_an_input_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["bounds", "--d-min", "13", "--d-max", "13", "--brute-cap", "13"],
+            "--brute-cap must be <= 12, got 13",
+        ),
+        (["verify", "--d", "3", "--tol-scale", "nan"], "--tol-scale must be finite and > 0, got nan"),
+        (["verify", "--d", "3", "--tol-scale", "inf"], "--tol-scale must be finite and > 0, got inf"),
+        (["verify", "--d", "3", "--tol-scale", "0"], "--tol-scale must be finite and > 0, got 0.0"),
+        (["verify", "--d", "3", "--tol-scale", "-1"], "--tol-scale must be finite and > 0, got -1.0"),
+    ],
+)
+def test_out_of_range_option_is_an_input_error(argv, message, capsys):
+    # an uncapped --brute-cap would enumerate d^4 strategies past the library's
+    # cap; a non-finite --tol-scale would pass every check or print NaN tokens
+    assert main([*argv, "--format", "json"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_bounds_brute_cap_at_the_library_cap_enumerates(capsys):
+    argv = ["bounds", "--d-min", "12", "--d-max", "12", "--brute-cap", "12", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    (row,) = json.loads(capsys.readouterr().out)
+    assert abs(row["classical_bound_brute_force"] - row["classical_bound"]) < 1e-9
+
+
+def test_canonical_dumps_refuses_non_finite_floats():
+    with pytest.raises(ValueError):
+        canonical_dumps({"residual": float("nan")})
+    with pytest.raises(ValueError):
+        canonical_dumps({"tolerance": float("inf")})
+
+
+@pytest.mark.parametrize("group,builds", [("--all", [4]), ("--cyclotomic", [])])
+def test_verify_builds_the_canonical_realization_at_most_once(group, builds, monkeypatch, capsys):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return ideal_realization(d)
+
+    monkeypatch.setattr(qsk.canonical, "ideal_realization", counted)
+    assert main(["verify", "--d", "4", group, "--format", "json"]) == EXIT_OK
+    assert calls == builds

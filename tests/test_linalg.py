@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _oracles import unitary_power
+
 import qsk.linalg
 from qsk.linalg import (
     EigenDecomposition,
@@ -14,7 +16,6 @@ from qsk.linalg import (
     kron_sum,
     omega,
     partial_trace,
-    unitary_power,
 )
 from qsk.canonical import maximally_entangled, t_observable, z_observable
 

@@ -6,6 +6,7 @@ from _helpers import random_order_d, random_realization
 
 from qsk.bell import Realization
 from qsk.canonical import (
+    cglmp_observables,
     ideal_alice_observables,
     ideal_realization,
     maximally_entangled,
@@ -114,7 +115,7 @@ def test_commutation_relation_periodic_in_k():
     d = 4
     b1 = random_order_d(d, d, rng)
     b2 = random_order_d(d, d, rng)
-    from qsk.linalg import unitary_power
+    from _oracles import unitary_power
 
     for k in range(1, d):
         r1 = np.linalg.norm(
@@ -151,10 +152,43 @@ def test_trace_conditions_unequal_multiplicities():
 
 @pytest.mark.parametrize("d", list(range(2, 11)))
 def test_intermediate_identities_canonical(d):
-    report = check_intermediate_identities(
-        z_observable(d), t_observable(d), d, s_values=(0, 1, 2)
-    )
+    report = check_intermediate_identities(z_observable(d), t_observable(d), d)
     assert report.max_residual < 1e-8
+
+
+def _order_d_pairs(d):
+    """(Z, T), the CGLMP Bob pair and a random order-d pair at dimension d."""
+    yield "canonical", z_observable(d), t_observable(d)
+    yield "cglmp-bob", *cglmp_observables(d)[2:]
+    yield "random", random_order_d(d, d, rng), random_order_d(d, d, rng)
+
+
+@pytest.mark.parametrize("d", list(range(2, 13)))
+def test_power_stack_checks_match_loop_oracles(d):
+    # random pairs break the identities, so this compares nonzero residuals too
+    for name, b1, b2 in _order_d_pairs(d):
+        report = check_intermediate_identities(b1, b2, d)
+        fast = (report.ladder_first, report.ladder_second, report.half_phase, report.doubled_power)
+        for got, want in zip(fast, _oracles.intermediate_identities(b1, b2, d)):
+            assert abs(got - want) <= 1e-12, name
+        assert report.order <= 1e-12, name
+        got = check_commutation_relation(b1, b2, d)
+        assert abs(got - _oracles.commutation_relation(b1, b2, d)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_power_stack_checks_fail_closed_off_order_d(d):
+    # e^{i eps} (Z, T) satisfies the commutation relation exactly, but
+    # B^d = e^{i d eps} I, so no power may be read mod d
+    eps = 1e-3
+    phase = np.exp(1j * eps)
+    b1, b2 = phase * z_observable(d), phase * t_observable(d)
+    floor = abs(np.exp(1j * d * eps) - 1)
+    assert _oracles.commutation_relation(b1, b2, d) < 1e-9
+    assert check_commutation_relation(b1, b2, d) >= floor
+    report = check_intermediate_identities(b1, b2, d)
+    assert report.order >= floor
+    assert report.max_residual >= floor
 
 
 def test_intermediate_identities_zero_exponent_trivial():
@@ -170,7 +204,7 @@ def test_intermediate_identities_zero_exponent_trivial():
 def test_doubled_power_identity_on_canonical_pair():
     d = 6
     z, t = z_observable(d), t_observable(d)
-    from qsk.linalg import unitary_power
+    from _oracles import unitary_power
 
     for x in range(1, d):
         lhs = np.trace(unitary_power(z, -x) @ unitary_power(t, 2 * x))
