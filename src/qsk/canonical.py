@@ -6,6 +6,11 @@ The canonical pair is ``Z`` (the qudit clock, diag(1, w, ..., w^(d-1)))
 and its partner ``T``: unitary, symmetric, order d, simple spectrum.
 Together with the maximally entangled state and the derived pair of
 Alice-side observables they attain the maximal SATWAP value 2(d-1).
+
+Every object is one numpy expression over its index grid.  Half and
+quarter powers w**(k/2), w**(k/4) are written as the 2d-th and 4d-th
+roots of unity of the integer exponent k, reduced mod 2d or 4d before
+exponentiation (the principal branch of the fractional power).
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .bell import Realization
-from .linalg import assert_unitary, omega
+from .linalg import assert_unitary, dagger, roots_of_unity
 from .satwap import coefficient_a
 
 
 def z_observable(d: int) -> np.ndarray:
     """diag(1, w, ..., w^(d-1)): the d-dimensional clock observable."""
-    return np.diag([omega(d, i) for i in range(d)]).astype(complex)
+    return np.diag(roots_of_unity(d, np.arange(d)))
 
 
 def t_observable(d: int) -> np.ndarray:
@@ -30,13 +35,10 @@ def t_observable(d: int) -> np.ndarray:
     with principal-branch half powers.  Unitary, symmetric, order d,
     with every d-th root of unity a simple eigenvalue.
     """
-    t = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        t[i, i] += omega(d, i + 0.5)
-    for i in range(d):
-        for j in range(d):
-            sign = (-1) ** ((i == 0) + (j == 0))
-            t[i, j] -= (2.0 / d) * sign * omega(d, (i + j + 1) / 2)
+    i, j = np.ogrid[:d, :d]
+    sign = np.where(i == 0, -1, 1) * np.where(j == 0, -1, 1)
+    t = -(2.0 / d) * sign * roots_of_unity(2 * d, i + j + 1)
+    t[np.diag_indices(d)] += roots_of_unity(2 * d, 2 * np.arange(d) + 1)
     return t
 
 
@@ -49,13 +51,9 @@ def t_eigenvector(d: int, r: int) -> np.ndarray:
     """
     if not 0 <= r < d:
         raise ValueError(f"r must be in [0, {d}), got {r}")
-    v = np.array(
-        [
-            (-1) ** (q == 0) * omega(d, -q / 2) / (1 - omega(d, r - q - 0.5))
-            for q in range(d)
-        ]
-    )
-    return (2.0 / d) * v
+    q = np.arange(d)
+    numerator = np.where(q == 0, -1, 1) * roots_of_unity(2 * d, -q)
+    return (2.0 / d) * numerator / (1 - roots_of_unity(2 * d, 2 * (r - q) - 1))
 
 
 def maximally_entangled(d: int) -> np.ndarray:
@@ -73,86 +71,71 @@ def ideal_alice_observables(d: int) -> tuple[np.ndarray, np.ndarray]:
     system Z = a1 X + a1* Y, T = a1* w X + a1 Y satisfied by the
     w_alice conjugations, and the opposite choice is not order d.
     """
-    z, t = z_observable(d), t_observable(d)
-    a1 = coefficient_a(d, 1)
-    a1c = a1.conjugate()
-    alice1 = a1c * z - 2 * a1c**3 * t
-    alice2 = a1 * z + a1c * t
-    assert_unitary(alice1, what="first Alice observable")
-    assert_unitary(alice2, what="second Alice observable")
-    return alice1, alice2
+    return ideal_realization(d).observables_a
 
 
-def cglmp_eigenvector(d: int, party: str, setting: int, r: int) -> np.ndarray:
-    """Fourier-basis eigenvector of a CGLMP measurement.
+def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
+    """Fourier-basis eigenvectors of a CGLMP measurement, column r for outcome r.
 
     Alice: (1/sqrt(d)) sum_q w**((r - alpha_x) q) |q>, alpha_x = (x - 1/2)/2.
     Bob:   (1/sqrt(d)) sum_q w**(-(r - beta_y) q) |q>, beta_y = y/2.
     Settings are numbered 1 and 2.
     """
-    q = np.arange(d)
+    q, r = np.ogrid[:d, :d]
     if party.upper() == "A":
-        alpha = (setting - 0.5) / 2
-        v = np.exp(2j * np.pi * (r - alpha) * q / d)
+        v = roots_of_unity(4 * d, (4 * r - 2 * setting + 1) * q)
     elif party.upper() == "B":
-        beta = setting / 2
-        v = np.exp(-2j * np.pi * (r - beta) * q / d)
+        v = roots_of_unity(2 * d, (setting - 2 * r) * q)
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     return v / np.sqrt(d)
 
 
+def cglmp_eigenvector(d: int, party: str, setting: int, r: int) -> np.ndarray:
+    """Column r of :func:`cglmp_eigenbasis`: the eigenvector for outcome r."""
+    return cglmp_eigenbasis(d, party, setting)[:, r]
+
+
 def cglmp_observables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four CGLMP observables (A1', A2', B1', B2') from their eigenbases."""
-
-    def build(party: str, setting: int) -> np.ndarray:
-        m = np.zeros((d, d), dtype=complex)
-        for r in range(d):
-            v = cglmp_eigenvector(d, party, setting, r)
-            m += omega(d, r) * np.outer(v, v.conj())
-        return m
-
-    return build("A", 1), build("A", 2), build("B", 1), build("B", 2)
+    """The four CGLMP observables (A1', A2', B1', B2'), each V diag(w**r) V^dag."""
+    roots = roots_of_unity(d, np.arange(d))
+    bases = (cglmp_eigenbasis(d, p, s) for p, s in (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
+    a1, a2, b1, b2 = ((v * roots) @ dagger(v) for v in bases)
+    return a1, a2, b1, b2
 
 
 def structural_unitaries(d: int) -> tuple[np.ndarray, ...]:
     """The building blocks (F, Y, S, M1, M2) of the basis-change unitaries.
 
     F is the standard discrete Fourier matrix (1/sqrt(d)) sum w**(ij) |i><j|;
-    Y and M_x are diagonal phase matrices, S the index reflection
+    Y = diag((-1)**(1-delta_j0) w**((d-j)/2)), M1 = diag(w**(j/4)) and
+    M2 = diag(w**(j/2)) are phase matrices, S the index reflection
     |j> <-> |d-1-j>.
     """
-    idx = np.arange(d)
-    f = np.exp(2j * np.pi * np.outer(idx, idx) / d) / np.sqrt(d)
-    y = np.diag([(-1) ** (1 - (j == 0)) * omega(d, (d - j) / 2) for j in range(d)])
-    s = np.zeros((d, d), dtype=complex)
-    s[idx, d - 1 - idx] = 1.0
-    m1 = np.diag([omega(d, j / 4) for j in range(d)])
-    m2 = np.diag([omega(d, j / 2) for j in range(d)])
+    j = np.arange(d)
+    f = roots_of_unity(d, np.outer(j, j)) / np.sqrt(d)
+    y = np.diag(np.where(j == 0, 1, -1) * roots_of_unity(2 * d, d - j))
+    s = np.eye(d, dtype=complex)[::-1]
+    m1 = np.diag(roots_of_unity(4 * d, j))
+    m2 = np.diag(roots_of_unity(2 * d, j))
     return f, y, s, m1, m2
 
 
 def w1_w2(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis changes mapping (Z, T) to the CGLMP observables.
 
-    W1 (Z, T) W1^dag = (A1', A2') and W2 (Z, T) W2^dag = (B1', B2').
-    Built entrywise:
+    W1 (Z, T) W1^dag = (A1', A2') and W2 (Z, T) W2^dag = (B1', B2'), with
+    W1 = -M1^dag F Y^dag and W2 = -S M2^dag F Y^dag.  Entrywise,
 
         W1[i,j] = (-1)**(1-delta_j0) w**(-i/4 + ij + j/2) / sqrt(d)
         W2[d-1-i,j] = (-1)**(1-delta_j0) w**(-i/2 + ij + j/2) / sqrt(d)
 
-    These equal -M1^dag F Y^dag and -S M2^dag F Y^dag respectively; the
-    entrywise forms carry the global sign that makes the eigenvector
-    phase identities hold, so they are the canonical ones.
+    and the global sign -1 is the one that makes the eigenvector phase
+    identities hold.
     """
-    w1 = np.zeros((d, d), dtype=complex)
-    w2 = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            sign = (-1) ** (1 - (j == 0))
-            w1[i, j] = sign * omega(d, -i / 4 + i * j + j / 2) / np.sqrt(d)
-            w2[d - 1 - i, j] = sign * omega(d, -i / 2 + i * j + j / 2) / np.sqrt(d)
-    return w1, w2
+    f, y, s, m1, m2 = structural_unitaries(d)
+    fy = f @ dagger(y)
+    return -dagger(m1) @ fy, -s @ dagger(m2) @ fy
 
 
 def w_alice(d: int) -> np.ndarray:
@@ -164,12 +147,19 @@ def w_alice(d: int) -> np.ndarray:
 
 def ideal_realization(d: int) -> Realization:
     """The canonical maximal violator: |phi_d+>, Bob = (Z, T), derived Alice pair."""
+    z, t = z_observable(d), t_observable(d)
+    a1 = coefficient_a(d, 1)
+    a1c = a1.conjugate()
+    alice1 = a1c * z - 2 * a1c**3 * t
+    alice2 = a1 * z + a1c * t
+    assert_unitary(alice1, what="first Alice observable")
+    assert_unitary(alice2, what="second Alice observable")
     return Realization(
         d=d,
         dims=(d, d),
         state=maximally_entangled(d),
-        observables_a=ideal_alice_observables(d),
-        observables_b=(z_observable(d), t_observable(d)),
+        observables_a=(alice1, alice2),
+        observables_b=(z, t),
     )
 
 

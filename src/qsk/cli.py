@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, bell, canonical, cyclotomic, randomness, satwap, selftest, sos
-from .linalg import dagger, haar_random_unitary
+from .linalg import dagger, haar_random_unitary, worst
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -196,9 +196,9 @@ def _sos_checks(ideal: bell.Realization, seed: int, tol: float, checks: list[Che
     d = ideal.d
     checks.append(CheckResult("sos-bob-canonical", sos.sos_residual_bob(ideal), 1e-8 * tol))
     checks.append(CheckResult("sos-alice-canonical", sos.sos_residual_alice(ideal), 1e-8 * tol))
-    stab = max(
-        max(sos.stabilizer_residuals(ideal, "bob").values()),
-        max(sos.stabilizer_residuals(ideal, "alice").values()),
+    stab = worst(
+        *sos.stabilizer_residuals(ideal, "bob").values(),
+        *sos.stabilizer_residuals(ideal, "alice").values(),
     )
     checks.append(CheckResult("sos-stabilizers-canonical", stab, 1e-9 * tol))
     rng = np.random.default_rng(np.random.Philox(seed))
@@ -214,15 +214,15 @@ def _sos_checks(ideal: bell.Realization, seed: int, tol: float, checks: list[Che
         observables_a=(random_obs[0], random_obs[1]),
         observables_b=(random_obs[2], random_obs[3]),
     )
-    worst = max(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
-    checks.append(CheckResult("sos-operator-identity-random", worst, 1e-8 * tol))
+    residual = worst(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
+    checks.append(CheckResult("sos-operator-identity-random", residual, 1e-8 * tol))
 
 
 def _trace_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> None:
     d = ideal.d
     z, t = ideal.observables_b
-    worst = max(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries)
-    checks.append(CheckResult("trace-conditions-canonical", worst, 1e-8 * tol))
+    traces = worst(*(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries))
+    checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8 * tol))
     checks.append(
         CheckResult("twisted-commutation", sos.check_commutation_relation(z, t, d), 1e-8 * tol)
     )
@@ -240,45 +240,47 @@ def _cglmp_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]
     d = ideal.d
     z, t = ideal.observables_b
     w1, w2 = canonical.w1_w2(d)
-    a1p, a2p, b1p, b2p = canonical.cglmp_observables(d)
-    conj = max(
+    cglmp = canonical.cglmp_realization(d)
+    (a1p, a2p), (b1p, b2p) = cglmp.observables_a, cglmp.observables_b
+    conj = worst(
         float(np.linalg.norm(a1p - w1 @ z @ dagger(w1))),
         float(np.linalg.norm(a2p - w1 @ t @ dagger(w1))),
         float(np.linalg.norm(b1p - w2 @ z @ dagger(w2))),
         float(np.linalg.norm(b2p - w2 @ t @ dagger(w2))),
     )
     checks.append(CheckResult("cglmp-conjugations", conj, 1e-8 * tol))
-    wa = canonical.w_alice(d)
+    wa = w2.T @ w1  # canonical.w_alice, from the pair already built
     ideal1, ideal2 = ideal.observables_a
-    fact2 = max(
+    fact2 = worst(
         float(np.linalg.norm(wa @ z @ dagger(wa) - ideal1)),
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
     )
     checks.append(CheckResult("alice-rotation", fact2, 1e-8 * tol))
     drift = np.abs(
-        bell.born_probabilities(canonical.cglmp_realization(d)).probabilities
+        bell.born_probabilities(cglmp).probabilities
         - bell.born_probabilities(ideal).probabilities
     ).max()
     checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8 * tol))
 
 
 def _extract_checks(
-    r: bell.Realization, tol: float, checks: list[CheckResult]
+    r: bell.Realization,
+    tol: float,
+    checks: list[CheckResult],
+    ideal: bell.Realization | None = None,
 ) -> dict | None:
     try:
-        result = selftest.extract(r)
+        result = selftest.extract(r, ideal)
     except selftest.ExtractionError as exc:
         # sentinel failing check; the diagnostic itself rides in the summary
         checks.append(CheckResult(f"extraction-stage-{exc.stage}", 1.0, 0.0))
         return {"error": str(exc)}
     checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7 * tol))
-    worst_obs = max(
-        result.residuals[k]
-        for k in (
-            "bob_observable_1",
-            "bob_observable_2",
-            "alice_observable_1",
-            "alice_observable_2",
+    worst_obs = worst(
+        *(
+            result.residuals[f"{party}_observable_{i}"]
+            for party in ("bob", "alice")
+            for i in (1, 2)
         )
     )
     checks.append(CheckResult("extraction-observables", worst_obs, 1e-7 * tol))
@@ -380,7 +382,7 @@ def build_verification_report(
         _cglmp_checks(ideal, tol, checks)
     if "extract" in selectors:
         scrambled = selftest.scramble(ideal, 2, 2, seed)
-        report.extraction = _extract_checks(scrambled, tol, checks)
+        report.extraction = _extract_checks(scrambled, tol, checks, ideal)
     if "randomness" in selectors:
         report.randomness = _randomness_checks(ideal, tol, checks)
     if "cyclotomic" in selectors:

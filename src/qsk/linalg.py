@@ -31,6 +31,26 @@ def omega(d: int, q: float = 1.0) -> complex:
     return complex(np.exp(2j * np.pi * q / d))
 
 
+def roots_of_unity(n: int, k) -> np.ndarray:
+    """``exp(2*pi*i*k/n)`` for integer-valued exponents ``k`` of any shape.
+
+    Each exponent is reduced mod n first, and the angle is formed in real
+    arithmetic, so an exponent already in [0, n) gives exactly
+    ``omega(n, k)``.  A half or quarter power w**(k/2), w**(k/4) of the
+    d-th root is ``roots_of_unity(2*d, k)``, ``roots_of_unity(4*d, k)``.
+    """
+    return np.exp(1j * (2 * np.pi * (np.asarray(k) % n) / n))
+
+
+def worst(*residuals: float) -> float:
+    """The largest residual, NaN when any is NaN.
+
+    Builtin ``max`` drops a NaN that is not its first argument
+    (``max(1e-14, nan)`` is 1e-14), which would let a gate pass.
+    """
+    return float(np.max(residuals))
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix in a stack (..., n, n)."""
     return a.conj().swapaxes(-1, -2)
@@ -123,33 +143,32 @@ class EigenDecomposition:
         return frobenius_distance(a, self.vectors @ np.diag(self.eigenvalues) @ dagger(self.vectors))
 
 
-def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecomposition:
+def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     """Eigendecomposition of ``a`` with eigenvalues snapped to ``w**j``.
 
     Raises :class:`NotOrderDError` when ``a`` is not unitary with
     ``a**d = I``, i.e. when any raw eigenvalue sits further than
-    ``tol_snap`` from every d-th root of unity.
+    ``TOL_SNAP`` from every d-th root of unity.
     """
     dim = a.shape[0]
-    assert_unitary(a, tol=max(TOL_UNITARY, tol_snap), what="observable")
+    assert_unitary(a, tol=max(TOL_UNITARY, TOL_SNAP), what="observable")
     raw = np.linalg.eigvals(a)
-    mult = [0] * d
-    for lam in raw:
-        # float until the gate has passed: int() of a NaN would raise the wrong error
-        j = np.round(np.angle(lam) * d / (2 * np.pi)) % d
-        dist = abs(lam - omega(d, j))
-        if not dist <= tol_snap:
-            raise NotOrderDError(
-                f"eigenvalue {lam:.6f} is {dist:.3e} from the nearest d-th root of unity"
-            )
-        mult[int(j)] += 1
+    # float until the gate has passed: int() of a NaN would raise the wrong error
+    j = np.round(np.angle(raw) * d / (2 * np.pi)) % d
+    dist = np.abs(raw - roots_of_unity(d, j))
+    off = ~(dist <= TOL_SNAP)
+    if off.any():
+        c = int(np.argmax(off))
+        raise NotOrderDError(
+            f"eigenvalue {raw[c]:.6f} is {dist[c]:.3e} from the nearest d-th root of unity"
+        )
+    mult = np.bincount(j.astype(int), minlength=d)
 
     # Orthonormal bases per eigenspace from the Fourier-inverted projectors;
     # stable under degeneracy, unlike generic eigensolver output.
     projs = spectral_projectors(a, d)
     blocks: list[np.ndarray] = []
     groups: list[tuple[int, ...]] = []
-    eigenvalues: list[complex] = []
     offset = 0
     for j in range(d):
         m = mult[j]
@@ -166,12 +185,11 @@ def eig_unitary(a: np.ndarray, d: int, tol_snap: float = TOL_SNAP) -> EigenDecom
         if not (s[m - 1] >= 0.5 and (m == dim or s[m] <= 0.5)):
             raise NotOrderDError(f"eigenspace {j} is numerically ill-defined")
         blocks.append(u[:, :m])
-        eigenvalues.extend([omega(d, j)] * m)
     vectors = np.hstack(blocks) if blocks else np.zeros((dim, 0), dtype=complex)
 
     decomp = EigenDecomposition(
         d=d,
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=np.repeat(roots_of_unity(d, np.arange(d)), mult),
         vectors=vectors,
         groups=tuple(groups),
     )

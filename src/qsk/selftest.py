@@ -22,7 +22,7 @@ import numpy as np
 
 from . import canonical
 from .bell import Realization, correlators_from_realization
-from .linalg import EigenDecomposition, dagger, haar_random_unitary, kron, omega
+from .linalg import EigenDecomposition, dagger, haar_random_unitary, kron, omega, worst
 from .linalg import eig_unitary  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
 from .sos import check_trace_conditions, extract_blocks
@@ -98,11 +98,16 @@ def align_first_observable(decomp: EigenDecomposition) -> np.ndarray:
 
 
 def extract_bob(
-    b1: np.ndarray, b2: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+    b1: np.ndarray,
+    b2: np.ndarray,
+    dec1: EigenDecomposition,
+    dec2: EigenDecomposition,
+    ideal: Realization,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Unitary U_B with U_B B1 U_B^dag = Z (x) I and U_B B2 U_B^dag = T (x) I.
 
-    ``dec1`` and ``dec2`` are the decompositions of ``b1`` and ``b2``.
+    ``dec1`` and ``dec2`` are the decompositions of ``b1`` and ``b2``, and
+    (Z, T) are read from the Bob pair of the canonical realization ``ideal``.
     After aligning B1, the first block row F_0i of the rotated B2 supplies
     the intra-eigenspace corrections: block i of the fixing unitary is
     (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag = (4/d^2) I,
@@ -131,8 +136,7 @@ def extract_bob(
             )
         fixing[i * m : (i + 1) * m, i * m : (i + 1) * m] = u_i
     u_b = fixing @ v
-    targets = (canonical.z_observable(d), canonical.t_observable(d))
-    return u_b, _verify_conjugation(u_b, (b1, b2), targets, m)
+    return u_b, _verify_conjugation(u_b, (b1, b2), ideal.observables_b, m)
 
 
 def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
@@ -149,9 +153,13 @@ def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
 
 
 def extract_alice(
-    a1: np.ndarray, a2: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+    a1: np.ndarray,
+    a2: np.ndarray,
+    dec1: EigenDecomposition,
+    dec2: EigenDecomposition,
+    ideal: Realization,
 ) -> tuple[np.ndarray, tuple[float, float]]:
-    """Unitary U_A carrying (A1, A2) to the ideal Alice pair (x) I.
+    """Unitary U_A carrying (A1, A2) to the Alice pair of ``ideal`` (x) I.
 
     A maximally violating Alice pair obeys exactly the same operator
     relations as Bob's (the two one-party combination families coincide up
@@ -160,10 +168,10 @@ def extract_alice(
     U_A together with the two conjugation residuals it verified.
     """
     d = dec1.d
-    v, _ = extract_bob(a1, a2, dec1, dec2)
+    v, _ = extract_bob(a1, a2, dec1, dec2, ideal)
     m = a1.shape[0] // d
     u_a = kron(canonical.w_alice(d), np.eye(m)) @ v
-    return u_a, _verify_conjugation(u_a, (a1, a2), canonical.ideal_alice_observables(d), m)
+    return u_a, _verify_conjugation(u_a, (a1, a2), ideal.observables_a, m)
 
 
 def canonicalize_state(
@@ -182,17 +190,13 @@ def canonicalize_state(
     ma, mb = da // d, db // d
     rotated = (u_a @ r.state.reshape(da, db) @ u_b.T).reshape(-1)
     grid = rotated.reshape(d, ma, d, mb)
-    off = 0.0
-    diagonal = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                off = max(off, float(np.linalg.norm(grid[i, :, j, :])))
-        diagonal.append(grid[i, :, i, :].reshape(-1))
-    mismatch = max(
-        float(np.linalg.norm(diagonal[i] - diagonal[j]))
-        for i in range(d)
-        for j in range(d)
+    off = worst(
+        0.0,
+        *(float(np.linalg.norm(grid[i, :, j, :])) for i in range(d) for j in range(d) if i != j),
+    )
+    diagonal = [grid[i, :, i, :].reshape(-1) for i in range(d)]
+    mismatch = worst(
+        *(float(np.linalg.norm(diagonal[i] - diagonal[j])) for i in range(d) for j in range(d))
     )
     anchor = diagonal[0]
     if np.linalg.norm(anchor) < 1e-12:
@@ -212,8 +216,13 @@ def canonicalize_state(
     )
 
 
-def extract(r: Realization) -> ExtractionResult:
-    """Full pipeline: gate, trace diagnostics, both extractions, state form."""
+def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResult:
+    """Full pipeline: gate, trace diagnostics, both extractions, state form.
+
+    The observables are extracted onto those of the canonical realization
+    ``ideal`` (built here when not given), so a report that already holds
+    it hands it in.
+    """
     d = r.d
     log: list[str] = []
     try:
@@ -247,10 +256,11 @@ def extract(r: Realization) -> ExtractionResult:
             )
     log.append("vanishing-trace conditions: all four observables pass")
 
-    u_b, (res_b1, res_b2) = extract_bob(*r.observables_b, dec_b1, dec_b2)
+    ideal = ideal if ideal is not None else canonical.ideal_realization(d)
+    u_b, (res_b1, res_b2) = extract_bob(*r.observables_b, dec_b1, dec_b2, ideal)
     log.append(f"Bob alignment: residuals ({res_b1:.2e}, {res_b2:.2e})")
 
-    u_a, (res_a1, res_a2) = extract_alice(*r.observables_a, dec_a1, dec_a2)
+    u_a, (res_a1, res_a2) = extract_alice(*r.observables_a, dec_a1, dec_a2, ideal)
     log.append(f"Alice alignment: residuals ({res_a1:.2e}, {res_a2:.2e})")
 
     state = canonicalize_state(r, u_a, u_b)

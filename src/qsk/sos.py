@@ -20,7 +20,7 @@ import numpy as np
 
 from .bell import Realization
 from .cyclotomic import proper_divisors
-from .linalg import dagger, kron_sum, omega, unitary_powers
+from .linalg import dagger, kron_sum, omega, roots_of_unity, unitary_powers, worst
 from .satwap import BellFunctional, bell_operator, coefficient_a, quantum_bound
 
 
@@ -40,14 +40,13 @@ class COperatorSet:
 
     def dagger_pairing_residual(self) -> float:
         """max_k |C_i^(d-k) - dagger(C_i^(k))|; zero for order-d inputs."""
-        worst = 0.0
-        for i in (1, 2):
-            for k in range(1, self.d):
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(self.ops[(i, self.d - k)] - dagger(self.ops[(i, k)]))),
-                )
-        return worst
+        return worst(
+            *(
+                float(np.linalg.norm(self.ops[(i, self.d - k)] - dagger(self.ops[(i, k)])))
+                for i in (1, 2)
+                for k in range(1, self.d)
+            )
+        )
 
 
 def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> COperatorSet:
@@ -139,11 +138,6 @@ def stabilizer_residuals(r: Realization, side: str = "bob") -> dict[tuple[int, i
     }
 
 
-def _roots(d: int) -> np.ndarray:
-    """The d-th roots of unity ``w**0 .. w**(d-1)``, indexed by exponent mod d."""
-    return np.exp(2j * np.pi * np.arange(d) / d)
-
-
 def _order_residual(powers: np.ndarray, b: np.ndarray) -> float:
     """|B^d - I| from the stack B^0 .. B^(d-1).
 
@@ -167,9 +161,9 @@ def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:
     p2 = unitary_powers(b2, d)
     k = np.arange(1, d)
     lhs = p1[k] @ p2[-k % d]
-    rhs = _roots(d)[-k % d, None, None] * (p2[k] @ p1[-k % d])
-    worst = float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
-    return max(worst, _order_residual(p1, b1), _order_residual(p2, b2))
+    rhs = roots_of_unity(d, -k)[:, None, None] * (p2[k] @ p1[-k % d])
+    relation = float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
+    return worst(relation, _order_residual(p1, b1), _order_residual(p2, b2))
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,7 @@ class TraceIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
+        return worst(
             self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power, self.order
         )
 
@@ -240,7 +234,7 @@ def check_intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> Tra
     p2 = unitary_powers(b2, d)
     n = b1.shape[0]
     tr = p1.reshape(d, n * n) @ p2.swapaxes(1, 2).reshape(d, n * n).T
-    roots = _roots(d)
+    roots = roots_of_unity(d, np.arange(d))
     s, x = np.ogrid[:d, :d]
     phase = roots[s * x % d]
     r1 = np.abs(tr[x, 0] - phase * tr[(2 * s + 1) * x % d, -2 * s * x % d]).max()
@@ -255,7 +249,7 @@ def check_intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> Tra
         ladder_second=float(r2),
         half_phase=float(r3),
         doubled_power=float(r4),
-        order=max(_order_residual(p1, b1), _order_residual(p2, b2)),
+        order=worst(_order_residual(p1, b1), _order_residual(p2, b2)),
     )
 
 
@@ -269,7 +263,7 @@ class RootIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.ratio_sum, self.weighted_sum)
+        return worst(self.ratio_sum, self.weighted_sum)
 
 
 def check_root_identities(d: int) -> RootIdentityReport:
@@ -281,7 +275,7 @@ def check_root_identities(d: int) -> RootIdentityReport:
     denominator.
     """
     ks = np.arange(d)
-    roots = _roots(d)
+    roots = roots_of_unity(d, np.arange(d))
     k = ks[1:, None, None]
     diff = ks[None, :] - ks[:, None]  # [i, j] = j - i
     den = 1 - roots[-diff % d]
@@ -312,11 +306,11 @@ class BlockStructureReport:
 
     @property
     def aligned(self) -> bool:
-        return max(self.first_row, self.off_diagonal) <= 1e-7
+        return worst(self.first_row, self.off_diagonal) <= 1e-7
 
     @property
     def max_alignment_free(self) -> float:
-        return max(self.diagonal, self.transpose_pairing, self.block_unitarity)
+        return worst(self.diagonal, self.transpose_pairing, self.block_unitarity)
 
 
 def extract_blocks(b2: np.ndarray, d: int, aux_dim: int) -> np.ndarray:
@@ -332,46 +326,29 @@ def check_fij_structure(b2: np.ndarray, d: int, aux_dim: int) -> BlockStructureR
 
     The caller must already be in a basis where the first observable is
     the clock; the report then quantifies how far ``b2`` is from the
-    canonical partner T (x) I, equation by equation.
+    canonical partner T (x) I, equation by equation.  Each equation is
+    evaluated over the whole (i, j) grid of blocks at once; w**(k/2) is
+    the 2d-th root of unity of k, every exponent reduced mod 2d.
     """
     blocks = extract_blocks(b2, d, aux_dim)
     eye = np.eye(aux_dim)
-    r_diag = max(
-        float(np.linalg.norm(blocks[i, i] - ((d - 2) / d) * omega(d, i + 0.5) * eye))
-        for i in range(d)
-    )
-    r_pair = 0.0
-    r_unit = 0.0
-    r_first = 0.0
-    r_off = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            f = blocks[i, j]
-            r_pair = max(
-                r_pair,
-                float(np.linalg.norm(f - omega(d, i + j + 1) * dagger(blocks[j, i]))),
-            )
-            r_unit = max(
-                r_unit, float(np.linalg.norm(f @ dagger(f) - (4 / d**2) * eye))
-            )
-            if i == 0:
-                r_first = max(
-                    r_first,
-                    float(np.linalg.norm(f - (2 / d) * omega(d, (j + 1) / 2) * eye)),
-                )
-            elif j != 0:
-                r_off = max(
-                    r_off,
-                    float(np.linalg.norm(f + (2 / d) * omega(d, (i + j + 1) / 2) * eye)),
-                )
+    i, j = np.ogrid[:d, :d]
+    half = roots_of_unity(2 * d, i + j + 1)[..., None, None]  # w**((i+j+1)/2) per block
+    full = roots_of_unity(d, i + j + 1)[..., None, None]  # w**(i+j+1) per block
+    off = i != j
+
+    def norms(x: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(x, axis=(-2, -1))
+
+    def largest(x: np.ndarray) -> float:
+        return float(np.max(x, initial=0.0))  # NaN propagates; 0 over no blocks
+
     return BlockStructureReport(
         d=d,
         aux_dim=aux_dim,
-        diagonal=r_diag,
-        transpose_pairing=r_pair,
-        block_unitarity=r_unit,
-        first_row=r_first,
-        off_diagonal=r_off,
+        diagonal=largest(norms(blocks - ((d - 2) / d) * half * eye)[i == j]),
+        transpose_pairing=largest(norms(blocks - full * dagger(blocks.swapaxes(0, 1)))[off]),
+        block_unitarity=largest(norms(blocks @ dagger(blocks) - (4 / d**2) * eye)[off]),
+        first_row=largest(norms(blocks[0] - (2 / d) * half[0] * eye)[1:]),
+        off_diagonal=largest(norms(blocks + (2 / d) * half * eye)[1:, 1:][off[1:, 1:]]),
     )

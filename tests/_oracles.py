@@ -278,3 +278,107 @@ def intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> tuple[flo
         rhs = omega(d, x) * np.trace(unitary_power(b1, x))
         r4 = max(r4, abs(lhs - rhs))
     return float(r1), float(r2), float(r3), float(r4)
+
+
+def z_observable(d: int) -> np.ndarray:
+    """diag(w**0, ..., w**(d-1)), one omega() call per entry."""
+    return np.diag([omega(d, i) for i in range(d)]).astype(complex)
+
+
+def t_observable(d: int) -> np.ndarray:
+    """T[i,j] = delta_ij w**(i+1/2) - (2/d) (-1)**(delta_i0+delta_j0) w**((i+j+1)/2), entry by entry."""
+    t = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        t[i, i] += omega(d, i + 0.5)
+    for i in range(d):
+        for j in range(d):
+            sign = (-1) ** ((i == 0) + (j == 0))
+            t[i, j] -= (2.0 / d) * sign * omega(d, (i + j + 1) / 2)
+    return t
+
+
+def t_eigenvector(d: int, r: int) -> np.ndarray:
+    """(2/d) sum_q (-1)**delta_q0 w**(-q/2) / (1 - w**(r-q-1/2)) |q>, entry by entry."""
+    return (2.0 / d) * np.array(
+        [(-1) ** (q == 0) * omega(d, -q / 2) / (1 - omega(d, r - q - 0.5)) for q in range(d)]
+    )
+
+
+def cglmp_eigenvector(d: int, party: str, setting: int, r: int) -> np.ndarray:
+    """w**((r - alpha_x) q) for Alice, w**(-(r - beta_y) q) for Bob, entry by entry."""
+    shift = (setting - 0.5) / 2 if party == "A" else setting / 2
+    sign = 1 if party == "A" else -1
+    return np.array([omega(d, sign * (r - shift) * q) for q in range(d)]) / np.sqrt(d)
+
+
+def cglmp_observables(d: int) -> tuple[np.ndarray, ...]:
+    """sum_r w**r |v_r><v_r|, one outer product per outcome r."""
+
+    def build(party: str, setting: int) -> np.ndarray:
+        m = np.zeros((d, d), dtype=complex)
+        for r in range(d):
+            v = cglmp_eigenvector(d, party, setting, r)
+            m += omega(d, r) * np.outer(v, v.conj())
+        return m
+
+    return build("A", 1), build("A", 2), build("B", 1), build("B", 2)
+
+
+def structural_unitaries(d: int) -> tuple[np.ndarray, ...]:
+    """(F, Y, S, M1, M2) entry by entry, with unreduced fractional exponents."""
+    f = np.array([[omega(d, i * j) for j in range(d)] for i in range(d)]) / np.sqrt(d)
+    y = np.diag([(-1) ** (1 - (j == 0)) * omega(d, (d - j) / 2) for j in range(d)])
+    s = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        s[j, d - 1 - j] = 1.0
+    m1 = np.diag([omega(d, j / 4) for j in range(d)])
+    m2 = np.diag([omega(d, j / 2) for j in range(d)])
+    return f, y, s, m1, m2
+
+
+def w1_w2(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """W1[i,j] = (-1)**(1-delta_j0) w**(-i/4 + ij + j/2) / sqrt(d) and
+    W2[d-1-i,j] = (-1)**(1-delta_j0) w**(-i/2 + ij + j/2) / sqrt(d), entry by entry."""
+    w1 = np.zeros((d, d), dtype=complex)
+    w2 = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            sign = (-1) ** (1 - (j == 0))
+            w1[i, j] = sign * omega(d, -i / 4 + i * j + j / 2) / np.sqrt(d)
+            w2[d - 1 - i, j] = sign * omega(d, -i / 2 + i * j + j / 2) / np.sqrt(d)
+    return w1, w2
+
+
+def w_alice(d: int) -> np.ndarray:
+    """W2^T W1 from the entrywise W1, W2."""
+    w1, w2 = w1_w2(d)
+    return w2.T @ w1
+
+
+def fij_structure(b2: np.ndarray, d: int, aux_dim: int) -> tuple[float, ...]:
+    """(diagonal, transpose_pairing, block_unitarity, first_row, off_diagonal), block by block."""
+    blocks = b2.reshape(d, aux_dim, d, aux_dim).transpose(0, 2, 1, 3)
+    eye = np.eye(aux_dim)
+    r_diag = max(
+        float(np.linalg.norm(blocks[i, i] - ((d - 2) / d) * omega(d, i + 0.5) * eye))
+        for i in range(d)
+    )
+    r_pair = r_unit = r_first = r_off = 0.0
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            f = blocks[i, j]
+            r_pair = max(
+                r_pair, float(np.linalg.norm(f - omega(d, i + j + 1) * dagger(blocks[j, i])))
+            )
+            r_unit = max(r_unit, float(np.linalg.norm(f @ dagger(f) - (4 / d**2) * eye)))
+            if i == 0:
+                r_first = max(
+                    r_first, float(np.linalg.norm(f - (2 / d) * omega(d, (j + 1) / 2) * eye))
+                )
+            elif j != 0:
+                r_off = max(
+                    r_off, float(np.linalg.norm(f + (2 / d) * omega(d, (i + j + 1) / 2) * eye))
+                )
+    return r_diag, r_pair, r_unit, r_first, r_off

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import _oracles
+import qsk
 from qsk.bell import born_probabilities, correlators_from_realization
 from qsk.canonical import (
     cglmp_eigenvector,
@@ -238,3 +240,39 @@ def test_every_produced_unitary_is_tightly_unitary(d):
     produced += list(cglmp_observables(d))
     for u in produced:
         assert frobenius_distance(dagger(u) @ u, np.eye(d)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [*range(2, 17), 64])
+def test_closed_forms_match_their_loop_oracles(d):
+    pairs = [
+        (z_observable(d), _oracles.z_observable(d)),
+        (t_observable(d), _oracles.t_observable(d)),
+        (w_alice(d), _oracles.w_alice(d)),
+        *zip(cglmp_observables(d), _oracles.cglmp_observables(d)),
+        *zip(structural_unitaries(d), _oracles.structural_unitaries(d)),
+        *zip(w1_w2(d), _oracles.w1_w2(d)),
+    ]
+    for r in range(d):
+        pairs.append((t_eigenvector(d, r), _oracles.t_eigenvector(d, r)))
+        for party in ("A", "B"):
+            for setting in (1, 2):
+                pairs.append(
+                    (
+                        cglmp_eigenvector(d, party, setting, r),
+                        _oracles.cglmp_eigenvector(d, party, setting, r),
+                    )
+                )
+    for fast, slow in pairs:
+        assert np.abs(fast - slow).max() <= 1e-12
+
+
+def test_canonical_builds_make_no_scalar_omega_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scalar omega() call")
+
+    for module in vars(qsk).values():
+        if getattr(module, "omega", None) is omega:
+            monkeypatch.setattr(module, "omega", refuse)
+    d = 7
+    ideal_realization(d), cglmp_realization(d), w_alice(d), structural_unitaries(d)
+    t_eigenvector(d, 3), cglmp_eigenvector(d, "B", 2, 1)

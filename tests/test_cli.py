@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import qsk.canonical
+import qsk.selftest
+import qsk.sos
 from qsk.bell import correlators_from_realization
 from qsk.canonical import ideal_realization
 from qsk.cli import (
@@ -273,3 +276,102 @@ def test_verify_builds_the_canonical_realization_at_most_once(group, builds, mon
     monkeypatch.setattr(qsk.canonical, "ideal_realization", counted)
     assert main(["verify", "--d", "4", group, "--format", "json"]) == EXIT_OK
     assert calls == builds
+
+
+CERTIFY_ARGV = ["--bounds", "--sos", "--traces", "--cglmp", "--randomness", "--cyclotomic"]
+BUILDERS = ("z_observable", "t_observable", "w1_w2", "cglmp_observables")
+
+
+@pytest.mark.parametrize(
+    "argv,counts",
+    [
+        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 1, 1, 1)),
+        (["verify", "--file", "{scrambled}", "--extract"], (1, 1, 1, 0)),
+        (["verify", "--d", "6", "--all"], (1, 1, 2, 1)),
+        (["simulate", "--d", "40", "--shots", "1000"], (1, 1, 0, 0)),
+    ],
+    ids=["certify", "extract-file", "all", "simulate"],
+)
+def test_each_command_builds_each_canonical_object_once(argv, counts, tmp_path, monkeypatch, capsys):
+    scrambled = tmp_path / "scrambled.json"
+    assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
+    calls = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+        original = getattr(qsk.canonical, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(qsk.canonical, name, counted)
+    argv = [a.format(scrambled=scrambled) for a in argv]
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    assert tuple(calls[name] for name in BUILDERS) == counts
+
+
+def test_default_json_output_is_byte_identical_across_runs(tmp_path, capsys):
+    def run(argv):
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out
+
+    argv = ["verify", "--d", "5", "--all", "--seed", "3", "--format", "json"]
+    assert run(argv) == run(argv)
+    scrambled = tmp_path / "scrambled.json"
+    assert main(["scramble", "--d", "4", "--seed", "2", "--out", str(scrambled)]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["verify", "--file", str(scrambled), "--extract", "--format", "json"]
+    first = run(argv)
+    assert first == run(argv)
+    assert json.loads(first)["pass"] is True
+
+
+def _poison_last(result):
+    """``result`` with its last residual replaced by NaN, where builtin max drops it."""
+    nan = float("nan")
+    if isinstance(result, float):
+        return nan
+    if isinstance(result, dict):
+        return {**result, list(result)[-1]: nan}
+    *head, (n, _) = result.entries
+    return dataclasses.replace(result, entries=(*head, (n, nan)))
+
+
+@pytest.mark.parametrize(
+    "fn,call,check",
+    [
+        ("sos_residual_bob", 1, "sos-operator-identity-random"),
+        ("sos_residual_alice", 1, "sos-operator-identity-random"),
+        ("stabilizer_residuals", 0, "sos-stabilizers-canonical"),
+        ("stabilizer_residuals", 1, "sos-stabilizers-canonical"),
+        ("check_trace_conditions", 0, "trace-conditions-canonical"),
+        ("check_trace_conditions", 1, "trace-conditions-canonical"),
+    ],
+)
+def test_a_nan_residual_fails_the_check_that_aggregates_it(fn, call, check, monkeypatch):
+    original = getattr(qsk.sos, fn)
+    calls = []
+
+    def poisoned(*args):
+        calls.append(fn)
+        result = original(*args)
+        return _poison_last(result) if len(calls) == call + 1 else result
+
+    monkeypatch.setattr(qsk.sos, fn, poisoned)
+    report = build_verification_report(4, ("sos", "traces"))
+    (result,) = [c for c in report.checks if c.name == check]
+    assert np.isnan(result.residual) and not result.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("key", ["bob_observable_1", "alice_observable_2"])
+def test_a_nan_extraction_residual_fails_extraction_observables(key, monkeypatch):
+    original = qsk.selftest.extract
+
+    def poisoned(*args):
+        result = original(*args)
+        return dataclasses.replace(result, residuals={**result.residuals, key: float("nan")})
+
+    monkeypatch.setattr(qsk.selftest, "extract", poisoned)
+    report = build_verification_report(3, ("extract",))
+    (result,) = [c for c in report.checks if c.name == "extraction-observables"]
+    assert np.isnan(result.residual) and not result.passed

@@ -16,6 +16,8 @@ from qsk.linalg import (
     kron_sum,
     omega,
     partial_trace,
+    roots_of_unity,
+    worst,
 )
 from qsk.canonical import maximally_entangled, t_observable, z_observable
 
@@ -103,6 +105,31 @@ def test_eig_unitary_snap_failure():
         eig_unitary(bad, 2)
 
 
+def test_eig_unitary_snaps_to_exact_roots_grouped_by_exponent():
+    d, m = 5, 2
+    g = haar_random_unitary(d * m, rng)
+    decomp = eig_unitary(g @ kron(dagger(z_observable(d)), np.eye(m)) @ dagger(g), d)
+    assert decomp.multiplicities == (m,) * d
+    expected = [omega(d, j) for j in range(d) for _ in range(m)]
+    assert decomp.eigenvalues.tolist() == expected
+
+
+def test_roots_of_unity_reduces_exponents_and_matches_omega():
+    n = 12
+    k = np.arange(-2 * n, 3 * n).reshape(5, n)
+    assert np.array_equal(roots_of_unity(n, k), roots_of_unity(n, k % n))
+    assert roots_of_unity(n, np.arange(n)).tolist() == [omega(n, j) for j in range(n)]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_worst_is_nan_when_any_residual_is_nan(position):
+    residuals = [1e-14, 0.0, 3e-15]
+    assert worst(*residuals) == 1e-14
+    residuals[position] = float("nan")
+    assert np.isnan(worst(*residuals))
+    assert np.isnan(worst(np.float64(1.0), *residuals))
+
+
 def test_eig_unitary_projectors_resolve_identity():
     d = 4
     decomp = eig_unitary(t_observable(d), d)
@@ -169,6 +196,15 @@ def test_assert_unitary_rejects_nan_entry():
 
 def test_eig_unitary_snap_gate_rejects_nan_eigenvalue(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[0], np.nan + 0j))
+    with pytest.raises(NotOrderDError, match="nearest d-th root"):
+        eig_unitary(z_observable(3), 3)
+
+
+@pytest.mark.parametrize("position", [0, 2])
+def test_eig_unitary_snap_gate_rejects_one_nan_eigenvalue(position, monkeypatch):
+    roots = np.array([omega(3, j) for j in range(3)])
+    roots[position] = np.nan
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: roots)
     with pytest.raises(NotOrderDError, match="nearest d-th root"):
         eig_unitary(z_observable(3), 3)
 

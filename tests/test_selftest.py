@@ -31,7 +31,7 @@ rng = np.random.default_rng(2718281)
 
 def _stage(fn, o1, o2, d):
     """Run an extraction stage on a pair with freshly computed decompositions."""
-    return fn(o1, o2, eig_unitary(o1, d), eig_unitary(o2, d))
+    return fn(o1, o2, eig_unitary(o1, d), eig_unitary(o2, d), ideal_realization(d))
 
 
 def test_check_multiplicities():
@@ -315,7 +315,7 @@ def test_block_alignment_gate_rejects_nan_block():
     b2 = t.copy()
     b2[0, 1] = np.nan
     with pytest.raises(ExtractionError, match=r"F F\^dag"):
-        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d))
+        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d), ideal_realization(d))
 
 
 def test_conjugation_gate_rejects_nan_unitary():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,10 @@ from qsk.canonical import (
 )
 from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega
 from qsk.sos import (
+    BlockStructureReport,
+    RootIdentityReport,
     TraceConditionReport,
+    TraceIdentityReport,
     c_operators,
     cbar_operators,
     check_commutation_relation,
@@ -311,3 +316,67 @@ def test_random_quadruples_share_no_special_structure():
 def test_stabilizer_residuals_rejects_unknown_side():
     with pytest.raises(ValueError, match="side must be"):
         stabilizer_residuals(ideal_realization(2), "carol")
+
+
+CLEAN_TRACE = TraceIdentityReport(
+    d=3, ladder_first=1e-14, ladder_second=1e-14, half_phase=0.0, doubled_power=0.0, order=0.0
+)
+CLEAN_ROOT = RootIdentityReport(d=3, ratio_sum=1e-15, weighted_sum=0.0)
+CLEAN_BLOCKS = BlockStructureReport(
+    d=3, aux_dim=1, diagonal=0.0, transpose_pairing=0.0, block_unitarity=0.0,
+    first_row=0.0, off_diagonal=0.0,
+)
+AGGREGATES = [
+    (
+        CLEAN_TRACE,
+        "max_residual",
+        ("ladder_first", "ladder_second", "half_phase", "doubled_power", "order"),
+    ),
+    (CLEAN_ROOT, "max_residual", ("ratio_sum", "weighted_sum")),
+    (CLEAN_BLOCKS, "max_alignment_free", ("diagonal", "transpose_pairing", "block_unitarity")),
+]
+
+
+@pytest.mark.parametrize(
+    "report,aggregate,component",
+    [
+        pytest.param(r, agg, c, id=f"{type(r).__name__}-{c}")
+        for r, agg, components in AGGREGATES
+        for c in components
+    ],
+)
+def test_nan_in_any_report_component_makes_its_aggregate_nan(report, aggregate, component):
+    value = getattr(dataclasses.replace(report, **{component: float("nan")}), aggregate)
+    assert np.isnan(value)
+    assert not value <= 1e-8
+
+
+@pytest.mark.parametrize("component", ["first_row", "off_diagonal"])
+def test_nan_in_any_scalar_block_equation_is_not_aligned(component):
+    assert CLEAN_BLOCKS.aligned
+    assert not dataclasses.replace(CLEAN_BLOCKS, **{component: float("nan")}).aligned
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("aux_dim", [1, 2, 3])
+def test_fij_structure_matches_loop_oracle(d, aux_dim):
+    aligned = kron(t_observable(d), np.eye(aux_dim))
+    h = haar_random_unitary(d * aux_dim, rng)
+    for b2 in (aligned, h @ aligned @ dagger(h)):
+        report = check_fij_structure(b2, d, aux_dim)
+        fast = (
+            report.diagonal,
+            report.transpose_pairing,
+            report.block_unitarity,
+            report.first_row,
+            report.off_diagonal,
+        )
+        assert np.abs(np.subtract(fast, _oracles.fij_structure(b2, d, aux_dim))).max() <= 1e-12
+
+
+def test_fij_structure_fails_closed_on_a_nan_block():
+    b2 = kron(t_observable(3), np.eye(2))
+    b2[5, 3] = np.nan  # inside block (2, 1): every equation that reads it turns NaN
+    report = check_fij_structure(b2, 3, 2)
+    assert np.isnan(report.max_alignment_free) and np.isnan(report.off_diagonal)
+    assert not report.aligned
