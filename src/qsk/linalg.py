@@ -61,19 +61,20 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_sum(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """``sum_t ls[t] (x) rs[t]`` for stacks (T, na, na) and (T, nb, nb).
+def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
+    """Frobenius norm of ``sum_t ls[t] (x) rs[t]`` for stacks (T, na, na), (T, nb, nb).
 
-    Entry [(i,j), (k,l)] of the sum is ``sum_t L_t[i,k] R_t[j,l]``, so for
-    each (i, j) the (na, nb) slab over (k, l) is the (na, T) @ (T, nb)
-    product of ``L[:, i, :]^T`` and ``R[:, j, :]``.  One batched matmul
-    writes all slabs straight into the row-major (na*nb, na*nb) layout.
+    The sum is never formed.  Entry [(i,j), (k,l)] of it is
+    ``sum_t L_t[i,k] R_t[j,l]``, entry [(i,k), (j,l)] of ``L^T R`` where
+    row t of L is vec(L_t) and row t of R is vec(R_t), so both have the
+    same norm (Van Loan and Pitsianis, 1993).  With the thin QR
+    ``L^T = Q1 R1`` that norm is ``|R1 R|``: memory O((na^2 + nb^2) T)
+    instead of O(na^2 nb^2), and nothing is squared, so no cancellation
+    floor.  A non-finite entry makes the result NaN.
     """
-    _, na, _ = ls.shape
-    nb = rs.shape[1]
-    left = np.ascontiguousarray(ls.transpose(1, 2, 0))  # [i, k, t]
-    right = np.ascontiguousarray(rs.transpose(1, 0, 2))  # [j, t, l]
-    return np.matmul(left[:, None], right[None]).reshape(na * nb, na * nb)
+    t = len(ls)
+    r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
+    return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import CorrelationTensor, CorrelatorTensor, Realization, _fourier_matrix
-from .linalg import kron_sum, omega, unitary_powers
+from .linalg import omega, unitary_powers
 
 TOL_REAL = 1e-9
 
@@ -89,23 +89,19 @@ def quantum_bound(d: int) -> float:
     return 2.0 * (d - 1)
 
 
-def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
-    """The Bell operator: functional terms with observables substituted.
+def bell_operator(f: BellFunctional, r: Realization) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell operator as its Kronecker terms: stacks (L, R) with the
+    operator equal to ``sum_t L[t] (x) R[t]``.
 
-    Hermitian by the conjugate-pair structure of the coefficients;
-    its expectation on ``r.state`` equals the evaluated functional.
+    One term per nonzero coefficient ``c_xykl``: ``L[t] = c_xykl A_x^k`` and
+    ``R[t] = B_y^l``, in (x, y, k, l) order.  The sum is Hermitian by the
+    conjugate-pair structure of the coefficients, and its expectation on
+    ``r.state`` equals the evaluated functional.
     """
-    d = f.d
-    da, db = r.dims
-    pow_a = [unitary_powers(o, d) for o in r.observables_a]
-    pow_b = [unitary_powers(o, d) for o in r.observables_b]
-    op = np.zeros((da * db, da * db), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            ks, ls = np.nonzero(f.coefficients[x, y])
-            weights = f.coefficients[x, y, ks, ls][:, None, None]
-            op += kron_sum(weights * pow_a[x][ks], pow_b[y][ls])
-    return op
+    x, y, k, l = np.nonzero(f.coefficients)
+    pow_a = np.stack([unitary_powers(o, f.d) for o in r.observables_a])
+    pow_b = np.stack([unitary_powers(o, f.d) for o in r.observables_b])
+    return f.coefficients[x, y, k, l][:, None, None] * pow_a[x, k], pow_b[y, l]
 
 
 def probability_form(f: BellFunctional) -> np.ndarray:

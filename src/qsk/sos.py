@@ -3,7 +3,9 @@
 Both decompositions verified here are *operator identities*: the residual
 vanishes for arbitrary order-d unitary observables, not only at the
 maximal violation.  What maximal violation adds is the per-term
-stabilization of the state, checked separately.
+stabilization of the state, checked separately.  Every residual is read
+off stacks (L, R) of Kronecker terms L[t] (x) R[t]; no operator on the
+joint space is formed.
 
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
@@ -20,100 +22,81 @@ import numpy as np
 
 from .bell import Realization
 from .cyclotomic import proper_divisors
-from .linalg import dagger, kron_sum, omega, roots_of_unity, unitary_powers, worst
-from .satwap import BellFunctional, bell_operator, coefficient_a, quantum_bound
+from .linalg import dagger, kron_sum_norm, roots_of_unity, unitary_powers, worst
+from .satwap import BellFunctional, bell_operator, quantum_bound
+
+TOL_TRACE = 1e-8
 
 
-@dataclass(frozen=True)
-class COperatorSet:
-    """The 2(d-1) one-party combinations entering a sum-of-squares form.
-
-    ``side`` is "bob" for combinations of Bob's observables (each paired
-    with a power of an Alice observable) and "alice" for the transposed
-    role.  ``ops[(i, k)]`` holds the combination for pairing index
-    i in {1, 2} and power k in [1, d).
-    """
-
-    d: int
-    side: str
-    ops: dict[tuple[int, int], np.ndarray]
-
-    def dagger_pairing_residual(self) -> float:
-        """max_k |C_i^(d-k) - dagger(C_i^(k))|; zero for order-d inputs."""
-        return worst(
-            *(
-                float(np.linalg.norm(self.ops[(i, self.d - k)] - dagger(self.ops[(i, k)])))
-                for i in (1, 2)
-                for k in range(1, self.d)
-            )
-        )
-
-
-def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> COperatorSet:
+def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> np.ndarray:
     """Bob-side combinations C_1^(k) = a_k B1^-k + a_k* w^k B2^-k and
-    C_2^(k) = a_k* B1^-k + a_k B2^-k."""
-    inv1 = unitary_powers(dagger(b1), d)
-    inv2 = unitary_powers(dagger(b2), d)
-    ops = {}
-    for k in range(1, d):
-        ak = coefficient_a(d, k)
-        ops[(1, k)] = ak * inv1[k] + ak.conjugate() * omega(d, k) * inv2[k]
-        ops[(2, k)] = ak.conjugate() * inv1[k] + ak * inv2[k]
-    return COperatorSet(d=d, side="bob", ops=ops)
+    C_2^(k) = a_k* B1^-k + a_k B2^-k, as the stack ``[i - 1, k - 1]``.
+
+    C_i^(k) is the Bob factor the Bell operator pairs with A_i^k:
+    ``sum_y c[i, y, k, d - k] B_y^(d - k)`` over the SATWAP coefficients c.
+    """
+    k = np.arange(1, d)
+    weights = BellFunctional.satwap(d).coefficients[:, :, k, d - k]  # [i, y, k]
+    return _combine(weights, b1, b2, d)
 
 
-def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> COperatorSet:
+def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> np.ndarray:
     """Alice-side combinations C~_1^(k) = a_k* A1^-k + a_k A2^-k and
-    C~_2^(k) = w^-k a_k A1^-k + a_k* A2^-k."""
-    inv1 = unitary_powers(dagger(a1), d)
-    inv2 = unitary_powers(dagger(a2), d)
-    ops = {}
-    for k in range(1, d):
-        ak = coefficient_a(d, k)
-        ops[(1, k)] = ak.conjugate() * inv1[k] + ak * inv2[k]
-        ops[(2, k)] = omega(d, -k) * ak * inv1[k] + ak.conjugate() * inv2[k]
-    return COperatorSet(d=d, side="alice", ops=ops)
+    C~_2^(k) = w^-k a_k A1^-k + a_k* A2^-k, as the stack ``[i - 1, k - 1]``.
+
+    C~_i^(k) is the Alice factor the Bell operator pairs with B_i^k:
+    ``sum_x c[x, i, d - k, k] A_x^(d - k)`` over the SATWAP coefficients c.
+    """
+    k = np.arange(1, d)
+    weights = BellFunctional.satwap(d).coefficients[:, :, d - k, k].swapaxes(0, 1)  # [i, x, k]
+    return _combine(weights, a1, a2, d)
 
 
-def _sos_terms(r: Realization, side: str):
-    """Yield ((i, k), L, R) with X_{i,k} = L (x) R, in (i, k) order.
+def _combine(weights: np.ndarray, o1: np.ndarray, o2: np.ndarray, d: int) -> np.ndarray:
+    """``out[i, k - 1] = sum_j weights[i, j, k - 1] o_j^-k`` for k in [1, d)."""
+    inv1 = unitary_powers(dagger(o1), d)[1:]
+    inv2 = unitary_powers(dagger(o2), d)[1:]
+    return weights[:, 0, :, None, None] * inv1 + weights[:, 1, :, None, None] * inv2
+
+
+def _sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks (L, R) with X_{i,k} = L[t] (x) R[t] at t = (i - 1)(d - 1) + k - 1.
 
     X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for "alice".
     """
     d = r.d
     if side == "bob":
-        cset = c_operators(*r.observables_b, d)
-        partner = [unitary_powers(o, d) for o in r.observables_a]
+        combos = c_operators(*r.observables_b, d)
+        partner = r.observables_a
     elif side == "alice":
-        cset = cbar_operators(*r.observables_a, d)
-        partner = [unitary_powers(o, d) for o in r.observables_b]
+        combos = cbar_operators(*r.observables_a, d)
+        partner = r.observables_b
     else:
         raise ValueError(f"side must be 'bob' or 'alice', got {side!r}")
-    for i in (1, 2):
-        for k in range(1, d):
-            if side == "bob":
-                yield (i, k), partner[i - 1][k], cset.ops[(i, k)]
-            else:
-                yield (i, k), cset.ops[(i, k)], partner[i - 1][k]
+    powers = np.concatenate([unitary_powers(o, d)[1:] for o in partner])
+    combos = combos.reshape(-1, *combos.shape[2:])
+    return (powers, combos) if side == "bob" else (combos, powers)
 
 
 def _sos_residual(r: Realization, side: str) -> float:
-    """Residual of the decomposition, summed in Kronecker-factored form.
+    """Residual of the decomposition as the norm of one Kronecker sum.
 
     With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``
-    holds for any L, R (no unitarity is assumed), so the sum over terms is
-    ``T I - S - S^dag + sum (L^dag L) (x) (R^dag R)`` with ``S = sum X``,
-    and the residual is ``beta_Q I - BellOp - (1/2)`` of that.
+    holds for any L, R (no unitarity is assumed), so with T terms the
+    residual ``beta_Q I - BellOp - (1/2) sum P^dag P`` is the sum of the
+    terms (1/2) X, (1/2) X^dag, -(1/2) (L^dag L) (x) (R^dag R), the negated
+    Bell-operator terms and (beta_Q - T/2) I (x) I; ``kron_sum_norm`` takes
+    its norm without forming any (da db x da db) operator.
     """
-    _, ls, rs = zip(*_sos_terms(r, side))
-    ls, rs = np.array(ls), np.array(rs)
-    s = kron_sum(ls, rs)
-    acc = s + dagger(s)
-    acc -= kron_sum(dagger(ls) @ ls, dagger(rs) @ rs)
-    acc *= 0.5
-    acc -= bell_operator(BellFunctional.satwap(r.d), r)
-    acc[np.diag_indices_from(acc)] += quantum_bound(r.d) - 0.5 * len(ls)
-    return float(np.linalg.norm(acc))
+    ls, rs = _sos_terms(r, side)
+    bell_ls, bell_rs = bell_operator(BellFunctional.satwap(r.d), r)
+    da, db = r.dims
+    scale = quantum_bound(r.d) - 0.5 * len(ls)
+    left = np.concatenate(
+        [0.5 * ls, 0.5 * dagger(ls), -0.5 * (dagger(ls) @ ls), -bell_ls, scale * np.eye(da)[None]]
+    )
+    right = np.concatenate([rs, dagger(rs), dagger(rs) @ rs, bell_rs, np.eye(db)[None]])
+    return kron_sum_norm(left, right)
 
 
 def sos_residual_bob(r: Realization) -> float:
@@ -126,16 +109,18 @@ def sos_residual_alice(r: Realization) -> float:
     return _sos_residual(r, "alice")
 
 
-def stabilizer_residuals(r: Realization, side: str = "bob") -> dict[tuple[int, int], float]:
+def stabilizer_residuals(r: Realization, side: str) -> dict[tuple[int, int], float]:
     """Per-term state residuals |(I - X_{i,k}) |psi>| of a decomposition.
 
     These vanish exactly when the realization maximally violates; they are
-    the conditions that drive the extraction.
+    the conditions that drive the extraction.  With psi as a (da, db)
+    matrix, X_{i,k} |psi> is ``L psi R^T``, one batched product over terms.
     """
+    ls, rs = _sos_terms(r, side)
     psi = r.state.reshape(r.dims)
-    return {
-        ik: float(np.linalg.norm(psi - lf @ psi @ rf.T)) for ik, lf, rf in _sos_terms(r, side)
-    }
+    norms = np.linalg.norm(psi - ls @ psi @ rs.swapaxes(1, 2), axis=(1, 2))
+    keys = [(i, k) for i in (1, 2) for k in range(1, r.d)]
+    return dict(zip(keys, norms.tolist()))
 
 
 def _order_residual(powers: np.ndarray, b: np.ndarray) -> float:
@@ -172,22 +157,21 @@ class TraceConditionReport:
 
     d: int
     entries: tuple[tuple[int, float], ...]
-    tolerance: float = 1e-8
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tolerance for _, v in self.entries)
+        return all(v <= TOL_TRACE for _, v in self.entries)
 
     @property
     def witness(self) -> int | None:
         """A divisor with nonvanishing trace, if any."""
         for n, v in self.entries:
-            if not v <= self.tolerance:
+            if not v <= TOL_TRACE:
                 return n
         return None
 
 
-def check_trace_conditions(b: np.ndarray, d: int, tolerance: float = 1e-8) -> TraceConditionReport:
+def check_trace_conditions(b: np.ndarray, d: int) -> TraceConditionReport:
     """Vanishing of Tr(B^n) for every proper divisor n of d.
 
     The traces are taken of the power stack B^0 .. B^(d-1), so no exponent
@@ -196,7 +180,7 @@ def check_trace_conditions(b: np.ndarray, d: int, tolerance: float = 1e-8) -> Tr
     """
     powers = unitary_powers(b, d)
     entries = tuple((n, float(abs(np.trace(powers[n])))) for n in proper_divisors(d))
-    return TraceConditionReport(d=d, entries=entries, tolerance=tolerance)
+    return TraceConditionReport(d=d, entries=entries)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ import numpy as np
 
 from qsk.bell import Realization, _fourier_matrix
 from qsk.linalg import assert_unitary, dagger, eig_unitary, omega, unitary_powers
-from qsk.satwap import BellFunctional, quantum_bound
-from qsk.sos import c_operators, cbar_operators
+from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
 
 
 def expectation(op_a: np.ndarray, op_b: np.ndarray, psi: np.ndarray) -> complex:
@@ -78,21 +77,48 @@ def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
     return op
 
 
+def kron_sum(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """sum_t ls[t] (x) rs[t], one dense Kronecker product per term."""
+    return sum(np.kron(lt, rt) for lt, rt in zip(ls, rs))
+
+
+def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
+    """C_1^(k) = a_k B1^-k + a_k* w^k B2^-k and C_2^(k) = a_k* B1^-k + a_k B2^-k, k by k."""
+    ops = {}
+    for k in range(1, d):
+        ak = coefficient_a(d, k)
+        inv1 = np.linalg.matrix_power(dagger(b1), k)
+        inv2 = np.linalg.matrix_power(dagger(b2), k)
+        ops[(1, k)] = ak * inv1 + ak.conjugate() * omega(d, k) * inv2
+        ops[(2, k)] = ak.conjugate() * inv1 + ak * inv2
+    return ops
+
+
+def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
+    """C~_1^(k) = a_k* A1^-k + a_k A2^-k and C~_2^(k) = w^-k a_k A1^-k + a_k* A2^-k, k by k."""
+    ops = {}
+    for k in range(1, d):
+        ak = coefficient_a(d, k)
+        inv1 = np.linalg.matrix_power(dagger(a1), k)
+        inv2 = np.linalg.matrix_power(dagger(a2), k)
+        ops[(1, k)] = ak.conjugate() * inv1 + ak * inv2
+        ops[(2, k)] = omega(d, -k) * ak * inv1 + ak.conjugate() * inv2
+    return ops
+
+
 def sos_terms(r: Realization, side: str) -> list[tuple[tuple[int, int], np.ndarray]]:
     """((i, k), X_{i,k}) with X_{i,k} formed as a dense Kronecker product."""
     d = r.d
     if side == "bob":
-        cset = c_operators(*r.observables_b, d)
-        partner = [unitary_powers(o, d) for o in r.observables_a]
+        ops = c_operators(*r.observables_b, d)
         return [
-            ((i, k), np.kron(partner[i - 1][k], cset.ops[(i, k)]))
+            ((i, k), np.kron(unitary_power(r.observables_a[i - 1], k), ops[(i, k)]))
             for i in (1, 2)
             for k in range(1, d)
         ]
-    cset = cbar_operators(*r.observables_a, d)
-    partner = [unitary_powers(o, d) for o in r.observables_b]
+    ops = cbar_operators(*r.observables_a, d)
     return [
-        ((i, k), np.kron(cset.ops[(i, k)], partner[i - 1][k]))
+        ((i, k), np.kron(ops[(i, k)], unitary_power(r.observables_b[i - 1], k)))
         for i in (1, 2)
         for k in range(1, d)
     ]

@@ -26,9 +26,15 @@ from qsk.bell import (
     expectation,
     probabilities_from_correlators,
 )
-from qsk.linalg import kron_sum, spectral_projectors, unitary_powers
+from qsk.linalg import kron_sum_norm, spectral_projectors, unitary_powers
 from qsk.satwap import BellFunctional, bell_operator, probability_form
-from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
+from qsk.sos import (
+    c_operators,
+    cbar_operators,
+    sos_residual_alice,
+    sos_residual_bob,
+    stabilizer_residuals,
+)
 
 CASES = [(d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (3, 2))]
 
@@ -56,13 +62,14 @@ def _generic(d: int, aux: tuple[int, int], seed: int) -> Realization:
     )
 
 
-def test_kron_sum_matches_summed_kron_products():
+def test_kron_sum_norm_matches_summed_kron_products():
     rng = np.random.default_rng(7)
-    for t, na, nb in ((1, 1, 1), (3, 2, 5), (4, 5, 2), (6, 3, 3)):
+    # (3, 1, 1): more terms than entries per left factor, so the QR is wide
+    for t, na, nb in ((1, 1, 1), (3, 1, 1), (3, 2, 5), (4, 5, 2), (6, 3, 3)):
         ls = rng.standard_normal((t, na, na)) + 1j * rng.standard_normal((t, na, na))
         rs = rng.standard_normal((t, nb, nb)) + 1j * rng.standard_normal((t, nb, nb))
-        expected = sum(np.kron(ls[i], rs[i]) for i in range(t))
-        assert np.abs(kron_sum(ls, rs) - expected).max() <= 1e-12
+        expected = np.linalg.norm(_oracles.kron_sum(ls, rs))
+        assert abs(kron_sum_norm(ls, rs) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("d,aux", CASES)
@@ -95,7 +102,25 @@ def test_born_probabilities_match_nested_trace_oracle(d, aux):
 def test_bell_operator_matches_kron_loop(d, aux):
     f = BellFunctional.satwap(d)
     for r in (_realization(d, aux, seed=40 * d + aux[0]), _generic(d, aux, seed=41 * d)):
-        assert np.abs(bell_operator(f, r) - _oracles.bell_operator(f, r)).max() <= 1e-12
+        dense = _oracles.kron_sum(*bell_operator(f, r))
+        assert np.abs(dense - _oracles.bell_operator(f, r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("aux", [(2, 3), (3, 1)])
+def test_combination_stacks_match_per_k_oracle(d, aux):
+    # the oracle builds each C_i^(k) from matrix_power of the adjoint and
+    # scalar coefficient_a / omega, independently of the coefficient table
+    r = _realization(d, aux, seed=45 * d + aux[0])
+    for fast, slow, pair in (
+        (c_operators, _oracles.c_operators, r.observables_b),
+        (cbar_operators, _oracles.cbar_operators, r.observables_a),
+    ):
+        stack = fast(*pair, d)
+        n = pair[0].shape[0]
+        assert stack.shape == (2, d - 1, n, n)
+        want = slow(*pair, d)
+        assert max(np.abs(stack[i - 1, k - 1] - want[(i, k)]).max() for i, k in want) <= 1e-12
 
 
 @pytest.mark.parametrize("d,aux", CASES)

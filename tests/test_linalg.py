@@ -13,7 +13,7 @@ from qsk.linalg import (
     frobenius_distance,
     haar_random_unitary,
     kron,
-    kron_sum,
+    kron_sum_norm,
     omega,
     partial_trace,
     roots_of_unity,
@@ -178,10 +178,18 @@ def test_haar_random_unitary_is_unitary():
         assert frobenius_distance(dagger(u) @ u, np.eye(n)) < 1e-10
 
 
-def test_kron_sum_of_one_term_is_the_kron_product():
+def test_kron_sum_norm_of_one_term_is_the_kron_product_norm():
+    a = 2 * haar_random_unitary(2, rng)
+    b = haar_random_unitary(3, rng)
+    # |a (x) b| = |a| |b| = 2 sqrt(2) sqrt(3)
+    assert abs(kron_sum_norm(a[None], b[None]) - np.linalg.norm(np.kron(a, b))) <= 1e-14
+    assert abs(kron_sum_norm(a[None], b[None]) - 2 * np.sqrt(6)) <= 1e-14
+
+
+def test_kron_sum_norm_of_cancelling_terms_is_zero():
     a = haar_random_unitary(2, rng)
     b = haar_random_unitary(3, rng)
-    assert np.abs(kron_sum(a[None], b[None]) - np.kron(a, b)).max() <= 1e-15
+    assert kron_sum_norm(np.stack([a, -a]), np.stack([b, b])) <= 1e-15
 
 
 # Every gate reads ``not (x <= tol)``: a NaN residual must fail, not pass.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_order_d, random_realization
+from _oracles import kron_sum
 
 import qsk.selftest
 from qsk.bell import CorrelatorTensor, Realization, Scenario, correlators_from_realization
@@ -194,7 +195,7 @@ def test_extract_parallel_pairs_reading():
 def test_extract_gate_rejects_submaximal_violation():
     d = 3
     r = ideal_realization(d)
-    op = bell_operator(BellFunctional.satwap(d), r)
+    op = kron_sum(*bell_operator(BellFunctional.satwap(d), r))
     vals, vecs = np.linalg.eigh(op)
     top = vecs[:, -1]
     other = vecs[:, 0]

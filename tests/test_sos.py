@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qsk.canonical import (
     t_observable,
     z_observable,
 )
-from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega
+from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega, worst
 from qsk.sos import (
     BlockStructureReport,
     RootIdentityReport,
@@ -39,28 +40,27 @@ rng = np.random.default_rng(31337)
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_c_operators_on_canonical_pair(d):
-    cset = c_operators(z_observable(d), t_observable(d), d)
-    assert cset.dagger_pairing_residual() < 1e-9
+    c = c_operators(z_observable(d), t_observable(d), d)
+    assert c.shape == (2, d - 1, d, d)
     eye = np.eye(d)
-    for i in (1, 2):
-        c1 = cset.ops[(i, 1)]
+    for i in range(2):
         for k in range(1, d):
-            ck = cset.ops[(i, k)]
+            ck = c[i, k - 1]
+            assert frobenius_distance(c[i, d - k - 1], dagger(ck)) < 1e-9  # C^(d-k) = C^(k)^dag
             assert frobenius_distance(ck @ dagger(ck), eye) < 1e-9
-            assert frobenius_distance(cset.ops[(i, d - k)] @ ck, eye) < 1e-9
-            assert frobenius_distance(ck, np.linalg.matrix_power(c1, k)) < 1e-9
+            assert frobenius_distance(c[i, d - k - 1] @ ck, eye) < 1e-9
+            assert frobenius_distance(ck, np.linalg.matrix_power(c[i, 0], k)) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_cbar_operators_on_ideal_alice(d):
     a1, a2 = ideal_alice_observables(d)
-    cset = cbar_operators(a1, a2, d)
-    assert frobenius_distance(cset.ops[(1, 1)], z_observable(d).conj()) < 1e-8
-    assert frobenius_distance(cset.ops[(2, 1)], t_observable(d).conj()) < 1e-8
-    for i in (1, 2):
-        c1 = cset.ops[(i, 1)]
+    c = cbar_operators(a1, a2, d)
+    assert frobenius_distance(c[0, 0], z_observable(d).conj()) < 1e-8
+    assert frobenius_distance(c[1, 0], t_observable(d).conj()) < 1e-8
+    for i in range(2):
         for k in range(1, d):
-            assert frobenius_distance(cset.ops[(i, k)], np.linalg.matrix_power(c1, k)) < 1e-8
+            assert frobenius_distance(c[i, k - 1], np.linalg.matrix_power(c[i, 0], k)) < 1e-8
 
 
 @pytest.mark.parametrize("d", list(range(2, 11)))
@@ -291,8 +291,7 @@ def test_sos_per_term_stabilization_written_out():
     # spelled-out check of one stabilizer: A1 (x) C_1^(1) fixes the state
     d = 3
     r = ideal_realization(d)
-    cset = c_operators(*r.observables_b, d)
-    op = kron(r.observables_a[0], cset.ops[(1, 1)])
+    op = kron(r.observables_a[0], c_operators(*r.observables_b, d)[0, 0])
     psi = maximally_entangled(d)
     assert np.linalg.norm(op @ psi - psi) < 1e-9
 
@@ -311,6 +310,41 @@ def test_random_quadruples_share_no_special_structure():
     )
     assert sos_residual_bob(r) < 1e-8
     assert sos_residual_alice(r) < 1e-8
+
+
+def test_sos_residual_memory_stays_below_one_dense_operator():
+    # d = 3, aux 8 x 8: one dense (576 x 576) complex operator is 5.06 MiB,
+    # while the (L, R) stacks of all 21 Kronecker terms take about 0.4 MiB
+    r = random_realization(3, rng, dim_a=24, dim_b=24)
+    dense = (24 * 24) ** 2 * 16
+    tracemalloc.start()
+    try:
+        sos_residual_bob(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", range(4), ids=["A1", "A2", "B1", "B2"])
+def test_sos_residuals_fail_closed_on_a_non_finite_entry(bad, which):
+    r = ideal_realization(3)
+    obs = [o.copy() for o in (*r.observables_a, *r.observables_b)]
+    obs[which][1, 2] = bad
+    r = dataclasses.replace(r, observables_a=tuple(obs[:2]), observables_b=tuple(obs[2:]))
+    with np.errstate(all="ignore"):
+        residuals = [sos_residual_bob(r), sos_residual_alice(r)]
+        bob = stabilizer_residuals(r, "bob")
+        alice = stabilizer_residuals(r, "alice")
+    assert all(np.isnan(v) for v in residuals)
+    # term (i, k) reads A_i, B1, B2 on Bob's side and A1, A2, B_i on Alice's;
+    # exactly the terms that read the poisoned observable turn NaN
+    for (i, _), v in bob.items():
+        assert np.isnan(v) == (which in (i - 1, 2, 3))
+    for (i, _), v in alice.items():
+        assert np.isnan(v) == (which in (0, 1, i + 1))
+    assert np.isnan(worst(*bob.values(), *alice.values()))
 
 
 def test_stabilizer_residuals_rejects_unknown_side():
