@@ -116,7 +116,9 @@ class Realization:
             raise ValueError(f"state dimension {self.state.shape} != {da}*{db}")
         if not np.isfinite(self.state).all():
             raise ValueError("state has non-finite entries")
-        if not abs(np.linalg.norm(self.state) - 1.0) <= tol:
+        with np.errstate(over="ignore"):  # a huge entry overflows to a failing inf
+            norm = np.linalg.norm(self.state)
+        if not abs(norm - 1.0) <= tol:
             raise ValueError("state is not normalized")
         decomps = []
         for side, obs, dim in (("A", self.observables_a, da), ("B", self.observables_b, db)):

@@ -89,19 +89,31 @@ def quantum_bound(d: int) -> float:
     return 2.0 * (d - 1)
 
 
-def bell_operator(f: BellFunctional, r: Realization) -> tuple[np.ndarray, np.ndarray]:
-    """The Bell operator as its Kronecker terms: stacks (L, R) with the
-    operator equal to ``sum_t L[t] (x) R[t]``.
+def bell_operator(f: BellFunctional, r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Bell operator as its Kronecker terms grouped by one party: stacks
+    (L, R) of shape (2, d, n, n) with the operator ``sum_{x,k} L[x,k] (x) R[x,k]``.
 
-    One term per nonzero coefficient ``c_xykl``: ``L[t] = c_xykl A_x^k`` and
-    ``R[t] = B_y^l``, in (x, y, k, l) order.  The sum is Hermitian by the
-    conjugate-pair structure of the coefficients, and its expectation on
-    ``r.state`` equals the evaluated functional.
+    ``side`` names the party whose powers are summed against the
+    coefficients c[x, y, k, l].  For "bob", ``L[x, k] = A_x^k`` and
+    ``R[x, k] = sum_{y,l} c[x, y, k, l] B_y^l``; "alice" is the mirror,
+    ``L[y, l] = sum_{x,k} c[x, y, k, l] A_x^k`` and ``R[y, l] = B_y^l``.
+    Each grouping is one (2d, 2d) @ (2d, n^2) product of the rearranged
+    coefficient table with the other party's power stacks.  The sum is
+    Hermitian by the conjugate-pair structure of the coefficients, and its
+    expectation on ``r.state`` equals the evaluated functional.
     """
-    x, y, k, l = np.nonzero(f.coefficients)
-    pow_a = np.stack([unitary_powers(o, f.d) for o in r.observables_a])
-    pow_b = np.stack([unitary_powers(o, f.d) for o in r.observables_b])
-    return f.coefficients[x, y, k, l][:, None, None] * pow_a[x, k], pow_b[y, l]
+    d = f.d
+    if side == "bob":
+        own, other, table = r.observables_a, r.observables_b, f.coefficients.transpose(0, 2, 1, 3)
+    elif side == "alice":
+        own, other, table = r.observables_b, r.observables_a, f.coefficients.transpose(1, 3, 0, 2)
+    else:
+        raise ValueError(f"side must be 'bob' or 'alice', got {side!r}")
+    powers = np.stack([unitary_powers(o, d) for o in own])
+    n = other[0].shape[0]
+    other_powers = np.stack([unitary_powers(o, d) for o in other]).reshape(2 * d, n * n)
+    summed = (table.reshape(2 * d, 2 * d) @ other_powers).reshape(2, d, n, n)
+    return (powers, summed) if side == "bob" else (summed, powers)
 
 
 def probability_form(f: BellFunctional) -> np.ndarray:

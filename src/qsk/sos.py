@@ -3,9 +3,10 @@
 Both decompositions verified here are *operator identities*: the residual
 vanishes for arbitrary order-d unitary observables, not only at the
 maximal violation.  What maximal violation adds is the per-term
-stabilization of the state, checked separately.  Every residual is read
-off stacks (L, R) of Kronecker terms L[t] (x) R[t]; no operator on the
-joint space is formed.
+stabilization of the state, checked separately.  The terms of both
+decompositions are the Bell operator's own Kronecker terms, grouped by
+one party (``satwap.bell_operator``); every residual is read off their
+stacks (L, R), and no operator on the joint space is formed.
 
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
@@ -28,74 +29,38 @@ from .satwap import BellFunctional, bell_operator, quantum_bound
 TOL_TRACE = 1e-8
 
 
-def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> np.ndarray:
-    """Bob-side combinations C_1^(k) = a_k B1^-k + a_k* w^k B2^-k and
-    C_2^(k) = a_k* B1^-k + a_k B2^-k, as the stack ``[i - 1, k - 1]``.
-
-    C_i^(k) is the Bob factor the Bell operator pairs with A_i^k:
-    ``sum_y c[i, y, k, d - k] B_y^(d - k)`` over the SATWAP coefficients c.
-    """
-    k = np.arange(1, d)
-    weights = BellFunctional.satwap(d).coefficients[:, :, k, d - k]  # [i, y, k]
-    return _combine(weights, b1, b2, d)
-
-
-def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> np.ndarray:
-    """Alice-side combinations C~_1^(k) = a_k* A1^-k + a_k A2^-k and
-    C~_2^(k) = w^-k a_k A1^-k + a_k* A2^-k, as the stack ``[i - 1, k - 1]``.
-
-    C~_i^(k) is the Alice factor the Bell operator pairs with B_i^k:
-    ``sum_x c[x, i, d - k, k] A_x^(d - k)`` over the SATWAP coefficients c.
-    """
-    k = np.arange(1, d)
-    weights = BellFunctional.satwap(d).coefficients[:, :, d - k, k].swapaxes(0, 1)  # [i, x, k]
-    return _combine(weights, a1, a2, d)
-
-
-def _combine(weights: np.ndarray, o1: np.ndarray, o2: np.ndarray, d: int) -> np.ndarray:
-    """``out[i, k - 1] = sum_j weights[i, j, k - 1] o_j^-k`` for k in [1, d)."""
-    inv1 = unitary_powers(dagger(o1), d)[1:]
-    inv2 = unitary_powers(dagger(o2), d)[1:]
-    return weights[:, 0, :, None, None] * inv1 + weights[:, 1, :, None, None] * inv2
-
-
 def _sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (L, R) with X_{i,k} = L[t] (x) R[t] at t = (i - 1)(d - 1) + k - 1.
 
-    X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for "alice".
+    X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for
+    "alice": the k >= 1 slice of the Bell operator grouped by that party,
+    so C_1^(k) = a_k B1^(d-k) + a_k* w^k B2^(d-k) and
+    C_2^(k) = a_k* B1^(d-k) + a_k B2^(d-k), and C~_1^(k) = a_k* A1^(d-k) +
+    a_k A2^(d-k) and C~_2^(k) = w^-k a_k A1^(d-k) + a_k* A2^(d-k).  SATWAP
+    puts no coefficient at k = 0, so the X_{i,k} sum to the Bell operator.
     """
-    d = r.d
-    if side == "bob":
-        combos = c_operators(*r.observables_b, d)
-        partner = r.observables_a
-    elif side == "alice":
-        combos = cbar_operators(*r.observables_a, d)
-        partner = r.observables_b
-    else:
-        raise ValueError(f"side must be 'bob' or 'alice', got {side!r}")
-    powers = np.concatenate([unitary_powers(o, d)[1:] for o in partner])
-    combos = combos.reshape(-1, *combos.shape[2:])
-    return (powers, combos) if side == "bob" else (combos, powers)
+    ls, rs = bell_operator(BellFunctional.satwap(r.d), r, side)
+    return ls[:, 1:].reshape(-1, *ls.shape[2:]), rs[:, 1:].reshape(-1, *rs.shape[2:])
 
 
 def _sos_residual(r: Realization, side: str) -> float:
     """Residual of the decomposition as the norm of one Kronecker sum.
 
     With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``
-    holds for any L, R (no unitarity is assumed), so with T terms the
-    residual ``beta_Q I - BellOp - (1/2) sum P^dag P`` is the sum of the
-    terms (1/2) X, (1/2) X^dag, -(1/2) (L^dag L) (x) (R^dag R), the negated
-    Bell-operator terms and (beta_Q - T/2) I (x) I; ``kron_sum_norm`` takes
-    its norm without forming any (da db x da db) operator.
+    holds for any L, R (no unitarity is assumed), and the T terms X sum to
+    the Bell operator, so the residual ``beta_Q I - BellOp - (1/2) sum
+    P^dag P`` is the sum of the 3T + 1 terms (1/2) X^dag, -(1/2) X,
+    -(1/2) (L^dag L) (x) (R^dag R) and (beta_Q - T/2) I (x) I;
+    ``kron_sum_norm`` takes its norm without forming any (da db x da db)
+    operator.
     """
     ls, rs = _sos_terms(r, side)
-    bell_ls, bell_rs = bell_operator(BellFunctional.satwap(r.d), r)
     da, db = r.dims
     scale = quantum_bound(r.d) - 0.5 * len(ls)
     left = np.concatenate(
-        [0.5 * ls, 0.5 * dagger(ls), -0.5 * (dagger(ls) @ ls), -bell_ls, scale * np.eye(da)[None]]
+        [0.5 * dagger(ls), -0.5 * ls, -0.5 * (dagger(ls) @ ls), scale * np.eye(da)[None]]
     )
-    right = np.concatenate([rs, dagger(rs), dagger(rs) @ rs, bell_rs, np.eye(db)[None]])
+    right = np.concatenate([dagger(rs), rs, dagger(rs) @ rs, np.eye(db)[None]])
     return kron_sum_norm(left, right)
 
 

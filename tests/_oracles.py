@@ -6,8 +6,9 @@ Each function here is the direct transcription of a definition: one
 term by term for polynomials, an ``einsum`` per Fourier transform and a
 sum of weighted powers per spectral projector, and a ``matrix_power``
 per operator power (negative exponents through the adjoint, no exponent
-reduced mod d).  They are slow and exist only to cross-check the fast
-kernels in :mod:`qsk`.
+reduced mod d; the sum-of-squares combinations read B^-k as B^(d-k), the
+power the Bell operator pairs with A^k).  They are slow and exist only to
+cross-check the fast kernels in :mod:`qsk`.
 """
 
 from __future__ import annotations
@@ -78,29 +79,39 @@ def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
 
 
 def kron_sum(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """sum_t ls[t] (x) rs[t], one dense Kronecker product per term."""
+    """sum_t ls[t] (x) rs[t] over every leading index t, one dense Kronecker product per term."""
+    ls = ls.reshape(-1, *ls.shape[-2:])
+    rs = rs.reshape(-1, *rs.shape[-2:])
     return sum(np.kron(lt, rt) for lt, rt in zip(ls, rs))
 
 
 def c_operators(b1: np.ndarray, b2: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
-    """C_1^(k) = a_k B1^-k + a_k* w^k B2^-k and C_2^(k) = a_k* B1^-k + a_k B2^-k, k by k."""
+    """C_1^(k) = a_k B1^(d-k) + a_k* w^k B2^(d-k) and C_2^(k) = a_k* B1^(d-k) + a_k B2^(d-k).
+
+    Built k by k; B^(d-k) is the B^-k of an order-d observable, the power
+    the Bell operator pairs with A_i^k.
+    """
     ops = {}
     for k in range(1, d):
         ak = coefficient_a(d, k)
-        inv1 = np.linalg.matrix_power(dagger(b1), k)
-        inv2 = np.linalg.matrix_power(dagger(b2), k)
+        inv1 = np.linalg.matrix_power(b1, d - k)
+        inv2 = np.linalg.matrix_power(b2, d - k)
         ops[(1, k)] = ak * inv1 + ak.conjugate() * omega(d, k) * inv2
         ops[(2, k)] = ak.conjugate() * inv1 + ak * inv2
     return ops
 
 
 def cbar_operators(a1: np.ndarray, a2: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
-    """C~_1^(k) = a_k* A1^-k + a_k A2^-k and C~_2^(k) = w^-k a_k A1^-k + a_k* A2^-k, k by k."""
+    """C~_1^(k) = a_k* A1^(d-k) + a_k A2^(d-k) and C~_2^(k) = w^-k a_k A1^(d-k) + a_k* A2^(d-k).
+
+    Built k by k; A^(d-k) is the A^-k of an order-d observable, the power
+    the Bell operator pairs with B_i^k.
+    """
     ops = {}
     for k in range(1, d):
         ak = coefficient_a(d, k)
-        inv1 = np.linalg.matrix_power(dagger(a1), k)
-        inv2 = np.linalg.matrix_power(dagger(a2), k)
+        inv1 = np.linalg.matrix_power(a1, d - k)
+        inv2 = np.linalg.matrix_power(a2, d - k)
         ops[(1, k)] = ak.conjugate() * inv1 + ak * inv2
         ops[(2, k)] = omega(d, -k) * ak * inv1 + ak.conjugate() * inv2
     return ops

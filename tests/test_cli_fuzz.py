@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,3 +114,23 @@ def test_mutated_realization_files_fail_safely(workdir, mutation):
         assert err.getvalue().splitlines()[-1].startswith("error: ")
     if kind in ("drop", "ragged", "dims"):
         assert code != EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "path", [("state", 0, 0), ("A", 0, 0, 0, 0), ("B", 1, 1, 0, 1)], ids=["state", "A1", "B2"]
+)
+def test_huge_finite_entry_exits_2_without_a_warning(workdir, path):
+    # 1e308 is finite, so it passes the finiteness gate; squaring it in the
+    # norm and unitarity gates overflows, which must reject quietly
+    data = json.loads(json.dumps(BASE))
+    _get(data, path[:-1])[path[-1]] = 1e308
+    file = workdir / "huge.json"
+    file.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--file", str(file), "--extract", "--format", "json"])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -15,6 +15,7 @@ from _helpers import random_order_d, random_probability_tensor, random_realizati
 
 import qsk.bell
 import qsk.linalg
+import qsk.sos
 from qsk.bell import (
     CorrelationTensor,
     CorrelatorTensor,
@@ -28,13 +29,7 @@ from qsk.bell import (
 )
 from qsk.linalg import kron_sum_norm, spectral_projectors, unitary_powers
 from qsk.satwap import BellFunctional, bell_operator, probability_form
-from qsk.sos import (
-    c_operators,
-    cbar_operators,
-    sos_residual_alice,
-    sos_residual_bob,
-    stabilizer_residuals,
-)
+from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
 
 CASES = [(d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (3, 2))]
 
@@ -102,25 +97,44 @@ def test_born_probabilities_match_nested_trace_oracle(d, aux):
 def test_bell_operator_matches_kron_loop(d, aux):
     f = BellFunctional.satwap(d)
     for r in (_realization(d, aux, seed=40 * d + aux[0]), _generic(d, aux, seed=41 * d)):
-        dense = _oracles.kron_sum(*bell_operator(f, r))
-        assert np.abs(dense - _oracles.bell_operator(f, r)).max() <= 1e-12
+        for side in ("bob", "alice"):
+            dense = _oracles.kron_sum(*bell_operator(f, r, side))
+            assert np.abs(dense - _oracles.bell_operator(f, r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_bell_operator_groups_a_generic_coefficient_table(d):
+    # full support, k = 0 and l = 0 included: an index transposition that
+    # SATWAP's (k, d - k) support would hide shows here
+    rng = np.random.default_rng(42 + d)
+    coeff = rng.standard_normal((2, 2, d, d)) + 1j * rng.standard_normal((2, 2, d, d))
+    f = BellFunctional(d=d, coefficients=coeff)
+    r = _generic(d, (2, 3), seed=43 * d)
+    expected = _oracles.bell_operator(f, r)
+    bob = _oracles.kron_sum(*bell_operator(f, r, "bob"))
+    alice = _oracles.kron_sum(*bell_operator(f, r, "alice"))
+    scale = np.abs(expected).max()
+    assert np.abs(bob - expected).max() <= 1e-12 * scale
+    assert np.abs(alice - expected).max() <= 1e-12 * scale
+    assert np.abs(bob - alice).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 @pytest.mark.parametrize("aux", [(2, 3), (3, 1)])
 def test_combination_stacks_match_per_k_oracle(d, aux):
-    # the oracle builds each C_i^(k) from matrix_power of the adjoint and
-    # scalar coefficient_a / omega, independently of the coefficient table
+    # the oracle builds each C_i^(k) from matrix_power and scalar
+    # coefficient_a / omega, independently of the coefficient table
     r = _realization(d, aux, seed=45 * d + aux[0])
-    for fast, slow, pair in (
-        (c_operators, _oracles.c_operators, r.observables_b),
-        (cbar_operators, _oracles.cbar_operators, r.observables_a),
+    f = BellFunctional.satwap(d)
+    for stack, slow, pair in (
+        (bell_operator(f, r, "bob")[1], _oracles.c_operators, r.observables_b),
+        (bell_operator(f, r, "alice")[0], _oracles.cbar_operators, r.observables_a),
     ):
-        stack = fast(*pair, d)
         n = pair[0].shape[0]
-        assert stack.shape == (2, d - 1, n, n)
+        assert stack.shape == (2, d, n, n)
+        assert not stack[:, 0].any()  # SATWAP puts no coefficient at k = 0
         want = slow(*pair, d)
-        assert max(np.abs(stack[i - 1, k - 1] - want[(i, k)]).max() for i, k in want) <= 1e-12
+        assert max(np.abs(stack[i - 1, k] - want[(i, k)]).max() for i, k in want) <= 1e-12
 
 
 @pytest.mark.parametrize("d,aux", CASES)
@@ -203,8 +217,32 @@ def test_operator_kernels_form_no_kronecker_product(monkeypatch):
     monkeypatch.setattr(np, "kron", forbidden)
     monkeypatch.setattr(qsk.linalg, "kron", forbidden)
     r = _realization(3, (2, 3), seed=3)
-    bell_operator(BellFunctional.satwap(3), r)
+    bell_operator(BellFunctional.satwap(3), r, "bob")
+    bell_operator(BellFunctional.satwap(3), r, "alice")
     sos_residual_bob(r)
     sos_residual_alice(r)
     stabilizer_residuals(r, "bob")
     stabilizer_residuals(r, "alice")
+
+
+@pytest.mark.parametrize("d,aux", [(3, (2, 3)), (5, (1, 2))])
+@pytest.mark.parametrize("residual", [sos_residual_bob, sos_residual_alice])
+def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux, residual):
+    # 6(d - 1) + 1 terms (X^dag, X, X^dag X per square, and the identity),
+    # the squares read off one grouping of the Bell operator, and every
+    # factor acts on one party only, so no (da db x da db) operator is passed
+    r = _realization(d, aux, seed=90 + d)
+    da, db = r.dims
+    bell_calls = _counting(monkeypatch, qsk.sos, "bell_operator")
+    stacks = []
+    original = qsk.sos.kron_sum_norm
+
+    def recorded(ls, rs):
+        stacks.append((ls.shape, rs.shape))
+        return original(ls, rs)
+
+    monkeypatch.setattr(qsk.sos, "kron_sum_norm", recorded)
+    residual(r)
+    terms = 6 * (d - 1) + 1
+    assert stacks == [((terms, da, da), (terms, db, db))]
+    assert len(bell_calls) == 1

@@ -122,15 +122,16 @@ def test_bell_operator_hermitian_and_consistent():
     for d in (2, 3, 5):
         r = ideal_realization(d)
         f = BellFunctional.satwap(d)
-        op = kron_sum(*bell_operator(f, r))
-        assert np.linalg.norm(op - op.conj().T) < 1e-9
-        expectation = (r.state.conj() @ op @ r.state).real
-        assert abs(expectation - evaluate(f, correlators_from_realization(r))) < 1e-9
+        for side in ("bob", "alice"):
+            op = kron_sum(*bell_operator(f, r, side))
+            assert np.linalg.norm(op - op.conj().T) < 1e-9
+            expectation = (r.state.conj() @ op @ r.state).real
+            assert abs(expectation - evaluate(f, correlators_from_realization(r))) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_bell_operator_top_eigenvalue(d):
-    op = kron_sum(*bell_operator(BellFunctional.satwap(d), ideal_realization(d)))
+    op = kron_sum(*bell_operator(BellFunctional.satwap(d), ideal_realization(d), "alice"))
     top = np.linalg.eigvalsh(op).max()
     assert abs(top - 2 * (d - 1)) < 1e-8
 

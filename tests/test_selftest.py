@@ -195,7 +195,7 @@ def test_extract_parallel_pairs_reading():
 def test_extract_gate_rejects_submaximal_violation():
     d = 3
     r = ideal_realization(d)
-    op = kron_sum(*bell_operator(BellFunctional.satwap(d), r))
+    op = kron_sum(*bell_operator(BellFunctional.satwap(d), r, "bob"))
     vals, vecs = np.linalg.eigh(op)
     top = vecs[:, -1]
     other = vecs[:, 0]

@@ -17,13 +17,12 @@ from qsk.canonical import (
     z_observable,
 )
 from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, kron, omega, worst
+from qsk.satwap import BellFunctional, bell_operator
 from qsk.sos import (
     BlockStructureReport,
     RootIdentityReport,
     TraceConditionReport,
     TraceIdentityReport,
-    c_operators,
-    cbar_operators,
     check_commutation_relation,
     check_fij_structure,
     check_intermediate_identities,
@@ -40,7 +39,9 @@ rng = np.random.default_rng(31337)
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_c_operators_on_canonical_pair(d):
-    c = c_operators(z_observable(d), t_observable(d), d)
+    # C_i^(k) is the Bob factor the Bell operator pairs with A_i^k; Bob measures (Z, T)
+    r = dataclasses.replace(ideal_realization(d), observables_b=(z_observable(d), t_observable(d)))
+    c = bell_operator(BellFunctional.satwap(d), r, "bob")[1][:, 1:]
     assert c.shape == (2, d - 1, d, d)
     eye = np.eye(d)
     for i in range(2):
@@ -54,8 +55,9 @@ def test_c_operators_on_canonical_pair(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_cbar_operators_on_ideal_alice(d):
-    a1, a2 = ideal_alice_observables(d)
-    c = cbar_operators(a1, a2, d)
+    r = dataclasses.replace(ideal_realization(d), observables_a=ideal_alice_observables(d))
+    c = bell_operator(BellFunctional.satwap(d), r, "alice")[0][:, 1:]
+    assert c.shape == (2, d - 1, d, d)
     assert frobenius_distance(c[0, 0], z_observable(d).conj()) < 1e-8
     assert frobenius_distance(c[1, 0], t_observable(d).conj()) < 1e-8
     for i in range(2):
@@ -291,7 +293,7 @@ def test_sos_per_term_stabilization_written_out():
     # spelled-out check of one stabilizer: A1 (x) C_1^(1) fixes the state
     d = 3
     r = ideal_realization(d)
-    op = kron(r.observables_a[0], c_operators(*r.observables_b, d)[0, 0])
+    op = kron(r.observables_a[0], bell_operator(BellFunctional.satwap(d), r, "bob")[1][0, 1])
     psi = maximally_entangled(d)
     assert np.linalg.norm(op @ psi - psi) < 1e-9
 
