@@ -106,7 +106,7 @@ class Realization:
     def __post_init__(self):
         object.__setattr__(self, "scenario", Scenario(self.d, 2))
 
-    def validate(self, tol: float = TOL_NORM) -> tuple[EigenDecomposition, ...]:
+    def validate(self) -> tuple[EigenDecomposition, ...]:
         """Check shapes, finiteness, normalization and the order-d property.
 
         Returns the decompositions of (A1, A2, B1, B2) computed on the way.
@@ -118,7 +118,7 @@ class Realization:
             raise ValueError("state has non-finite entries")
         with np.errstate(over="ignore"):  # a huge entry overflows to a failing inf
             norm = np.linalg.norm(self.state)
-        if not abs(norm - 1.0) <= tol:
+        if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError("state is not normalized")
         decomps = []
         for side, obs, dim in (("A", self.observables_a, da), ("B", self.observables_b, db)):

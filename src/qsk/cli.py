@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -31,24 +30,23 @@ EXIT_INPUT_ERROR = 2
 # file formats
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _complex_to_json(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in m]
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_pair(z) for z in v]
-
-
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def _vector_from_json(entries: list) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entries])
+def _complex_from_json(entries, ndim: int, what: str) -> np.ndarray:
+    """Read an ndim-deep list of [re, im] pairs whose every leaf is a JSON number."""
+    pairs = np.array(entries, dtype=object)
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise ValueError(f"{what} must be a {kind} of [re, im] pairs")
+    if not all(type(x) in (int, float) for x in pairs.flat):  # rejects JSON true/false (bool)
+        raise ValueError(f"{what} has an entry that is not a number")
+    try:
+        values = pairs.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} has an entry too large for a double") from None
+    return values.view(complex)[..., 0]
 
 
 def _json_default(o):
@@ -70,9 +68,9 @@ def realization_to_json(r: bell.Realization, metadata: dict | None = None) -> di
     return {
         "d": r.d,
         "dims": list(r.dims),
-        "state": _vector_to_json(r.state),
-        "A": [_matrix_to_json(o) for o in r.observables_a],
-        "B": [_matrix_to_json(o) for o in r.observables_b],
+        "state": _complex_to_json(r.state),
+        "A": [_complex_to_json(o) for o in r.observables_a],
+        "B": [_complex_to_json(o) for o in r.observables_b],
         "metadata": metadata or {},
     }
 
@@ -89,9 +87,9 @@ def realization_from_json(data: dict) -> bell.Realization:
         if len(data["dims"]) != 2:
             raise ValueError(f"dims must be a pair of integers, got {data['dims']!r}")
         dims = (_integer(data["dims"][0], "dims"), _integer(data["dims"][1], "dims"))
-        state = _vector_from_json(data["state"])
-        obs_a = tuple(_matrix_from_json(m) for m in data["A"])
-        obs_b = tuple(_matrix_from_json(m) for m in data["B"])
+        state = _complex_from_json(data["state"], 1, "state")
+        obs_a = tuple(_complex_from_json(m, 2, f"A{i + 1}") for i, m in enumerate(data["A"]))
+        obs_b = tuple(_complex_from_json(m, 2, f"B{i + 1}") for i, m in enumerate(data["B"]))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed realization file: {exc}") from exc
     if len(obs_a) != 2 or len(obs_b) != 2:
@@ -133,7 +131,6 @@ class CheckResult:
 class VerificationReport:
     d: int
     seed: int
-    tol_scale: float
     checks: list[CheckResult]
     bell_value: float | None = None
     classical_bound: float | None = None
@@ -151,7 +148,6 @@ class VerificationReport:
             "version": __version__,
             "d": self.d,
             "seed": self.seed,
-            "tol_scale": self.tol_scale,
             "checks": [c.to_json() for c in self.checks],
             "pass": self.passed,
         }
@@ -177,7 +173,7 @@ class VerificationReport:
 
 
 def _bounds_checks(
-    ideal: bell.Realization, tol: float, checks: list[CheckResult]
+    ideal: bell.Realization, checks: list[CheckResult]
 ) -> tuple[float, float, float]:
     d = ideal.d
     beta_c = satwap.classical_bound(d)
@@ -185,22 +181,22 @@ def _bounds_checks(
     value = satwap.evaluate(
         satwap.BellFunctional.satwap(d), bell.correlators_from_realization(ideal)
     )
-    checks.append(CheckResult("quantum-bound-attained", abs(value - beta_q), 1e-9 * tol))
+    checks.append(CheckResult("quantum-bound-attained", abs(value - beta_q), 1e-9))
     if d <= bell.BRUTE_FORCE_CAP:
         brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
-        checks.append(CheckResult("classical-bound-brute-force", abs(brute - beta_c), 1e-9 * tol))
+        checks.append(CheckResult("classical-bound-brute-force", abs(brute - beta_c), 1e-9))
     return value, beta_c, beta_q
 
 
-def _sos_checks(ideal: bell.Realization, seed: int, tol: float, checks: list[CheckResult]) -> None:
+def _sos_checks(ideal: bell.Realization, seed: int, checks: list[CheckResult]) -> None:
     d = ideal.d
-    checks.append(CheckResult("sos-bob-canonical", sos.sos_residual_bob(ideal), 1e-8 * tol))
-    checks.append(CheckResult("sos-alice-canonical", sos.sos_residual_alice(ideal), 1e-8 * tol))
+    checks.append(CheckResult("sos-bob-canonical", sos.sos_residual_bob(ideal), 1e-8))
+    checks.append(CheckResult("sos-alice-canonical", sos.sos_residual_alice(ideal), 1e-8))
     stab = worst(
         *sos.stabilizer_residuals(ideal, "bob").values(),
         *sos.stabilizer_residuals(ideal, "alice").values(),
     )
-    checks.append(CheckResult("sos-stabilizers-canonical", stab, 1e-9 * tol))
+    checks.append(CheckResult("sos-stabilizers-canonical", stab, 1e-9))
     rng = np.random.default_rng(np.random.Philox(seed))
     z = ideal.observables_b[0]
     random_obs = []
@@ -215,28 +211,21 @@ def _sos_checks(ideal: bell.Realization, seed: int, tol: float, checks: list[Che
         observables_b=(random_obs[2], random_obs[3]),
     )
     residual = worst(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
-    checks.append(CheckResult("sos-operator-identity-random", residual, 1e-8 * tol))
+    checks.append(CheckResult("sos-operator-identity-random", residual, 1e-8))
 
 
-def _trace_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> None:
+def _trace_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
     d = ideal.d
     z, t = ideal.observables_b
     traces = worst(*(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries))
-    checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8 * tol))
-    checks.append(
-        CheckResult("twisted-commutation", sos.check_commutation_relation(z, t, d), 1e-8 * tol)
-    )
-    checks.append(
-        CheckResult(
-            "trace-identities", sos.check_intermediate_identities(z, t, d).max_residual, 1e-8 * tol
-        )
-    )
-    checks.append(
-        CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8 * tol)
-    )
+    checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
+    checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t, d), 1e-8))
+    identities = sos.check_intermediate_identities(z, t, d).max_residual
+    checks.append(CheckResult("trace-identities", identities, 1e-8))
+    checks.append(CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8))
 
 
-def _cglmp_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> None:
+def _cglmp_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
     d = ideal.d
     z, t = ideal.observables_b
     w1, w2 = canonical.w1_w2(d)
@@ -248,24 +237,23 @@ def _cglmp_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]
         float(np.linalg.norm(b1p - w2 @ z @ dagger(w2))),
         float(np.linalg.norm(b2p - w2 @ t @ dagger(w2))),
     )
-    checks.append(CheckResult("cglmp-conjugations", conj, 1e-8 * tol))
+    checks.append(CheckResult("cglmp-conjugations", conj, 1e-8))
     wa = w2.T @ w1  # canonical.w_alice, from the pair already built
     ideal1, ideal2 = ideal.observables_a
     fact2 = worst(
         float(np.linalg.norm(wa @ z @ dagger(wa) - ideal1)),
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
     )
-    checks.append(CheckResult("alice-rotation", fact2, 1e-8 * tol))
+    checks.append(CheckResult("alice-rotation", fact2, 1e-8))
     drift = np.abs(
         bell.born_probabilities(cglmp).probabilities
         - bell.born_probabilities(ideal).probabilities
     ).max()
-    checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8 * tol))
+    checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8))
 
 
 def _extract_checks(
     r: bell.Realization,
-    tol: float,
     checks: list[CheckResult],
     ideal: bell.Realization | None = None,
 ) -> dict | None:
@@ -275,7 +263,7 @@ def _extract_checks(
         # sentinel failing check; the diagnostic itself rides in the summary
         checks.append(CheckResult(f"extraction-stage-{exc.stage}", 1.0, 0.0))
         return {"error": str(exc)}
-    checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7 * tol))
+    checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7))
     worst_obs = worst(
         *(
             result.residuals[f"{party}_observable_{i}"]
@@ -283,13 +271,13 @@ def _extract_checks(
             for i in (1, 2)
         )
     )
-    checks.append(CheckResult("extraction-observables", worst_obs, 1e-7 * tol))
+    checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
     canon = selftest.canonicalized_realization(r, result)
     drift = np.abs(
         bell.correlators_from_realization(canon).values
         - bell.correlators_from_realization(r).values
     ).max()
-    checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8 * tol))
+    checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
     return {
         "fidelity": result.fidelity,
         "aux_dims": list(result.aux_dims),
@@ -298,14 +286,12 @@ def _extract_checks(
     }
 
 
-def _randomness_checks(ideal: bell.Realization, tol: float, checks: list[CheckResult]) -> dict:
+def _randomness_checks(ideal: bell.Realization, checks: list[CheckResult]) -> dict:
     d = ideal.d
     dist = randomness.outcome_distribution(ideal, "B", 1)
-    checks.append(
-        CheckResult("uniform-outcomes", float(np.abs(dist - 1.0 / d).max()), 1e-9 * tol)
-    )
+    checks.append(CheckResult("uniform-outcomes", float(np.abs(dist - 1.0 / d).max()), 1e-9))
     guess = randomness.ideal_guessing_probability(ideal, "B", 1)
-    checks.append(CheckResult("guessing-probability", abs(guess - 1.0 / d), 1e-9 * tol))
+    checks.append(CheckResult("guessing-probability", abs(guess - 1.0 / d), 1e-9))
     ledger = randomness.expansion_ledger(d, rounds=1)
     return {
         "guessing_probability": guess,
@@ -340,7 +326,6 @@ def build_verification_report(
     d: int,
     selectors: tuple[str, ...],
     seed: int = 0,
-    tol_scale: float = 1.0,
     realization: bell.Realization | None = None,
 ) -> VerificationReport:
     """Run the selected module check groups and collect a report.
@@ -350,8 +335,7 @@ def build_verification_report(
     built once and only if a selected group reads it (all but cyclotomic).
     """
     checks: list[CheckResult] = []
-    report = VerificationReport(d=d, seed=seed, tol_scale=tol_scale, checks=checks)
-    tol = tol_scale
+    report = VerificationReport(d=d, seed=seed, checks=checks)
     if realization is not None:
         value = satwap.evaluate(
             satwap.BellFunctional.satwap(d), bell.correlators_from_realization(realization)
@@ -359,32 +343,29 @@ def build_verification_report(
         report.bell_value = value
         report.classical_bound = satwap.classical_bound(d)
         report.quantum_bound = satwap.quantum_bound(d)
-        checks.append(
-            CheckResult(
-                "maximal-violation", abs(value - report.quantum_bound), selftest.tol_violation(d) * tol
-            )
-        )
+        gap = abs(value - report.quantum_bound)
+        checks.append(CheckResult("maximal-violation", gap, selftest.tol_violation(d)))
         if "extract" in selectors:
-            report.extraction = _extract_checks(realization, tol, checks)
+            report.extraction = _extract_checks(realization, checks)
         return report
 
     ideal = canonical.ideal_realization(d) if set(selectors) - {"cyclotomic"} else None
     if "bounds" in selectors:
-        value, beta_c, beta_q = _bounds_checks(ideal, tol, checks)
+        value, beta_c, beta_q = _bounds_checks(ideal, checks)
         report.bell_value = value
         report.classical_bound = beta_c
         report.quantum_bound = beta_q
     if "sos" in selectors:
-        _sos_checks(ideal, seed, tol, checks)
+        _sos_checks(ideal, seed, checks)
     if "traces" in selectors:
-        _trace_checks(ideal, tol, checks)
+        _trace_checks(ideal, checks)
     if "cglmp" in selectors:
-        _cglmp_checks(ideal, tol, checks)
+        _cglmp_checks(ideal, checks)
     if "extract" in selectors:
         scrambled = selftest.scramble(ideal, 2, 2, seed)
-        report.extraction = _extract_checks(scrambled, tol, checks, ideal)
+        report.extraction = _extract_checks(scrambled, checks, ideal)
     if "randomness" in selectors:
-        report.randomness = _randomness_checks(ideal, tol, checks)
+        report.randomness = _randomness_checks(ideal, checks)
     if "cyclotomic" in selectors:
         _cyclotomic_checks(d, checks)
     return report
@@ -440,9 +421,7 @@ def cmd_verify(args) -> int:
     if d is None:
         print("error: provide --d or --file", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    report = build_verification_report(
-        d, selectors, seed=args.seed, tol_scale=args.tol_scale, realization=realization
-    )
+    report = build_verification_report(d, selectors, seed=args.seed, realization=realization)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report.to_json()))
     else:
@@ -451,9 +430,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        print("error: shots must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     r = canonical.ideal_realization(args.d)
     tensor = bell.sample_statistics(r, args.shots, args.seed)
     f = satwap.BellFunctional.satwap(args.d)
@@ -567,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sel in ALL_SELECTORS:
         p.add_argument(f"--{sel}", action="store_true", help=f"run the {sel} group")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-scale", type=float, default=1.0, help="multiply all tolerances (> 0)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_verify)
 
@@ -605,8 +580,9 @@ def _check_arguments(args) -> None:
         raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
     if args.command == "bounds" and args.brute_cap > bell.BRUTE_FORCE_CAP:
         raise ValueError(f"--brute-cap must be <= {bell.BRUTE_FORCE_CAP}, got {args.brute_cap}")
-    if args.command == "verify" and not 0 < args.tol_scale < math.inf:
-        raise ValueError(f"--tol-scale must be finite and > 0, got {args.tol_scale}")
+    max_shots = int(np.iinfo(np.int64).max)  # the sampler counts shots in int64
+    if args.command == "simulate" and not 1 <= args.shots <= max_shots:
+        raise ValueError(f"--shots must be in 1..{max_shots}, got {args.shots}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -171,10 +173,82 @@ def test_scramble_to_stdout(capsys):
     assert abs(value - 2.0) < 1e-9
 
 
-def test_tol_scale_loosens_checks():
-    report = build_verification_report(3, ("bounds",), tol_scale=1e6)
-    assert report.passed
-    assert all(c.tolerance >= 1e-3 for c in report.checks)
+# Every check's tolerance is a constant of the check (README, "Tolerances");
+# maximal-violation's is 1e-6 * d.
+TOLERANCES = {
+    "quantum-bound-attained": 1e-9,
+    "classical-bound-brute-force": 1e-9,
+    "sos-bob-canonical": 1e-8,
+    "sos-alice-canonical": 1e-8,
+    "sos-stabilizers-canonical": 1e-9,
+    "sos-operator-identity-random": 1e-8,
+    "trace-conditions-canonical": 1e-8,
+    "twisted-commutation": 1e-8,
+    "trace-identities": 1e-8,
+    "root-identities": 1e-8,
+    "cglmp-conjugations": 1e-8,
+    "alice-rotation": 1e-8,
+    "cglmp-vs-canonical-statistics": 1e-8,
+    "extraction-fidelity": 1e-7,
+    "extraction-observables": 1e-7,
+    "extraction-preserves-statistics": 1e-8,
+    "uniform-outcomes": 1e-9,
+    "guessing-probability": 1e-9,
+    "cyclotomic-product-identity": 0.5,
+    "equal-coefficients-classifier": 0.5,
+    "maximal-violation": 4e-6,  # at d = 4
+}
+
+
+def _scrambled_d4(tmp_path):
+    path = tmp_path / "scrambled4.json"
+    argv = ["scramble", "--d", "4", "--aux-a", "3", "--aux-b", "2", "--seed", "5"]
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    return path
+
+
+FILE_CHECKS = {"maximal-violation", "extraction-fidelity", "extraction-observables",
+               "extraction-preserves-statistics"}
+
+
+@pytest.mark.parametrize("source", ["all", "file"])
+def test_every_reported_tolerance_is_fixed(source, tmp_path, capsys):
+    if source == "all":
+        argv, names = ["verify", "--d", "4", "--all"], set(TOLERANCES) - {"maximal-violation"}
+    else:
+        argv, names = ["verify", "--file", str(_scrambled_d4(tmp_path)), "--extract"], FILE_CHECKS
+    capsys.readouterr()
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "tol_scale" not in report
+    reported = {c["name"]: c["tolerance"] for c in report["checks"]}
+    assert reported == {name: TOLERANCES[name] for name in names}
+
+
+def test_perturbed_file_fails_at_maximal_violation(tmp_path, capsys):
+    # the state noise of the benchmark's rejected extract requests
+    path = _scrambled_d4(tmp_path)
+    data = json.loads(path.read_text())
+    rng = random.Random("perturb")
+    state = [[re + rng.gauss(0, 0.01), im + rng.gauss(0, 0.01)] for re, im in data["state"]]
+    norm = math.sqrt(math.fsum(re * re + im * im for re, im in state))
+    data["state"] = [[re / norm, im / norm] for re, im in state]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["verify", "--file", str(path), "--bounds", "--format", "json"])
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert code == EXIT_CHECK_FAILED
+    assert check["name"] == "maximal-violation" and check["pass"] is False
+    assert check["tolerance"] == 4e-6 < check["residual"]
+
+
+def test_no_option_scales_the_tolerances(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d", "3", "--tol-scale", "10"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --tol-scale 10" in err
+    assert "Traceback" not in err
 
 
 def _write_realization(tmp_path, **changes):
@@ -236,15 +310,16 @@ def test_out_of_range_d_is_an_input_error(argv, message, capsys):
             ["bounds", "--d-min", "13", "--d-max", "13", "--brute-cap", "13"],
             "--brute-cap must be <= 12, got 13",
         ),
-        (["verify", "--d", "3", "--tol-scale", "nan"], "--tol-scale must be finite and > 0, got nan"),
-        (["verify", "--d", "3", "--tol-scale", "inf"], "--tol-scale must be finite and > 0, got inf"),
-        (["verify", "--d", "3", "--tol-scale", "0"], "--tol-scale must be finite and > 0, got 0.0"),
-        (["verify", "--d", "3", "--tol-scale", "-1"], "--tol-scale must be finite and > 0, got -1.0"),
+        (["simulate", "--d", "2", "--shots", "0"], f"--shots must be in 1..{2**63 - 1}, got 0"),
+        (
+            ["simulate", "--d", "2", "--shots", str(2**63)],
+            f"--shots must be in 1..{2**63 - 1}, got {2**63}",
+        ),
     ],
 )
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     # an uncapped --brute-cap would enumerate d^4 strategies past the library's
-    # cap; a non-finite --tol-scale would pass every check or print NaN tokens
+    # cap; more than 2^63 - 1 shots overflow the sampler's int64 counts
     assert main([*argv, "--format", "json"]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"

@@ -2,8 +2,9 @@
 
 A valid scrambled realization (d = 2, aux 2x1) is mutated one way per
 example: a key dropped, one numeric leaf replaced by a non-finite value, a
-string, ``null`` or a list, a row made ragged, ``dims`` rewritten, or ``d``
-replaced by a non-integral or out-of-range value.  ``verify --file
+400-digit integer, a boolean, a string, ``null`` or a list, a row made
+ragged, ``dims`` rewritten, or ``d`` replaced by a non-integral or
+out-of-range value.  ``verify --file
 --extract`` must answer with an exit code in {0, 1, 2} and an error line,
 never an uncaught exception, and no file carrying a non-finite number may
 exit 0.
@@ -25,7 +26,7 @@ from qsk.selftest import scramble
 
 BASE = realization_to_json(scramble(ideal_realization(2), 2, 1, seed=11))
 KEYS = ("d", "dims", "state", "A", "B")
-BAD_LEAVES = (math.nan, math.inf, -math.inf, "0.5", None, [1.0], 1e308)
+BAD_LEAVES = (math.nan, math.inf, -math.inf, "0.5", None, [1.0], 1e308, 10**400, True)
 BAD_D = (2.5, 2.0, "2", None, True, [2], 0, 1, -2, 3, 7)
 BAD_DIMS = ([2, 4], [4], [4, 2, 1], [0, 8], [-2, -4], [4.0, 2], ["4", 2], None)
 
@@ -116,21 +117,42 @@ def test_mutated_realization_files_fail_safely(workdir, mutation):
         assert code != EXIT_OK
 
 
-@pytest.mark.parametrize(
+ENTRY_PATHS = pytest.mark.parametrize(
     "path", [("state", 0, 0), ("A", 0, 0, 0, 0), ("B", 1, 1, 0, 1)], ids=["state", "A1", "B2"]
 )
-def test_huge_finite_entry_exits_2_without_a_warning(workdir, path):
-    # 1e308 is finite, so it passes the finiteness gate; squaring it in the
-    # norm and unitarity gates overflows, which must reject quietly
+
+
+def _verify_with_entry(workdir, path, value):
+    """Exit code and stderr lines of ``verify --file`` with one leaf replaced by ``value``."""
     data = json.loads(json.dumps(BASE))
-    _get(data, path[:-1])[path[-1]] = 1e308
-    file = workdir / "huge.json"
+    _get(data, path[:-1])[path[-1]] = value
+    file = workdir / "entry.json"
     file.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["verify", "--file", str(file), "--extract", "--format", "json"])
+    return code, err.getvalue().splitlines()
+
+
+@ENTRY_PATHS
+def test_huge_finite_entry_exits_2_without_a_warning(workdir, path):
+    # 1e308 is finite, so it passes the finiteness gate; squaring it in the
+    # norm and unitarity gates overflows, which must reject quietly
+    code, lines = _verify_with_entry(workdir, path, 1e308)
     assert code == 2
-    lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@ENTRY_PATHS
+@pytest.mark.parametrize(
+    "value,message",
+    [(10**400, "too large for a double"), (True, "not a number"), (False, "not a number")],
+    ids=["int-400-digits", "true", "false"],
+)
+def test_entry_that_is_no_double_exits_2(workdir, path, value, message):
+    # complex() overflows on a 400-digit integer; JSON true/false would read as 1/0
+    code, lines = _verify_with_entry(workdir, path, value)
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
