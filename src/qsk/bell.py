@@ -9,6 +9,7 @@ outcome ``a`` corresponds to eigenvalue ``w**a``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,12 @@ class DeterministicStrategy:
 
 @dataclass(frozen=True)
 class Realization:
-    """A bipartite state plus two order-d observables per party."""
+    """A bipartite state plus two order-d observables per party.
+
+    Its arrays are never mutated in place, so the statistics that
+    :attr:`correlators` and :attr:`born` compute on first use stay valid
+    for the object's lifetime; a changed realization is a new object.
+    """
 
     d: int
     dims: tuple[int, int]
@@ -129,6 +135,16 @@ class Realization:
                     raise ValueError(f"observable {side}{i + 1} has non-finite entries")
                 decomps.append(eig_unitary(o, self.d))  # raises NotOrderDError on failure
         return tuple(decomps)
+
+    @cached_property
+    def correlators(self) -> CorrelatorTensor:
+        """:func:`correlators_from_realization`, computed at most once."""
+        return correlators_from_realization(self)
+
+    @cached_property
+    def born(self) -> CorrelationTensor:
+        """:func:`born_probabilities`, computed at most once."""
+        return born_probabilities(self)
 
 
 def born_probabilities(r: Realization) -> CorrelationTensor:
@@ -243,7 +259,7 @@ def sample_statistics(r: Realization, shots: int, seed: int) -> CorrelationTenso
     if shots <= 0:
         raise ValueError("shots must be positive")
     d = r.d
-    exact = born_probabilities(r)
+    exact = r.born
     rng = np.random.default_rng(np.random.Philox(seed))
     setting_counts = rng.multinomial(shots, [0.25] * 4).reshape(2, 2)
     freqs = np.zeros((2, 2, d, d))

@@ -63,17 +63,6 @@ def maximally_entangled(d: int) -> np.ndarray:
     return v / np.sqrt(d)
 
 
-def ideal_alice_observables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Alice-side pair attaining the maximal value with Bob = (Z, T).
-
-    A1 = a1* Z - 2 (a1*)^3 T  and  A2 = a1 Z + a1* T.  The signs of the
-    T coefficients are forced: they are the unique solution of the linear
-    system Z = a1 X + a1* Y, T = a1* w X + a1 Y satisfied by the
-    w_alice conjugations, and the opposite choice is not order d.
-    """
-    return ideal_realization(d).observables_a
-
-
 def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
     """Fourier-basis eigenvectors of a CGLMP measurement, column r for outcome r.
 
@@ -89,11 +78,6 @@ def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
     return v / np.sqrt(d)
-
-
-def cglmp_eigenvector(d: int, party: str, setting: int, r: int) -> np.ndarray:
-    """Column r of :func:`cglmp_eigenbasis`: the eigenvector for outcome r."""
-    return cglmp_eigenbasis(d, party, setting)[:, r]
 
 
 def cglmp_observables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -146,7 +130,13 @@ def w_alice(d: int) -> np.ndarray:
 
 
 def ideal_realization(d: int) -> Realization:
-    """The canonical maximal violator: |phi_d+>, Bob = (Z, T), derived Alice pair."""
+    """The canonical maximal violator: |phi_d+>, Bob = (Z, T), derived Alice pair.
+
+    The Alice pair is A1 = a1* Z - 2 (a1*)^3 T and A2 = a1 Z + a1* T.  The
+    signs of the T coefficients are forced: they are the unique solution
+    of the linear system Z = a1 X + a1* Y, T = a1* w X + a1 Y satisfied by
+    the w_alice conjugations, and the opposite choice is not order d.
+    """
     z, t = z_observable(d), t_observable(d)
     a1 = coefficient_a(d, 1)
     a1c = a1.conjugate()

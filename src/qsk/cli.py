@@ -25,6 +25,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+BOUNDS_BRUTE_FORCE_MAX_D = 8  # `bounds` enumerates local strategies up to this d
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -178,9 +180,7 @@ def _bounds_checks(
     d = ideal.d
     beta_c = satwap.classical_bound(d)
     beta_q = satwap.quantum_bound(d)
-    value = satwap.evaluate(
-        satwap.BellFunctional.satwap(d), bell.correlators_from_realization(ideal)
-    )
+    value = satwap.evaluate(satwap.BellFunctional.satwap(d), ideal.correlators)
     checks.append(CheckResult("quantum-bound-attained", abs(value - beta_q), 1e-9))
     if d <= bell.BRUTE_FORCE_CAP:
         brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
@@ -245,10 +245,7 @@ def _cglmp_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
     )
     checks.append(CheckResult("alice-rotation", fact2, 1e-8))
-    drift = np.abs(
-        bell.born_probabilities(cglmp).probabilities
-        - bell.born_probabilities(ideal).probabilities
-    ).max()
+    drift = np.abs(cglmp.born.probabilities - ideal.born.probabilities).max()
     checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8))
 
 
@@ -273,10 +270,7 @@ def _extract_checks(
     )
     checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
     canon = selftest.canonicalized_realization(r, result)
-    drift = np.abs(
-        bell.correlators_from_realization(canon).values
-        - bell.correlators_from_realization(r).values
-    ).max()
+    drift = np.abs(canon.correlators.values - r.correlators.values).max()
     checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
     return {
         "fidelity": result.fidelity,
@@ -337,9 +331,7 @@ def build_verification_report(
     checks: list[CheckResult] = []
     report = VerificationReport(d=d, seed=seed, checks=checks)
     if realization is not None:
-        value = satwap.evaluate(
-            satwap.BellFunctional.satwap(d), bell.correlators_from_realization(realization)
-        )
+        value = satwap.evaluate(satwap.BellFunctional.satwap(d), realization.correlators)
         report.bell_value = value
         report.classical_bound = satwap.classical_bound(d)
         report.quantum_bound = satwap.quantum_bound(d)
@@ -379,7 +371,7 @@ def cmd_bounds(args) -> int:
     rows = []
     for d in range(args.d_min, args.d_max + 1):
         bf = None
-        if d <= args.brute_cap:
+        if d <= BOUNDS_BRUTE_FORCE_MAX_D:
             bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))[0]
         beta_c = satwap.classical_bound(d)
         beta_q = satwap.quantum_bound(d)
@@ -531,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="classical/quantum bounds table over a range of d")
     p.add_argument("--d-min", type=int, default=2)
     p.add_argument("--d-max", type=int, default=8)
-    cap_help = f"largest d for brute force, at most {bell.BRUTE_FORCE_CAP}"
-    p.add_argument("--brute-cap", type=int, default=8, help=cap_help)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_bounds)
 
@@ -578,19 +568,22 @@ def _check_arguments(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 2, got {value}")
     if args.command == "bounds" and args.d_min > args.d_max:
         raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
-    if args.command == "bounds" and args.brute_cap > bell.BRUTE_FORCE_CAP:
-        raise ValueError(f"--brute-cap must be <= {bell.BRUTE_FORCE_CAP}, got {args.brute_cap}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     max_shots = int(np.iinfo(np.int64).max)  # the sampler counts shots in int64
     if args.command == "simulate" and not 1 <= args.shots <= max_shots:
         raise ValueError(f"--shots must be in 1..{max_shots}, got {args.shots}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     try:
         _check_arguments(args)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: an input too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

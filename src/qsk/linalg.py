@@ -56,11 +56,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (dimensions multiply)."""
-    return np.kron(a, b)
-
-
 def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
     """Frobenius norm of ``sum_t ls[t] (x) rs[t]`` for stacks (T, na, na), (T, nb, nb).
 

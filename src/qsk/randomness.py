@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import Realization, born_probabilities, correlators_from_realization
+from .bell import Realization
+from .bell import correlators_from_realization  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
 from .selftest import tol_violation
 
@@ -35,7 +36,7 @@ def outcome_distribution(r: Realization, party: str, setting: int) -> np.ndarray
     Computed from the Born probabilities; no-signaling makes it independent
     of the other party's setting, which is asserted.
     """
-    probs = born_probabilities(r).probabilities
+    probs = r.born.probabilities
     if party.upper() == "A":
         marg = probs.sum(axis=3)[setting - 1]  # (other setting, a)
     elif party.upper() == "B":
@@ -53,7 +54,7 @@ def ideal_guessing_probability(r: Realization, party: str, setting: int) -> floa
     Refuses any realization that does not maximally violate: the uniform
     1/d conclusion only holds where the self-test applies.
     """
-    value = evaluate(BellFunctional.satwap(r.d), correlators_from_realization(r))
+    value = evaluate(BellFunctional.satwap(r.d), r.correlators)
     gap = abs(value - quantum_bound(r.d))
     if not gap <= tol_violation(r.d):
         raise ValueError(

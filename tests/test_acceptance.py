@@ -18,10 +18,9 @@ from qsk.bell import (
     sample_statistics,
 )
 from qsk.canonical import (
-    cglmp_eigenvector,
+    cglmp_eigenbasis,
     cglmp_observables,
     cglmp_realization,
-    ideal_alice_observables,
     ideal_realization,
     t_eigenvector,
     t_observable,
@@ -151,21 +150,21 @@ def test_criterion_5_cglmp_equivalence():
             worst_phase = max(
                 worst_phase,
                 np.linalg.norm(
-                    dagger(w1) @ cglmp_eigenvector(d, "A", 1, r)
+                    dagger(w1) @ cglmp_eigenbasis(d, "A", 1)[:, r]
                     - np.exp(1j * np.pi * (1 - (r == 0) - r / d)) * e[r]
                 ),
-                np.linalg.norm(dagger(w1) @ cglmp_eigenvector(d, "A", 2, r) + t_eigenvector(d, r)),
+                np.linalg.norm(dagger(w1) @ cglmp_eigenbasis(d, "A", 2)[:, r] + t_eigenvector(d, r)),
                 np.linalg.norm(
-                    dagger(w2) @ cglmp_eigenvector(d, "B", 1, r)
+                    dagger(w2) @ cglmp_eigenbasis(d, "B", 1)[:, r]
                     - np.exp(-1j * np.pi * (2 - (r - 1) / d - (r == 0))) * e[r]
                 ),
                 np.linalg.norm(
-                    dagger(w2) @ cglmp_eigenvector(d, "B", 2, r)
+                    dagger(w2) @ cglmp_eigenbasis(d, "B", 2)[:, r]
                     + omega(d, r - 1) * t_eigenvector(d, r)
                 ),
             )
         wa = w_alice(d)
-        ia1, ia2 = ideal_alice_observables(d)
+        ia1, ia2 = ideal_realization(d).observables_a
         worst_rot = max(
             worst_rot,
             np.linalg.norm(wa @ z @ dagger(wa) - ia1),

@@ -150,7 +150,7 @@ def test_local_bound_cap():
         local_bound_bruteforce(BellFunctional.satwap(13))
 
 
-@pytest.mark.parametrize("d", list(range(2, 9)))
+@pytest.mark.parametrize("d", list(range(2, 13)))
 def test_local_bound_matches_closed_form(d):
     bound, _ = local_bound_bruteforce(BellFunctional.satwap(d))
     assert abs(bound - classical_bound(d)) < 1e-9

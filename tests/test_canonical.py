@@ -5,10 +5,9 @@ import _oracles
 import qsk
 from qsk.bell import born_probabilities, correlators_from_realization
 from qsk.canonical import (
-    cglmp_eigenvector,
+    cglmp_eigenbasis,
     cglmp_observables,
     cglmp_realization,
-    ideal_alice_observables,
     ideal_realization,
     maximally_entangled,
     structural_unitaries,
@@ -73,7 +72,7 @@ def test_t_eigenvector_index_range():
 
 @pytest.mark.parametrize("d", list(range(2, 17)))
 def test_ideal_alice_unitary_order_d(d):
-    for a in ideal_alice_observables(d):
+    for a in ideal_realization(d).observables_a:
         assert frobenius_distance(dagger(a) @ a, np.eye(d)) < 1e-9
         assert frobenius_distance(np.linalg.matrix_power(a, d), np.eye(d)) < 1e-8
         for n in proper_divisors(d):
@@ -83,7 +82,7 @@ def test_ideal_alice_unitary_order_d(d):
 def test_ideal_alice_d2_matches_optimal_qubit_pair():
     sigma_z = np.diag([1.0, -1.0]).astype(complex)
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    a1, a2 = ideal_alice_observables(2)
+    a1, a2 = ideal_realization(2).observables_a
     assert frobenius_distance(a1, (sigma_z + sigma_x) / np.sqrt(2)) < 1e-12
     assert frobenius_distance(a2, (sigma_z - sigma_x) / np.sqrt(2)) < 1e-12
 
@@ -114,9 +113,7 @@ def test_cglmp_observables_order_d():
 def test_cglmp_eigenbases_orthonormal():
     d = 5
     for party, setting in (("A", 1), ("A", 2), ("B", 1), ("B", 2)):
-        basis = np.column_stack(
-            [cglmp_eigenvector(d, party, setting, r) for r in range(d)]
-        )
+        basis = cglmp_eigenbasis(d, party, setting)
         assert frobenius_distance(dagger(basis) @ basis, np.eye(d)) < 1e-10
 
 
@@ -159,19 +156,19 @@ def test_eigenvector_phase_identities(d):
     w1, w2 = w1_w2(d)
     e = np.eye(d)
     for r in range(d):
-        lhs = dagger(w1) @ cglmp_eigenvector(d, "A", 1, r)
+        lhs = dagger(w1) @ cglmp_eigenbasis(d, "A", 1)[:, r]
         rhs = np.exp(1j * np.pi * (1 - (r == 0) - r / d)) * e[r]
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
-        lhs = dagger(w1) @ cglmp_eigenvector(d, "A", 2, r)
+        lhs = dagger(w1) @ cglmp_eigenbasis(d, "A", 2)[:, r]
         assert np.linalg.norm(lhs + t_eigenvector(d, r)) < 1e-8
 
         # first Bob phase: conjugate of exp(i pi (2 - (r-1)/d - delta_r0))
-        lhs = dagger(w2) @ cglmp_eigenvector(d, "B", 1, r)
+        lhs = dagger(w2) @ cglmp_eigenbasis(d, "B", 1)[:, r]
         rhs = np.exp(-1j * np.pi * (2 - (r - 1) / d - (r == 0))) * e[r]
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
-        lhs = dagger(w2) @ cglmp_eigenvector(d, "B", 2, r)
+        lhs = dagger(w2) @ cglmp_eigenbasis(d, "B", 2)[:, r]
         assert np.linalg.norm(lhs + omega(d, r - 1) * t_eigenvector(d, r)) < 1e-8
 
 
@@ -180,7 +177,7 @@ def test_w_alice_relations(d):
     wa = w_alice(d)
     z, t = z_observable(d), t_observable(d)
     assert frobenius_distance(dagger(wa) @ wa, np.eye(d)) < 1e-10
-    a1, a2 = ideal_alice_observables(d)
+    a1, a2 = ideal_realization(d).observables_a
     assert frobenius_distance(wa @ z @ dagger(wa), a1) < 1e-8
     assert frobenius_distance(wa @ t @ dagger(wa), a2) < 1e-8
 
@@ -236,7 +233,7 @@ def test_every_produced_unitary_is_tightly_unitary(d):
     produced = [z_observable(d), t_observable(d), w_alice(d)]
     produced += list(w1_w2(d))
     produced += list(structural_unitaries(d))
-    produced += list(ideal_alice_observables(d))
+    produced += list(ideal_realization(d).observables_a)
     produced += list(cglmp_observables(d))
     for u in produced:
         assert frobenius_distance(dagger(u) @ u, np.eye(d)) <= 1e-10
@@ -258,7 +255,7 @@ def test_closed_forms_match_their_loop_oracles(d):
             for setting in (1, 2):
                 pairs.append(
                     (
-                        cglmp_eigenvector(d, party, setting, r),
+                        cglmp_eigenbasis(d, party, setting)[:, r],
                         _oracles.cglmp_eigenvector(d, party, setting, r),
                     )
                 )
@@ -275,4 +272,4 @@ def test_canonical_builds_make_no_scalar_omega_call(monkeypatch):
             monkeypatch.setattr(module, "omega", refuse)
     d = 7
     ideal_realization(d), cglmp_realization(d), w_alice(d), structural_unitaries(d)
-    t_eigenvector(d, 3), cglmp_eigenvector(d, "B", 2, 1)
+    t_eigenvector(d, 3), cglmp_eigenbasis(d, "B", 2)

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import qsk
 import qsk.canonical
 import qsk.selftest
 import qsk.sos
@@ -122,7 +123,7 @@ def test_bounds_table(capsys):
 
 
 def test_bounds_brute_force_cap_marks_blank(capsys):
-    code = main(["bounds", "--d-min", "9", "--d-max", "9", "--brute-cap", "8"])
+    code = main(["bounds", "--d-min", "9", "--d-max", "9"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     lines = [ln for ln in out.splitlines() if ln.strip().startswith("9")]
@@ -243,9 +244,7 @@ def test_perturbed_file_fails_at_maximal_violation(tmp_path, capsys):
 
 
 def test_no_option_scales_the_tolerances(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--d", "3", "--tol-scale", "10"])
-    assert exc.value.code == EXIT_INPUT_ERROR
+    assert main(["verify", "--d", "3", "--tol-scale", "10"]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert "error: unrecognized arguments: --tol-scale 10" in err
     assert "Traceback" not in err
@@ -287,6 +286,13 @@ def test_scramble_rejects_nonpositive_aux_dimension(capsys):
     assert "aux dimensions must be positive" in capsys.readouterr().err
 
 
+def test_scramble_rejects_negative_seed(capsys):
+    assert main(["scramble", "--d", "3", "--seed", "-1"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -306,31 +312,22 @@ def test_out_of_range_d_is_an_input_error(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (
-            ["bounds", "--d-min", "13", "--d-max", "13", "--brute-cap", "13"],
-            "--brute-cap must be <= 12, got 13",
-        ),
+        (["verify", "--d", "3", "--sos", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["simulate", "--d", "2", "--shots", "0"], f"--shots must be in 1..{2**63 - 1}, got 0"),
         (
             ["simulate", "--d", "2", "--shots", str(2**63)],
             f"--shots must be in 1..{2**63 - 1}, got {2**63}",
         ),
+        (["simulate", "--d", "2", "--shots", "10", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
-    # an uncapped --brute-cap would enumerate d^4 strategies past the library's
-    # cap; more than 2^63 - 1 shots overflow the sampler's int64 counts
+    # more than 2^63 - 1 shots overflow the sampler's int64 counts; a negative
+    # seed would reach numpy's Philox, whose message does not name the option
     assert main([*argv, "--format", "json"]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
-
-
-def test_bounds_brute_cap_at_the_library_cap_enumerates(capsys):
-    argv = ["bounds", "--d-min", "12", "--d-max", "12", "--brute-cap", "12", "--format", "json"]
-    assert main(argv) == EXIT_OK
-    (row,) = json.loads(capsys.readouterr().out)
-    assert abs(row["classical_bound_brute_force"] - row["classical_bound"]) < 1e-9
 
 
 def test_canonical_dumps_refuses_non_finite_floats():
@@ -382,6 +379,48 @@ def test_each_command_builds_each_canonical_object_once(argv, counts, tmp_path, 
     argv = [a.format(scrambled=scrambled) for a in argv]
     assert main([*argv, "--format", "json"]) == EXIT_OK
     assert tuple(calls[name] for name in BUILDERS) == counts
+
+
+KERNELS = ("correlators_from_realization", "born_probabilities", "eig_unitary")
+
+
+@pytest.mark.parametrize(
+    "argv,counts",
+    [
+        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 2, 8)),
+        (["verify", "--file", "{scrambled}", "--extract"], (2, 0, 8)),
+        (["verify", "--d", "6", "--all"], (3, 2, 12)),
+        (["simulate", "--d", "40", "--shots", "1000"], (0, 1, 4)),
+    ],
+    ids=["certify", "extract-file", "all", "simulate"],
+)
+def test_each_command_computes_each_realizations_statistics_once(
+    argv, counts, tmp_path, monkeypatch, capsys
+):
+    # one correlator tensor and one Born tensor per realization that needs it,
+    # one eigendecomposition of each observable per Born rule and per validation
+    scrambled = tmp_path / "scrambled.json"
+    assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
+    calls = dict.fromkeys(KERNELS, 0)
+    for name in KERNELS:
+        original = getattr(qsk.bell, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in vars(qsk).values():  # every module that bound the kernel
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    argv = [a.format(scrambled=scrambled) for a in argv]
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    assert tuple(calls.values()) == counts
+
+
+def test_help_returns_exit_code_0(capsys):
+    # argparse exits after printing the help; main returns that code instead
+    assert main(["--help"]) == EXIT_OK
+    assert "usage: qsk" in capsys.readouterr().out
 
 
 def test_default_json_output_is_byte_identical_across_runs(tmp_path, capsys):

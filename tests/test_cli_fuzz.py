@@ -7,7 +7,8 @@ ragged, ``dims`` rewritten, or ``d`` replaced by a non-integral or
 out-of-range value.  ``verify --file
 --extract`` must answer with an exit code in {0, 1, 2} and an error line,
 never an uncaught exception, and no file carrying a non-finite number may
-exit 0.
+exit 0.  Command lines whose arrays could not fit in memory exit 2 the same
+way.
 """
 
 import contextlib
@@ -156,3 +157,25 @@ def test_entry_that_is_no_double_exits_2(workdir, path, value, message):
     code, lines = _verify_with_entry(workdir, path, value)
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the aux state alone asks for 9e12 doubles; --aux-a 3000000 by itself
+        # would first build a 0.9 GB embedded state, so both aux sizes are large
+        ["scramble", "--d", "3", "--aux-a", "3000000", "--aux-b", "3000000"],
+        ["verify", "--d", "1000000", "--traces"],
+        ["simulate", "--d", "1000000", "--shots", "10"],
+    ],
+    ids=["scramble-aux", "verify-d", "simulate-d"],
+)
+def test_input_too_large_for_memory_exits_2(argv):
+    # numpy refuses each request (tens of TiB) before allocating anything
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""

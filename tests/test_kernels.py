@@ -14,7 +14,6 @@ import _oracles
 from _helpers import random_order_d, random_probability_tensor, random_realization
 
 import qsk.bell
-import qsk.linalg
 import qsk.sos
 from qsk.bell import (
     CorrelationTensor,
@@ -215,7 +214,6 @@ def test_operator_kernels_form_no_kronecker_product(monkeypatch):
         raise AssertionError("dense Kronecker product formed")
 
     monkeypatch.setattr(np, "kron", forbidden)
-    monkeypatch.setattr(qsk.linalg, "kron", forbidden)
     r = _realization(3, (2, 3), seed=3)
     bell_operator(BellFunctional.satwap(3), r, "bob")
     bell_operator(BellFunctional.satwap(3), r, "alice")

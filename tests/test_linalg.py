@@ -12,7 +12,6 @@ from qsk.linalg import (
     eig_unitary,
     frobenius_distance,
     haar_random_unitary,
-    kron,
     kron_sum_norm,
     omega,
     partial_trace,
@@ -26,13 +25,12 @@ rng = np.random.default_rng(20260810)
 
 def test_kron_identity_cases():
     i2 = np.eye(2, dtype=complex)
-    assert np.allclose(kron(i2, i2), np.eye(4))
-    assert np.allclose(kron(np.diag([1.0, -1.0]).astype(complex), i2), np.diag([1, 1, -1, -1]))
+    assert np.allclose(np.kron(np.diag([1.0, -1.0]).astype(complex), i2), np.diag([1, 1, -1, -1]))
 
 
 def test_kron_eigenvalue_multiplicities():
     # oracle: raw eigenvalues of the expanded product, snapped and counted
-    m = kron(z_observable(3), np.eye(2))
+    m = np.kron(z_observable(3), np.eye(2))
     raw = np.linalg.eigvals(m)
     counts = [0, 0, 0]
     for lam in raw:
@@ -90,7 +88,7 @@ def test_eig_unitary_simple_spectrum(d):
 
 
 def test_eig_unitary_degenerate_groups():
-    m = kron(z_observable(2), np.eye(3))
+    m = np.kron(z_observable(2), np.eye(3))
     decomp = eig_unitary(m, 2)
     assert decomp.multiplicities == (3, 3)
     # grouped columns stay orthonormal and reconstruct the operator
@@ -108,7 +106,7 @@ def test_eig_unitary_snap_failure():
 def test_eig_unitary_snaps_to_exact_roots_grouped_by_exponent():
     d, m = 5, 2
     g = haar_random_unitary(d * m, rng)
-    decomp = eig_unitary(g @ kron(dagger(z_observable(d)), np.eye(m)) @ dagger(g), d)
+    decomp = eig_unitary(g @ np.kron(dagger(z_observable(d)), np.eye(m)) @ dagger(g), d)
     assert decomp.multiplicities == (m,) * d
     expected = [omega(d, j) for j in range(d) for _ in range(m)]
     assert decomp.eigenvalues.tolist() == expected

@@ -3,6 +3,7 @@ import pytest
 
 from _helpers import random_realization
 
+import qsk.bell
 import qsk.randomness
 from qsk.bell import CorrelationTensor, Scenario, sample_statistics
 from qsk.canonical import ideal_realization
@@ -88,7 +89,7 @@ def test_empirical_uniformity():
 
 def test_signaling_gate_rejects_nan_probabilities(monkeypatch):
     nan = CorrelationTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan))
-    monkeypatch.setattr(qsk.randomness, "born_probabilities", lambda r: nan)
+    monkeypatch.setattr(qsk.bell, "born_probabilities", lambda r: nan)
     with pytest.raises(ValueError, match="signal"):
         outcome_distribution(ideal_realization(3), "B", 1)
 

@@ -4,15 +4,15 @@ import pytest
 from _helpers import random_order_d, random_realization
 from _oracles import kron_sum
 
+import qsk.bell
 import qsk.selftest
 from qsk.bell import CorrelatorTensor, Realization, Scenario, correlators_from_realization
 from qsk.canonical import (
-    ideal_alice_observables,
     ideal_realization,
     t_observable,
     z_observable,
 )
-from qsk.linalg import dagger, eig_unitary, frobenius_distance, haar_random_unitary, kron, omega
+from qsk.linalg import dagger, eig_unitary, frobenius_distance, haar_random_unitary, omega
 from qsk.satwap import BellFunctional, bell_operator, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
@@ -36,7 +36,7 @@ def _stage(fn, o1, o2, d):
 
 
 def test_check_multiplicities():
-    assert check_multiplicities(eig_unitary(kron(z_observable(3), np.eye(2)), 3)) == 2
+    assert check_multiplicities(eig_unitary(np.kron(z_observable(3), np.eye(2)), 3)) == 2
     assert check_multiplicities(eig_unitary(t_observable(4), 4)) == 1
     with pytest.raises(ExtractionError) as err:
         check_multiplicities(eig_unitary(np.diag([1.0, 1.0, omega(3, 1)]), 3))
@@ -45,7 +45,7 @@ def test_check_multiplicities():
 
 def test_align_first_observable_block_diagonal_input():
     d, m = 3, 2
-    b1 = kron(z_observable(d), np.eye(m))
+    b1 = np.kron(z_observable(d), np.eye(m))
     v = align_first_observable(eig_unitary(b1, d))
     assert frobenius_distance(v @ b1 @ dagger(v), b1) < 1e-9
 
@@ -53,9 +53,9 @@ def test_align_first_observable_block_diagonal_input():
 def test_align_first_observable_round_trip():
     d, m = 3, 2
     g = haar_random_unitary(d * m, rng)
-    b1 = g @ kron(z_observable(d), np.eye(m)) @ dagger(g)
+    b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
     v = align_first_observable(eig_unitary(b1, d))
-    assert frobenius_distance(v @ b1 @ dagger(v), kron(z_observable(d), np.eye(m))) < 1e-8
+    assert frobenius_distance(v @ b1 @ dagger(v), np.kron(z_observable(d), np.eye(m))) < 1e-8
 
 
 def test_align_first_observable_reorders_eigenvalues():
@@ -70,14 +70,14 @@ def test_align_first_observable_reorders_eigenvalues():
 @pytest.mark.parametrize("m", [1, 2])
 def test_extract_bob_round_trip(d, m):
     g = haar_random_unitary(d * m, rng)
-    b1 = g @ kron(z_observable(d), np.eye(m)) @ dagger(g)
-    b2 = g @ kron(t_observable(d), np.eye(m)) @ dagger(g)
+    b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
+    b2 = g @ np.kron(t_observable(d), np.eye(m)) @ dagger(g)
     u, residuals = _stage(extract_bob, b1, b2, d)
-    assert frobenius_distance(u @ b1 @ dagger(u), kron(z_observable(d), np.eye(m))) < 1e-7
-    assert frobenius_distance(u @ b2 @ dagger(u), kron(t_observable(d), np.eye(m))) < 1e-7
+    assert frobenius_distance(u @ b1 @ dagger(u), np.kron(z_observable(d), np.eye(m))) < 1e-7
+    assert frobenius_distance(u @ b2 @ dagger(u), np.kron(t_observable(d), np.eye(m))) < 1e-7
     assert residuals == (
-        frobenius_distance(u @ b1 @ dagger(u), kron(z_observable(d), np.eye(m))),
-        frobenius_distance(u @ b2 @ dagger(u), kron(t_observable(d), np.eye(m))),
+        frobenius_distance(u @ b1 @ dagger(u), np.kron(z_observable(d), np.eye(m))),
+        frobenius_distance(u @ b2 @ dagger(u), np.kron(t_observable(d), np.eye(m))),
     )
 
 
@@ -98,22 +98,22 @@ def test_extract_bob_rejects_commuting_pair():
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2])
 def test_extract_alice_round_trip(d, m):
-    ia1, ia2 = ideal_alice_observables(d)
+    ia1, ia2 = ideal_realization(d).observables_a
     g = haar_random_unitary(d * m, rng)
-    a1 = g @ kron(ia1, np.eye(m)) @ dagger(g)
-    a2 = g @ kron(ia2, np.eye(m)) @ dagger(g)
+    a1 = g @ np.kron(ia1, np.eye(m)) @ dagger(g)
+    a2 = g @ np.kron(ia2, np.eye(m)) @ dagger(g)
     u, residuals = _stage(extract_alice, a1, a2, d)
-    assert frobenius_distance(u @ a1 @ dagger(u), kron(ia1, np.eye(m))) < 1e-7
-    assert frobenius_distance(u @ a2 @ dagger(u), kron(ia2, np.eye(m))) < 1e-7
+    assert frobenius_distance(u @ a1 @ dagger(u), np.kron(ia1, np.eye(m))) < 1e-7
+    assert frobenius_distance(u @ a2 @ dagger(u), np.kron(ia2, np.eye(m))) < 1e-7
     assert residuals == (
-        frobenius_distance(u @ a1 @ dagger(u), kron(ia1, np.eye(m))),
-        frobenius_distance(u @ a2 @ dagger(u), kron(ia2, np.eye(m))),
+        frobenius_distance(u @ a1 @ dagger(u), np.kron(ia1, np.eye(m))),
+        frobenius_distance(u @ a2 @ dagger(u), np.kron(ia2, np.eye(m))),
     )
 
 
 def test_extract_alice_unscrambled():
     d = 4
-    ia1, ia2 = ideal_alice_observables(d)
+    ia1, ia2 = ideal_realization(d).observables_a
     u, _ = _stage(extract_alice, ia1, ia2, d)
     assert frobenius_distance(u @ ia1 @ dagger(u), ia1) < 1e-9
     assert frobenius_distance(u @ ia2 @ dagger(u), ia2) < 1e-9
@@ -143,7 +143,7 @@ def test_canonicalize_state_product_state_reports_low_fidelity():
         d=d,
         dims=(d, d),
         state=v,
-        observables_a=ideal_alice_observables(d),
+        observables_a=ideal_realization(d).observables_a,
         observables_b=(z_observable(d), t_observable(d)),
     )
     result = canonicalize_state(r, np.eye(d, dtype=complex), np.eye(d, dtype=complex))
@@ -305,7 +305,7 @@ def test_scramble_rejects_nonpositive_aux():
 
 def test_scramble_drift_gate_rejects_nan_correlators(monkeypatch):
     nan = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
-    monkeypatch.setattr(qsk.selftest, "correlators_from_realization", lambda r: nan)
+    monkeypatch.setattr(qsk.bell, "correlators_from_realization", lambda r: nan)
     with pytest.raises(AssertionError, match="changed the correlations"):
         scramble(ideal_realization(3), 2, 1, seed=0)
 
