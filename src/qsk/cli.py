@@ -26,6 +26,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 BOUNDS_BRUTE_FORCE_MAX_D = 8  # `bounds` enumerates local strategies up to this d
+MAX_SCRAMBLED_DIM = 8192  # one (n, n) complex matrix of this size is 1 GiB
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +191,15 @@ def _bounds_checks(
 
 def _sos_checks(ideal: bell.Realization, seed: int, checks: list[CheckResult]) -> None:
     d = ideal.d
-    checks.append(CheckResult("sos-bob-canonical", sos.sos_residual_bob(ideal), 1e-8))
-    checks.append(CheckResult("sos-alice-canonical", sos.sos_residual_alice(ideal), 1e-8))
-    stab = worst(
-        *sos.stabilizer_residuals(ideal, "bob").values(),
-        *sos.stabilizer_residuals(ideal, "alice").values(),
-    )
-    checks.append(CheckResult("sos-stabilizers-canonical", stab, 1e-9))
+    stab = []
+    # one grouping per side, shared by its residual and its stabilizers and
+    # dropped before the other side's is built
+    for side, residual in (("bob", sos.sos_residual_bob), ("alice", sos.sos_residual_alice)):
+        terms = sos.sos_terms(ideal, side)
+        checks.append(CheckResult(f"sos-{side}-canonical", residual(ideal, terms), 1e-8))
+        stab.extend(sos.stabilizer_residuals(ideal, side, terms).values())
+        del terms
+    checks.append(CheckResult("sos-stabilizers-canonical", worst(*stab), 1e-9))
     rng = np.random.default_rng(np.random.Philox(seed))
     z = ideal.observables_b[0]
     random_obs = []
@@ -573,6 +576,13 @@ def _check_arguments(args) -> None:
     max_shots = int(np.iinfo(np.int64).max)  # the sampler counts shots in int64
     if args.command == "simulate" and not 1 <= args.shots <= max_shots:
         raise ValueError(f"--shots must be in 1..{max_shots}, got {args.shots}")
+    if args.command == "scramble":
+        for option, aux in (("--aux-a", args.aux_a), ("--aux-b", args.aux_b)):
+            if args.d * aux > MAX_SCRAMBLED_DIM:
+                raise ValueError(
+                    f"{option} {aux} at --d {args.d} gives a party of dimension "
+                    f"{args.d * aux}, above {MAX_SCRAMBLED_DIM}"
+                )
 
 
 def main(argv: list[str] | None = None) -> int:

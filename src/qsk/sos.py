@@ -29,7 +29,7 @@ from .satwap import BellFunctional, bell_operator, quantum_bound
 TOL_TRACE = 1e-8
 
 
-def _sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
+def sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Stacks (L, R) with X_{i,k} = L[t] (x) R[t] at t = (i - 1)(d - 1) + k - 1.
 
     X_{i,k} is A_i^k (x) C_i^(k) for "bob" and C~_i^(k) (x) B_i^k for
@@ -38,12 +38,14 @@ def _sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
     C_2^(k) = a_k* B1^(d-k) + a_k B2^(d-k), and C~_1^(k) = a_k* A1^(d-k) +
     a_k A2^(d-k) and C~_2^(k) = w^-k a_k A1^(d-k) + a_k* A2^(d-k).  SATWAP
     puts no coefficient at k = 0, so the X_{i,k} sum to the Bell operator.
+    The residual and the stabilizers of one side accept this grouping, so
+    a caller that needs both builds it once.
     """
     ls, rs = bell_operator(BellFunctional.satwap(r.d), r, side)
     return ls[:, 1:].reshape(-1, *ls.shape[2:]), rs[:, 1:].reshape(-1, *rs.shape[2:])
 
 
-def _sos_residual(r: Realization, side: str) -> float:
+def _sos_residual(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float:
     """Residual of the decomposition as the norm of one Kronecker sum.
 
     With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``
@@ -54,7 +56,7 @@ def _sos_residual(r: Realization, side: str) -> float:
     ``kron_sum_norm`` takes its norm without forming any (da db x da db)
     operator.
     """
-    ls, rs = _sos_terms(r, side)
+    ls, rs = terms
     da, db = r.dims
     scale = quantum_bound(r.d) - 0.5 * len(ls)
     left = np.concatenate(
@@ -64,24 +66,31 @@ def _sos_residual(r: Realization, side: str) -> float:
     return kron_sum_norm(left, right)
 
 
-def sos_residual_bob(r: Realization) -> float:
-    """|beta_Q I - BellOp - (1/2) sum P^dag P| with P_{i,k} = I - A_i^k (x) C_i^(k)."""
-    return _sos_residual(r, "bob")
+def sos_residual_bob(r: Realization, terms=None) -> float:
+    """|beta_Q I - BellOp - (1/2) sum P^dag P| with P_{i,k} = I - A_i^k (x) C_i^(k).
+
+    ``terms`` is ``sos_terms(r, "bob")`` when the caller has built it.
+    """
+    return _sos_residual(r, sos_terms(r, "bob") if terms is None else terms)
 
 
-def sos_residual_alice(r: Realization) -> float:
-    """Residual of the mirrored decomposition with P~_{i,k} = I - C~_i^(k) (x) B_i^k."""
-    return _sos_residual(r, "alice")
+def sos_residual_alice(r: Realization, terms=None) -> float:
+    """Residual of the mirrored decomposition with P~_{i,k} = I - C~_i^(k) (x) B_i^k.
+
+    ``terms`` is ``sos_terms(r, "alice")`` when the caller has built it.
+    """
+    return _sos_residual(r, sos_terms(r, "alice") if terms is None else terms)
 
 
-def stabilizer_residuals(r: Realization, side: str) -> dict[tuple[int, int], float]:
+def stabilizer_residuals(r: Realization, side: str, terms=None) -> dict[tuple[int, int], float]:
     """Per-term state residuals |(I - X_{i,k}) |psi>| of a decomposition.
 
     These vanish exactly when the realization maximally violates; they are
     the conditions that drive the extraction.  With psi as a (da, db)
     matrix, X_{i,k} |psi> is ``L psi R^T``, one batched product over terms.
+    ``terms`` is ``sos_terms(r, side)`` when the caller has built it.
     """
-    ls, rs = _sos_terms(r, side)
+    ls, rs = sos_terms(r, side) if terms is None else terms
     psi = r.state.reshape(r.dims)
     norms = np.linalg.norm(psi - ls @ psi @ rs.swapaxes(1, 2), axis=(1, 2))
     keys = [(i, k) for i in (1, 2) for k in range(1, r.d)]

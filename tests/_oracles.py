@@ -19,7 +19,14 @@ from math import gcd
 import numpy as np
 
 from qsk.bell import Realization, _fourier_matrix
-from qsk.linalg import assert_unitary, dagger, eig_unitary, omega, unitary_powers
+from qsk.linalg import (
+    EigenDecomposition,
+    assert_unitary,
+    dagger,
+    eig_unitary,
+    omega,
+    unitary_powers,
+)
 from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
 
 
@@ -250,6 +257,23 @@ def spectral_projectors(a: np.ndarray, d: int) -> list[np.ndarray]:
     """P_j = (1/d) sum_k w^(-jk) a^k, one weighted sum of powers per j."""
     powers = unitary_powers(a, d)
     return [sum(omega(d, -j * k) * powers[k] for k in range(d)) / d for j in range(d)]
+
+
+def eig_unitary_svd(a: np.ndarray, d: int) -> EigenDecomposition:
+    """Eigenbasis from one SVD per eigenspace: the top m_j left singular
+    vectors of each Fourier-inverted projector P_j, m_j counted from the
+    snapped raw eigenvalues."""
+    raw = np.linalg.eigvals(a)
+    mult = np.bincount(np.round(np.angle(raw) * d / (2 * np.pi)).astype(int) % d, minlength=d)
+    projs = spectral_projectors(a, d)
+    blocks = [np.linalg.svd(projs[j])[0][:, : mult[j]] for j in range(d)]
+    offsets = np.concatenate(([0], np.cumsum(mult)))
+    return EigenDecomposition(
+        d=d,
+        eigenvalues=np.repeat([omega(d, j) for j in range(d)], mult),
+        vectors=np.hstack(blocks),
+        groups=tuple(tuple(range(offsets[j], offsets[j + 1])) for j in range(d)),
+    )
 
 
 def root_identities(d: int) -> tuple[float, float]:

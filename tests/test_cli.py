@@ -8,6 +8,7 @@ import pytest
 
 import qsk
 import qsk.canonical
+import qsk.satwap
 import qsk.selftest
 import qsk.sos
 from qsk.bell import correlators_from_realization
@@ -286,6 +287,23 @@ def test_scramble_rejects_nonpositive_aux_dimension(capsys):
     assert "aux dimensions must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--aux-a", "--aux-b"])
+def test_scramble_rejects_oversized_aux_dimension_before_allocating(option, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("scramble ran")
+
+    monkeypatch.setattr(qsk.selftest, "scramble", forbidden)
+    assert main(["scramble", "--d", "3", option, "3000000"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {option} 3000000 at --d 3 gives a party of dimension 9000000, above 8192"
+    ]
+    assert "Traceback" not in captured.err and captured.out == ""
+    # the largest party the bound admits still reaches scramble
+    with pytest.raises(AssertionError, match="scramble ran"):
+        main(["scramble", "--d", "2", option, "4096"])
+
+
 def test_scramble_rejects_negative_seed(capsys):
     assert main(["scramble", "--d", "3", "--seed", "-1"]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
@@ -415,6 +433,23 @@ def test_each_command_computes_each_realizations_statistics_once(
     argv = [a.format(scrambled=scrambled) for a in argv]
     assert main([*argv, "--format", "json"]) == EXIT_OK
     assert tuple(calls.values()) == counts
+
+
+def test_verify_sos_builds_each_grouping_once(monkeypatch):
+    # bob and alice groupings of the canonical realization, shared by its
+    # residual and stabilizer checks, and of the random realization
+    calls = []
+    original = qsk.satwap.bell_operator
+
+    def counted(f, r, side):
+        calls.append(side)
+        return original(f, r, side)
+
+    for module in vars(qsk).values():
+        if getattr(module, "bell_operator", None) is original:
+            monkeypatch.setattr(module, "bell_operator", counted)
+    assert main(["verify", "--d", "4", "--sos", "--format", "json"]) == EXIT_OK
+    assert calls == ["bob", "alice", "bob", "alice"]
 
 
 def test_help_returns_exit_code_0(capsys):

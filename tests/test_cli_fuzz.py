@@ -160,22 +160,24 @@ def test_entry_that_is_no_double_exits_2(workdir, path, value, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        # the aux state alone asks for 9e12 doubles; --aux-a 3000000 by itself
-        # would first build a 0.9 GB embedded state, so both aux sizes are large
-        ["scramble", "--d", "3", "--aux-a", "3000000", "--aux-b", "3000000"],
-        ["verify", "--d", "1000000", "--traces"],
-        ["simulate", "--d", "1000000", "--shots", "10"],
+        # the aux dimensions are bounded on the command line, before scramble runs
+        (
+            ["scramble", "--d", "3", "--aux-a", "3000000", "--aux-b", "3000000"],
+            "error: --aux-a 3000000 at --d 3 gives a party of dimension 9000000, above 8192",
+        ),
+        # numpy refuses each request (tens of TiB) before allocating anything
+        (["verify", "--d", "1000000", "--traces"], "error: Unable to allocate"),
+        (["simulate", "--d", "1000000", "--shots", "10"], "error: Unable to allocate"),
     ],
     ids=["scramble-aux", "verify-d", "simulate-d"],
 )
-def test_input_too_large_for_memory_exits_2(argv):
-    # numpy refuses each request (tens of TiB) before allocating anything
+def test_input_too_large_for_memory_exits_2(argv, message):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
     assert code == 2
-    assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+    assert len(lines) == 1 and lines[0].startswith(message)
     assert "Traceback" not in err.getvalue() and out.getvalue() == ""
