@@ -171,11 +171,13 @@ def born_probabilities(r: Realization) -> CorrelationTensor:
 
 
 def _membership(decomp: EigenDecomposition) -> np.ndarray:
-    """The (d, n) 0/1 matrix with a 1 at [j, c] when column c lies in group j."""
-    m = np.zeros((decomp.d, decomp.vectors.shape[1]))
-    for j, cols in enumerate(decomp.groups):
-        m[j, list(cols)] = 1.0
-    return m
+    """The (d, n) 0/1 matrix with a 1 at [j, c] when column c lies in group j.
+
+    The groups are consecutive runs of columns in the order j = 0..d-1,
+    so column c's label is ``repeat(arange(d), multiplicities)[c]``.
+    """
+    labels = np.repeat(np.arange(decomp.d), decomp.multiplicities)
+    return (np.arange(decomp.d)[:, None] == labels).astype(float)
 
 
 def _fourier_matrix(d: int) -> np.ndarray:

@@ -12,6 +12,7 @@ Exit codes: 0 all selected checks pass, 1 a check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -515,7 +516,13 @@ def cmd_scramble(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` keeps no state between calls and help text is
+    formatted per call, so one parser serves every :func:`main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="qsk",
         description="Verify the d-outcome two-setting SATWAP Bell functional, its "

@@ -150,7 +150,8 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     its columns are orthonormal and already sorted into the groups
     j = 0..d-1 however degenerate the spectrum.  Each group is then
     polished as ``qr(P_j V_j)``, which takes the reconstruction error down
-    to that of a per-eigenspace SVD.
+    to that of a per-eigenspace SVD; the groups of one multiplicity m go
+    through one stacked QR of shape (groups, n, m).
 
     Raises :class:`NotOrderDError` when ``a`` is not unitary with
     ``a**d = I``, i.e. when any raw eigenvalue sits further than
@@ -185,9 +186,15 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
         raise NotOrderDError(f"eigenspace {expected[np.argmax(off)]} is numerically ill-defined")
     offsets = np.concatenate(([0], np.cumsum(mult)))
     groups = tuple(tuple(range(offsets[k], offsets[k + 1])) for k in range(d))
-    for k in np.flatnonzero(mult):
-        cols = slice(offsets[k], offsets[k + 1])
-        vectors[:, cols] = np.linalg.qr(projs[k] @ vectors[:, cols])[0]
+    # one stacked QR per multiplicity class; set(), not np.unique, whose
+    # first call in a process costs milliseconds
+    for m in set(mult.tolist()) - {0}:
+        ks = np.flatnonzero(mult == m)
+        cols = offsets[ks][:, None] + np.arange(m)
+        # every eigenspace in one class: the stack itself, not a gathered copy
+        stack = projs if len(ks) == d else projs[ks]
+        blocks = vectors[:, cols].transpose(1, 0, 2)
+        vectors[:, cols] = np.linalg.qr(stack @ blocks)[0].transpose(1, 0, 2)
 
     decomp = EigenDecomposition(
         d=d,

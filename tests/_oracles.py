@@ -18,6 +18,7 @@ from math import gcd
 
 import numpy as np
 
+import qsk.linalg
 from qsk.bell import Realization, _fourier_matrix
 from qsk.linalg import (
     EigenDecomposition,
@@ -25,6 +26,7 @@ from qsk.linalg import (
     dagger,
     eig_unitary,
     omega,
+    roots_of_unity,
     unitary_powers,
 )
 from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
@@ -272,6 +274,26 @@ def eig_unitary_svd(a: np.ndarray, d: int) -> EigenDecomposition:
         d=d,
         eigenvalues=np.repeat([omega(d, j) for j in range(d)], mult),
         vectors=np.hstack(blocks),
+        groups=tuple(tuple(range(offsets[j], offsets[j + 1])) for j in range(d)),
+    )
+
+
+def eig_unitary_looped_polish(a: np.ndarray, d: int) -> EigenDecomposition:
+    """The label-operator eigenbasis of ``eig_unitary``, polished as one
+    ``qr(P_j V_j)`` per eigenspace in a loop over j, from the same
+    projector stack; no gate."""
+    raw = np.linalg.eigvals(a)
+    mult = np.bincount(np.round(np.angle(raw) * d / (2 * np.pi)).astype(int) % d, minlength=d)
+    projs = qsk.linalg.spectral_projectors(a, d)
+    vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))[1]
+    offsets = np.concatenate(([0], np.cumsum(mult)))
+    for j in np.flatnonzero(mult):
+        cols = slice(offsets[j], offsets[j + 1])
+        vectors[:, cols] = np.linalg.qr(projs[j] @ vectors[:, cols])[0]
+    return EigenDecomposition(
+        d=d,
+        eigenvalues=roots_of_unity(d, np.repeat(np.arange(d), mult)),
+        vectors=vectors,
         groups=tuple(tuple(range(offsets[j], offsets[j + 1])) for j in range(d)),
     )
 

@@ -17,6 +17,7 @@ from qsk.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    build_parser,
     build_verification_report,
     canonical_dumps,
     main,
@@ -249,6 +250,20 @@ def test_no_option_scales_the_tolerances(capsys):
     err = capsys.readouterr().err
     assert "error: unrecognized arguments: --tol-scale 10" in err
     assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    argv = ["bounds", "--d-min", "2", "--d-max", "4", "--format", "json"]
+    fresh = build_parser.__wrapped__().parse_args(argv)
+    assert fresh.func(fresh) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["bounds", "--bogus"]) == EXIT_INPUT_ERROR == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert main(["--help"]) == EXIT_OK == 0
+    assert capsys.readouterr().out.startswith("usage: qsk")
+    assert build_parser() is build_parser()
 
 
 def _write_realization(tmp_path, **changes):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import eig_unitary_svd, unitary_power
+from _oracles import eig_unitary_looped_polish, eig_unitary_svd, unitary_power
 
 import qsk.linalg
 from qsk.linalg import (
@@ -143,6 +143,50 @@ def test_eig_unitary_matches_projector_svd_oracle(d, canonical, m):
     assert fast.reconstruction_error(a) <= 1.5 * oracle.reconstruction_error(a)
 
 
+def _scrambled_diagonal(mults, seed):
+    """A Haar-conjugated diagonal order-d observable, d = len(mults), with
+    eigenvalue w**j repeated mults[j] times in a shuffled diagonal."""
+    d = len(mults)
+    g = np.random.default_rng(seed)
+    diagonal = g.permutation(np.repeat(roots_of_unity(d, np.arange(d)), mults))
+    u = haar_random_unitary(len(diagonal), g)
+    return u @ np.diag(diagonal) @ dagger(u)
+
+
+POLISH_MULTIPLICITIES = [(3, 1, 0, 2), (1, 2, 3, 1, 0, 0, 2), (1, 1, 2, 0, 3), (4,) * 6, (1,) * 16]
+
+
+@pytest.mark.parametrize("mults", POLISH_MULTIPLICITIES)
+def test_stacked_polish_matches_per_eigenspace_loop(mults):
+    # unequal multiplicities and empty eigenspaces: the stacked QR must
+    # give the loop's vectors bit for bit
+    d = len(mults)
+    a = _scrambled_diagonal(mults, seed=len(mults))
+    fast, oracle = eig_unitary(a, d), eig_unitary_looped_polish(a, d)
+    assert fast.multiplicities == oracle.multiplicities == mults
+    assert fast.groups == oracle.groups
+    assert np.array_equal(fast.eigenvalues, oracle.eigenvalues)
+    assert np.array_equal(fast.vectors, oracle.vectors)
+
+
+@pytest.mark.parametrize("mults", POLISH_MULTIPLICITIES)
+def test_eig_unitary_makes_one_qr_per_multiplicity_class(mults, monkeypatch):
+    a = _scrambled_diagonal(mults, seed=len(mults))
+    qr = np.linalg.qr
+    calls = []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    eig_unitary(a, len(mults))
+    assert len(calls) == len(set(mults) - {0})
+    assert sorted(shape[0] * shape[2] for shape in calls) == sorted(
+        m * mults.count(m) for m in set(mults) - {0}
+    )
+
+
 def test_eig_unitary_projectors_resolve_identity():
     d = 4
     decomp = eig_unitary(t_observable(d), d)
@@ -200,8 +244,10 @@ def test_kron_sum_norm_of_one_term_is_the_kron_product_norm():
 
 
 def test_kron_sum_norm_of_cancelling_terms_is_zero():
-    a = haar_random_unitary(2, rng)
-    b = haar_random_unitary(3, rng)
+    # own generator: a roundoff-level bound must not depend on test order
+    g = np.random.default_rng(202)
+    a = haar_random_unitary(2, g)
+    b = haar_random_unitary(3, g)
     assert kron_sum_norm(np.stack([a, -a]), np.stack([b, b])) <= 1e-15
 
 
