@@ -8,12 +8,18 @@ outcome ``a`` corresponds to eigenvalue ``w**a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import EigenDecomposition, dagger, eig_unitary, unitary_powers
+from .linalg import (
+    EigenDecomposition,
+    dagger,
+    decomposition_from_basis,
+    eig_unitary,
+    unitary_powers,
+)
 
 TOL_NORM = 1e-9
 BRUTE_FORCE_CAP = 12  # largest d for the d^4 enumeration of local strategies
@@ -97,9 +103,15 @@ class DeterministicStrategy:
 class Realization:
     """A bipartite state plus two order-d observables per party.
 
-    Its arrays are never mutated in place, so the statistics that
-    :attr:`correlators` and :attr:`born` compute on first use stay valid
+    Its arrays are never mutated in place, so what :attr:`decompositions`,
+    :attr:`correlators` and :attr:`born` compute on first use stays valid
     for the object's lifetime; a changed realization is a new object.
+
+    ``eigenbases`` is for constructors that build an observable from a
+    basis known in closed form: per observable, in the order (A1, A2, B1,
+    B2), a (d, d) unitary whose column r has eigenvalue ``w**r``, or None.
+    It is init-only, so ``dataclasses.replace`` does not carry it over to
+    the changed realization.
     """
 
     d: int
@@ -108,9 +120,12 @@ class Realization:
     observables_a: tuple[np.ndarray, np.ndarray]
     observables_b: tuple[np.ndarray, np.ndarray]
     scenario: Scenario = field(init=False)
+    _bases: tuple = field(init=False, repr=False, compare=False)
+    eigenbases: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, eigenbases):
         object.__setattr__(self, "scenario", Scenario(self.d, 2))
+        object.__setattr__(self, "_bases", eigenbases or (None,) * 4)
 
     def validate(self) -> tuple[EigenDecomposition, ...]:
         """Check shapes, finiteness, normalization and the order-d property.
@@ -137,6 +152,17 @@ class Realization:
         return tuple(decomps)
 
     @cached_property
+    def decompositions(self) -> tuple[EigenDecomposition, ...]:
+        """(A1, A2, B1, B2) decomposed at most once: a supplied basis through
+        :func:`decomposition_from_basis`, any other observable through
+        :func:`eig_unitary`."""
+        observables = (*self.observables_a, *self.observables_b)
+        return tuple(
+            eig_unitary(o, self.d) if v is None else decomposition_from_basis(o, v, self.d)
+            for o, v in zip(observables, self._bases, strict=True)
+        )
+
+    @cached_property
     def correlators(self) -> CorrelatorTensor:
         """:func:`correlators_from_realization`, computed at most once."""
         return correlators_from_realization(self)
@@ -151,14 +177,14 @@ def born_probabilities(r: Realization) -> CorrelationTensor:
     """p(a,b|x,y) = <psi| P_x^(a) (x) Q_y^(b) |psi> from the eigenbases.
 
     With ``Phi = V_x^dag Psi conj(W_y)`` in the eigenbases V_x of A_x and
-    W_y of B_y, ``p[x, y, a, b]`` sums ``|Phi|^2`` over the columns of
-    eigenvalue group a and the rows of group b: ``M |Phi|^2 M^T`` with the
-    0/1 group-membership matrices M.
+    W_y of B_y (:attr:`Realization.decompositions`), ``p[x, y, a, b]``
+    sums ``|Phi|^2`` over the columns of eigenvalue group a and the rows
+    of group b: ``M |Phi|^2 M^T`` with the 0/1 group-membership matrices M.
     """
     d = r.d
     psi = r.state.reshape(r.dims)
-    dec_a = [eig_unitary(o, d) for o in r.observables_a]
-    dec_b = [eig_unitary(o, d) for o in r.observables_b]
+    decomps = r.decompositions
+    dec_a, dec_b = decomps[:2], decomps[2:]
     p = np.zeros((2, 2, d, d))
     for x in range(2):
         left = dagger(dec_a[x].vectors) @ psi

@@ -42,16 +42,14 @@ def t_observable(d: int) -> np.ndarray:
     return t
 
 
-def t_eigenvector(d: int, r: int) -> np.ndarray:
-    """Closed-form unit eigenvector of the T observable for eigenvalue w**r.
+def t_eigenbasis(d: int) -> np.ndarray:
+    """Closed-form eigenbasis of the T observable, column r for eigenvalue w**r.
 
     ``|r> = (2/d) sum_q (-1)**delta_q0 w**(-q/2) / (1 - w**(r-q-1/2)) |q>``.
-    The explicit formula fixes the global phase, which downstream phase
-    identities rely on.
+    The explicit formula fixes each column's global phase, which
+    downstream phase identities rely on.
     """
-    if not 0 <= r < d:
-        raise ValueError(f"r must be in [0, {d}), got {r}")
-    q = np.arange(d)
+    q, r = np.ogrid[:d, :d]
     numerator = np.where(q == 0, -1, 1) * roots_of_unity(2 * d, -q)
     return (2.0 / d) * numerator / (1 - roots_of_unity(2 * d, 2 * (r - q) - 1))
 
@@ -80,10 +78,20 @@ def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
     return v / np.sqrt(d)
 
 
-def cglmp_observables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four CGLMP observables (A1', A2', B1', B2'), each V diag(w**r) V^dag."""
+def _cglmp_bases(d: int) -> tuple[np.ndarray, ...]:
+    """The eigenbases of (A1', A2', B1', B2')."""
+    return tuple(cglmp_eigenbasis(d, p, s) for p, s in (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
+
+
+def cglmp_observables(
+    d: int, bases: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four CGLMP observables (A1', A2', B1', B2'), each V diag(w**r) V^dag.
+
+    ``bases`` are their eigenbases when the caller has already built them.
+    """
+    bases = _cglmp_bases(d) if bases is None else bases
     roots = roots_of_unity(d, np.arange(d))
-    bases = (cglmp_eigenbasis(d, p, s) for p, s in (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
     a1, a2, b1, b2 = ((v * roots) @ dagger(v) for v in bases)
     return a1, a2, b1, b2
 
@@ -136,6 +144,9 @@ def ideal_realization(d: int) -> Realization:
     signs of the T coefficients are forced: they are the unique solution
     of the linear system Z = a1 X + a1* Y, T = a1* w X + a1 Y satisfied by
     the w_alice conjugations, and the opposite choice is not order d.
+
+    Bob's eigenbases are supplied in closed form (the identity for Z,
+    :func:`t_eigenbasis` for T); Alice's pair is decomposed numerically.
     """
     z, t = z_observable(d), t_observable(d)
     a1 = coefficient_a(d, 1)
@@ -150,16 +161,23 @@ def ideal_realization(d: int) -> Realization:
         state=maximally_entangled(d),
         observables_a=(alice1, alice2),
         observables_b=(z, t),
+        eigenbases=(None, None, np.eye(d, dtype=complex), t_eigenbasis(d)),
     )
 
 
 def cglmp_realization(d: int) -> Realization:
-    """|phi_d+> measured with the CGLMP observables; also a maximal violator."""
-    a1, a2, b1, b2 = cglmp_observables(d)
+    """|phi_d+> measured with the CGLMP observables; also a maximal violator.
+
+    The observables are built from their Fourier eigenbases, which the
+    realization carries so that its Born rule reads them directly.
+    """
+    bases = _cglmp_bases(d)
+    a1, a2, b1, b2 = cglmp_observables(d, bases)
     return Realization(
         d=d,
         dims=(d, d),
         state=maximally_entangled(d),
         observables_a=(a1, a2),
         observables_b=(b1, b2),
+        eigenbases=bases,
     )

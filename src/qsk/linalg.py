@@ -79,11 +79,14 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def assert_unitary(a: np.ndarray, tol: float = TOL_UNITARY, what: str = "matrix") -> None:
-    n = a.shape[0]
-    # a huge finite entry overflows to inf or NaN, which fails the gate below
+def _unitarity_error(a: np.ndarray) -> float:
+    """``|U^dag U - I|``; a huge finite entry overflows to inf or NaN, which fails any gate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        err = np.linalg.norm(dagger(a) @ a - np.eye(n))
+        return float(np.linalg.norm(dagger(a) @ a - np.eye(a.shape[-1])))
+
+
+def assert_unitary(a: np.ndarray, tol: float = TOL_UNITARY, what: str = "matrix") -> None:
+    err = _unitarity_error(a)
     if not err <= tol:
         raise ValueError(f"{what} is not unitary: |U^dag U - I| = {err:.3e}")
 
@@ -205,6 +208,34 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     err = decomp.reconstruction_error(a)
     if not err <= TOL_EIG:
         raise NotOrderDError(f"eigendecomposition reconstruction error {err:.3e}")
+    return decomp
+
+
+def decomposition_from_basis(a: np.ndarray, vectors: np.ndarray, d: int) -> EigenDecomposition:
+    """The decomposition of a simple-spectrum ``a`` in a basis known in closed form.
+
+    Column r of the (d, d) ``vectors`` carries the eigenvalue ``w**r``.
+    The basis is gated, not trusted: it must be unitary to ``TOL_UNITARY``
+    (a non-unitary basis can still reconstruct ``a``, e.g. a hyperbolic
+    mix of two columns whose eigenvalues are w**0 and w**(d/2)), and
+    ``V diag(w**r) V^dag`` must reconstruct ``a`` to ``TOL_EIG``.  Either
+    failure, a wrong shape or a NaN anywhere raises :class:`NotOrderDError`.
+    """
+    if vectors.shape != (d, d) or a.shape != (d, d):
+        raise NotOrderDError(f"basis of shape {vectors.shape} for a {a.shape} observable at d={d}")
+    err = _unitarity_error(vectors)
+    if not err <= TOL_UNITARY:
+        raise NotOrderDError(f"eigenbasis is not unitary: |V^dag V - I| = {err:.3e}")
+    decomp = EigenDecomposition(
+        d=d,
+        eigenvalues=roots_of_unity(d, np.arange(d)),
+        vectors=vectors,
+        groups=tuple((r,) for r in range(d)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = decomp.reconstruction_error(a)
+    if not err <= TOL_EIG:
+        raise NotOrderDError(f"eigenbasis reconstruction error {err:.3e}")
     return decomp
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CorrelationTensor, CorrelatorTensor, Realization, _fourier_matrix
-from .linalg import omega, unitary_powers
+from .bell import CorrelationTensor, CorrelatorTensor, Realization
+from .linalg import omega, roots_of_unity, unitary_powers
 
 TOL_REAL = 1e-9
 
@@ -121,8 +121,11 @@ def probability_form(f: BellFunctional) -> np.ndarray:
 
     This is the inverse Fourier image ``W^T c W`` of the correlator
     coefficients; conjugation symmetry of the a_k makes every entry real.
+    W's exponents k*l are reduced mod d before exponentiation: unreduced,
+    the imaginary residue grows with d and crosses the 1e-12 gate at d = 56.
     """
-    w = _fourier_matrix(f.d)
+    k = np.arange(f.d)
+    w = roots_of_unity(f.d, np.outer(k, k))
     t = w.T @ f.coefficients @ w
     if not np.abs(t.imag).max() <= 1e-12:
         raise ValueError("probability-form coefficients are not real")

@@ -22,7 +22,7 @@ from qsk.canonical import (
     cglmp_observables,
     cglmp_realization,
     ideal_realization,
-    t_eigenvector,
+    t_eigenbasis,
     t_observable,
     w1_w2,
     w_alice,
@@ -153,14 +153,16 @@ def test_criterion_5_cglmp_equivalence():
                     dagger(w1) @ cglmp_eigenbasis(d, "A", 1)[:, r]
                     - np.exp(1j * np.pi * (1 - (r == 0) - r / d)) * e[r]
                 ),
-                np.linalg.norm(dagger(w1) @ cglmp_eigenbasis(d, "A", 2)[:, r] + t_eigenvector(d, r)),
+                np.linalg.norm(
+                    dagger(w1) @ cglmp_eigenbasis(d, "A", 2)[:, r] + t_eigenbasis(d)[:, r]
+                ),
                 np.linalg.norm(
                     dagger(w2) @ cglmp_eigenbasis(d, "B", 1)[:, r]
                     - np.exp(-1j * np.pi * (2 - (r - 1) / d - (r == 0))) * e[r]
                 ),
                 np.linalg.norm(
                     dagger(w2) @ cglmp_eigenbasis(d, "B", 2)[:, r]
-                    + omega(d, r - 1) * t_eigenvector(d, r)
+                    + omega(d, r - 1) * t_eigenbasis(d)[:, r]
                 ),
             )
         wa = w_alice(d)

@@ -11,7 +11,7 @@ from qsk.canonical import (
     ideal_realization,
     maximally_entangled,
     structural_unitaries,
-    t_eigenvector,
+    t_eigenbasis,
     t_observable,
     w1_w2,
     w_alice,
@@ -47,7 +47,7 @@ def test_t_observable_structure(d):
 @pytest.mark.parametrize("d", list(range(2, 13)))
 def test_t_eigenvector_formula(d):
     t = t_observable(d)
-    basis = np.column_stack([t_eigenvector(d, r) for r in range(d)])
+    basis = np.column_stack([t_eigenbasis(d)[:, r] for r in range(d)])
     for r in range(d):
         v = basis[:, r]
         assert np.linalg.norm(t @ v - omega(d, r) * v) < 1e-9
@@ -57,17 +57,10 @@ def test_t_eigenvector_formula(d):
 
 
 def test_t_eigenvector_d2_direction():
-    v = t_eigenvector(2, 0)
+    v = t_eigenbasis(2)[:, 0]
     # eigenvalue +1 eigenvector of [[0,-1],[-1,0]] is proportional to (1,-1)
     assert abs(v[0] + v[1]) < 1e-12
     assert abs(np.linalg.norm(v) - 1) < 1e-12
-
-
-def test_t_eigenvector_index_range():
-    with pytest.raises(ValueError):
-        t_eigenvector(4, 4)
-    with pytest.raises(ValueError):
-        t_eigenvector(4, -1)
 
 
 @pytest.mark.parametrize("d", list(range(2, 17)))
@@ -161,7 +154,7 @@ def test_eigenvector_phase_identities(d):
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
         lhs = dagger(w1) @ cglmp_eigenbasis(d, "A", 2)[:, r]
-        assert np.linalg.norm(lhs + t_eigenvector(d, r)) < 1e-8
+        assert np.linalg.norm(lhs + t_eigenbasis(d)[:, r]) < 1e-8
 
         # first Bob phase: conjugate of exp(i pi (2 - (r-1)/d - delta_r0))
         lhs = dagger(w2) @ cglmp_eigenbasis(d, "B", 1)[:, r]
@@ -169,7 +162,7 @@ def test_eigenvector_phase_identities(d):
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
         lhs = dagger(w2) @ cglmp_eigenbasis(d, "B", 2)[:, r]
-        assert np.linalg.norm(lhs + omega(d, r - 1) * t_eigenvector(d, r)) < 1e-8
+        assert np.linalg.norm(lhs + omega(d, r - 1) * t_eigenbasis(d)[:, r]) < 1e-8
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)))
@@ -250,7 +243,7 @@ def test_closed_forms_match_their_loop_oracles(d):
         *zip(w1_w2(d), _oracles.w1_w2(d)),
     ]
     for r in range(d):
-        pairs.append((t_eigenvector(d, r), _oracles.t_eigenvector(d, r)))
+        pairs.append((t_eigenbasis(d)[:, r], _oracles.t_eigenvector(d, r)))
         for party in ("A", "B"):
             for setting in (1, 2):
                 pairs.append(
@@ -272,4 +265,4 @@ def test_canonical_builds_make_no_scalar_omega_call(monkeypatch):
             monkeypatch.setattr(module, "omega", refuse)
     d = 7
     ideal_realization(d), cglmp_realization(d), w_alice(d), structural_unitaries(d)
-    t_eigenvector(d, 3), cglmp_eigenbasis(d, "B", 2)
+    t_eigenbasis(d)[:, 3], cglmp_eigenbasis(d, "B", 2)

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,13 @@ def test_simulate_small_shot_count_well_formed(capsys):
     assert payload["standard_error"] > 0.1
     assert np.array(payload["frequencies"]).shape == (2, 2, 2, 2)
     assert np.isfinite(payload["estimate"])
+
+
+def test_simulate_at_d_56_exits_0(capsys):
+    # the probability form's Fourier exponents are reduced mod d, so its
+    # imaginary residue stays under the 1e-12 gate at d = 56 and beyond
+    assert main(["simulate", "--d", "56", "--shots", "1000", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["d"] == 56
 
 
 def test_simulate_rejects_bad_shots(capsys):
@@ -420,10 +430,10 @@ KERNELS = ("correlators_from_realization", "born_probabilities", "eig_unitary")
 @pytest.mark.parametrize(
     "argv,counts",
     [
-        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 2, 8)),
+        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 2, 2)),
         (["verify", "--file", "{scrambled}", "--extract"], (2, 0, 8)),
-        (["verify", "--d", "6", "--all"], (3, 2, 12)),
-        (["simulate", "--d", "40", "--shots", "1000"], (0, 1, 4)),
+        (["verify", "--d", "6", "--all"], (3, 2, 6)),
+        (["simulate", "--d", "40", "--shots", "1000"], (0, 1, 2)),
     ],
     ids=["certify", "extract-file", "all", "simulate"],
 )
@@ -431,7 +441,8 @@ def test_each_command_computes_each_realizations_statistics_once(
     argv, counts, tmp_path, monkeypatch, capsys
 ):
     # one correlator tensor and one Born tensor per realization that needs it,
-    # one eigendecomposition of each observable per Born rule and per validation
+    # one eigendecomposition per validated observable and per Born-rule
+    # observable without a closed-form basis (the ideal Alice pair)
     scrambled = tmp_path / "scrambled.json"
     assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
     calls = dict.fromkeys(KERNELS, 0)
@@ -471,6 +482,19 @@ def test_help_returns_exit_code_0(capsys):
     # argparse exits after printing the help; main returns that code instead
     assert main(["--help"]) == EXIT_OK
     assert "usage: qsk" in capsys.readouterr().out
+
+
+def test_python_dash_m_qsk_runs_without_runtime_warning():
+    env = {"PYTHONPATH": str(Path(qsk.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qsk", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert "usage: qsk" in proc.stdout
 
 
 def test_default_json_output_is_byte_identical_across_runs(tmp_path, capsys):

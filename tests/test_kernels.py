@@ -7,6 +7,8 @@ generic non-unitary matrices, where the SOS identity fails by O(1), so the
 residual kernels are compared on a value that is not near zero.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ import _oracles
 from _helpers import random_order_d, random_probability_tensor, random_realization
 
 import qsk.bell
+import qsk.selftest
 import qsk.sos
 from qsk.bell import (
     CorrelationTensor,
@@ -26,7 +29,17 @@ from qsk.bell import (
     expectation,
     probabilities_from_correlators,
 )
-from qsk.linalg import kron_sum_norm, spectral_projectors, unitary_powers
+from qsk.canonical import cglmp_realization, ideal_realization, t_eigenbasis
+from qsk.cli import realization_from_json, realization_to_json
+from qsk.linalg import (
+    NotOrderDError,
+    dagger,
+    decomposition_from_basis,
+    haar_random_unitary,
+    kron_sum_norm,
+    spectral_projectors,
+    unitary_powers,
+)
 from qsk.satwap import BellFunctional, bell_operator, probability_form
 from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
 
@@ -207,6 +220,60 @@ def test_born_probabilities_decompose_each_observable_once(monkeypatch):
     calls = _counting(monkeypatch, qsk.bell, "eig_unitary")
     born_probabilities(_realization(3, (2, 3), seed=2))
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 40])
+@pytest.mark.parametrize("build", [ideal_realization, cglmp_realization])
+def test_canonical_born_tables_from_supplied_bases_match_oracle(d, build):
+    r = build(d)
+    p = born_probabilities(r).probabilities
+    assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build,calls", [(ideal_realization, 2), (cglmp_realization, 0)])
+def test_canonical_realizations_decompose_only_observables_without_a_basis(
+    build, calls, monkeypatch
+):
+    counted = _counting(monkeypatch, qsk.bell, "eig_unitary")
+    r = build(6)
+    born_probabilities(r)
+    assert r.decompositions is r.decompositions
+    assert len(counted) == calls
+
+
+def test_replaced_observables_do_not_inherit_supplied_bases(monkeypatch):
+    # Bob's pair conjugated by a Haar unitary G: T's closed-form basis no
+    # longer fits, so the replaced realization must decompose it afresh
+    d = 5
+    ideal = ideal_realization(d)
+    g = haar_random_unitary(d, np.random.default_rng(14))
+    z, t = ideal.observables_b
+    with pytest.raises(NotOrderDError):
+        decomposition_from_basis(g @ t @ dagger(g), t_eigenbasis(d), d)
+    r = dataclasses.replace(ideal, observables_b=(g @ z @ dagger(g), g @ t @ dagger(g)))
+    counted = _counting(monkeypatch, qsk.bell, "eig_unitary")
+    p = born_probabilities(r).probabilities
+    assert len(counted) == 4
+    assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
+
+
+def test_file_reader_and_scramble_carry_no_supplied_bases(monkeypatch):
+    ideal = ideal_realization(3)
+    copies = [
+        realization_from_json(realization_to_json(ideal)),
+        qsk.selftest.scramble(ideal, 1, 1, 5),
+    ]
+    counted = _counting(monkeypatch, qsk.bell, "eig_unitary")
+    for r in copies:
+        r.decompositions
+    assert len(counted) == 8
+
+
+def test_realization_needs_one_basis_slot_per_observable():
+    r = ideal_realization(3)
+    short = Realization(3, r.dims, r.state, r.observables_a, r.observables_b, eigenbases=(None,) * 3)
+    with pytest.raises(ValueError):
+        short.decompositions
 
 
 def test_operator_kernels_form_no_kronecker_product(monkeypatch):

@@ -9,6 +9,7 @@ from qsk.linalg import (
     NotOrderDError,
     assert_unitary,
     dagger,
+    decomposition_from_basis,
     eig_unitary,
     frobenius_distance,
     haar_random_unitary,
@@ -18,7 +19,7 @@ from qsk.linalg import (
     roots_of_unity,
     worst,
 )
-from qsk.canonical import maximally_entangled, t_observable, z_observable
+from qsk.canonical import maximally_entangled, t_eigenbasis, t_observable, z_observable
 
 rng = np.random.default_rng(20260810)
 
@@ -300,3 +301,58 @@ def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "reconstruction_error", lambda self, a: np.nan)
     with pytest.raises(NotOrderDError, match="reconstruction error"):
         eig_unitary(z_observable(3), 3)
+
+
+@pytest.mark.parametrize("d", [2, 5, 40])
+def test_decomposition_from_basis_matches_eig_unitary(d):
+    t = t_observable(d)
+    given, computed = decomposition_from_basis(t, t_eigenbasis(d), d), eig_unitary(t, d)
+    assert given.groups == computed.groups == tuple((r,) for r in range(d))
+    assert np.array_equal(given.eigenvalues, computed.eigenvalues)
+    assert given.reconstruction_error(t) <= 1e-13
+    for r in range(d):
+        assert np.abs(given.projector(r) - computed.projector(r)).max() <= 1e-12
+
+
+def test_decomposition_from_basis_rejects_hyperbolic_mix():
+    # columns 0 and 2 of T's basis at d = 4 have eigenvalues +1 and -1; a
+    # hyperbolic rotation of the pair preserves V D V^dag but not V^dag V
+    d = 4
+    v = t_eigenbasis(d)
+    c, s = np.cosh(0.5), np.sinh(0.5)
+    v[:, [0, 2]] = v[:, [0, 2]] @ np.array([[c, s], [s, c]])
+    t = t_observable(d)
+    assert frobenius_distance(t, (v * roots_of_unity(d, np.arange(d))) @ dagger(v)) <= 1e-14
+    assert frobenius_distance(dagger(v) @ v, np.eye(d)) > 1.8
+    with pytest.raises(NotOrderDError, match="not unitary"):
+        decomposition_from_basis(t, v, d)
+
+
+@pytest.mark.parametrize("where", ["basis", "observable"])
+def test_decomposition_from_basis_rejects_nan(where):
+    d = 5
+    t, v = t_observable(d), t_eigenbasis(d)
+    (v if where == "basis" else t)[2, 3] = np.nan
+    with pytest.raises(NotOrderDError):
+        decomposition_from_basis(t, v, d)
+
+
+def test_decomposition_from_basis_rejects_swapped_columns():
+    # still unitary, but column 1 no longer carries w**1
+    d = 5
+    v = t_eigenbasis(d)[:, [0, 2, 1, 3, 4]]
+    with pytest.raises(NotOrderDError, match="reconstruction error"):
+        decomposition_from_basis(t_observable(d), v, d)
+
+
+@pytest.mark.parametrize(
+    "observable,basis",
+    [
+        (t_observable(4), t_eigenbasis(4)[:, :3]),
+        (np.kron(t_observable(4), np.eye(2)), np.kron(t_eigenbasis(4), np.eye(2))),
+    ],
+    ids=["missing-column", "degenerate-spectrum"],
+)
+def test_decomposition_from_basis_rejects_wrong_shape(observable, basis):
+    with pytest.raises(NotOrderDError, match="shape"):
+        decomposition_from_basis(observable, basis, 4)

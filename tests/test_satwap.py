@@ -156,6 +156,17 @@ def test_probability_form_agrees_on_random_tensors():
         assert abs(via_corr - via_prob) < 1e-9
 
 
+@pytest.mark.parametrize("d", [56, 80, 128, 256])
+def test_probability_form_stays_real_at_large_d(d):
+    # the Fourier exponents k*l are reduced mod d; unreduced, the imaginary
+    # residue crossed the 1e-12 gate at d = 56 and at every d >= 80
+    f = BellFunctional.satwap(d)
+    t = probability_form(f)
+    p = CorrelationTensor(Scenario(d), random_probability_tensor(d, np.random.default_rng(d)))
+    via_corr = evaluate(f, correlators_from_probabilities(p))
+    assert abs(float(np.sum(t * p.probabilities)) - via_corr) < 1e-9
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_quantum_bound_is_supremum(d):
     f = BellFunctional.satwap(d)
