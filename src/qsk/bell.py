@@ -26,61 +26,30 @@ BRUTE_FORCE_CAP = 12  # largest d for the d^4 enumeration of local strategies
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """d outcomes per measurement, m measurements per party."""
-
-    d: int
-    m: int = 2
-
-    def __post_init__(self):
-        if self.d < 2 or self.m < 2:
-            raise ValueError(f"need d >= 2 and m >= 2, got d={self.d}, m={self.m}")
-
-
-@dataclass(frozen=True)
 class CorrelationTensor:
-    """Conditional probabilities p(a,b|x,y), indexed (x, y, a, b).
+    """Conditional probabilities p(a,b|x,y), a (2, 2, d, d) array indexed (x, y, a, b).
 
     ``setting_counts`` records per-setting shot counts for empirical
     tensors; settings that were never sampled hold an all-zero slice and
     are exempt from the normalization invariant.
     """
 
-    scenario: Scenario
     probabilities: np.ndarray
     setting_counts: np.ndarray | None = None
 
     def validate(self, tol: float = TOL_NORM) -> None:
-        d, m = self.scenario.d, self.scenario.m
-        if self.probabilities.shape != (m, m, d, d):
-            raise ValueError(f"probability tensor has shape {self.probabilities.shape}")
+        shape = self.probabilities.shape
+        if len(shape) != 4 or shape[:2] != (2, 2) or shape[2] != shape[3]:
+            raise ValueError(f"probability tensor has shape {shape}")
         if not self.probabilities.min() >= -tol:
             raise ValueError(f"negative probability {self.probabilities.min():.3e}")
         sums = self.probabilities.sum(axis=(2, 3))
-        for x in range(m):
-            for y in range(m):
+        for x in range(2):
+            for y in range(2):
                 if self.setting_counts is not None and self.setting_counts[x, y] == 0:
                     continue
                 if not abs(sums[x, y] - 1.0) <= tol:
                     raise ValueError(f"setting ({x},{y}) sums to {sums[x, y]!r}")
-
-
-@dataclass(frozen=True)
-class CorrelatorTensor:
-    """Fourier correlators <A_x^k B_y^l>, indexed (x, y, k, l) with k,l in [0, d)."""
-
-    scenario: Scenario
-    values: np.ndarray
-
-    def validate(self, tol: float = TOL_NORM) -> None:
-        d, m = self.scenario.d, self.scenario.m
-        if self.values.shape != (m, m, d, d):
-            raise ValueError(f"correlator tensor has shape {self.values.shape}")
-        if not np.abs(self.values[:, :, 0, 0] - 1.0).max() <= tol:
-            raise ValueError("<A^0 B^0> must equal 1")
-        flipped = self.values[:, :, (-np.arange(d)) % d][:, :, :, (-np.arange(d)) % d]
-        if not np.abs(flipped - self.values.conj()).max() <= tol:
-            raise ValueError("conjugation symmetry <A^(d-k) B^(d-l)> = <A^k B^l>* violated")
 
 
 @dataclass(frozen=True)
@@ -89,14 +58,6 @@ class DeterministicStrategy:
 
     outputs_a: tuple[int, ...]
     outputs_b: tuple[int, ...]
-
-    def probabilities(self, scenario: Scenario) -> CorrelationTensor:
-        d, m = scenario.d, scenario.m
-        p = np.zeros((m, m, d, d))
-        for x in range(m):
-            for y in range(m):
-                p[x, y, self.outputs_a[x], self.outputs_b[y]] = 1.0
-        return CorrelationTensor(scenario, p)
 
 
 @dataclass(frozen=True)
@@ -119,12 +80,12 @@ class Realization:
     state: np.ndarray
     observables_a: tuple[np.ndarray, np.ndarray]
     observables_b: tuple[np.ndarray, np.ndarray]
-    scenario: Scenario = field(init=False)
     _bases: tuple = field(init=False, repr=False, compare=False)
     eigenbases: InitVar[tuple | None] = None
 
     def __post_init__(self, eigenbases):
-        object.__setattr__(self, "scenario", Scenario(self.d, 2))
+        if self.d < 2:
+            raise ValueError(f"d must be >= 2, got {self.d}")
         object.__setattr__(self, "_bases", eigenbases or (None,) * 4)
 
     def validate(self) -> tuple[EigenDecomposition, ...]:
@@ -163,7 +124,7 @@ class Realization:
         )
 
     @cached_property
-    def correlators(self) -> CorrelatorTensor:
+    def correlators(self) -> np.ndarray:
         """:func:`correlators_from_realization`, computed at most once."""
         return correlators_from_realization(self)
 
@@ -191,7 +152,7 @@ def born_probabilities(r: Realization) -> CorrelationTensor:
         for y in range(2):
             weights = np.abs(left @ dec_b[y].vectors.conj()) ** 2
             p[x, y] = _membership(dec_a[x]) @ weights @ _membership(dec_b[y]).T
-    tensor = CorrelationTensor(r.scenario, p)
+    tensor = CorrelationTensor(p)
     tensor.validate(tol=1e-7)
     return tensor
 
@@ -211,20 +172,10 @@ def _fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / d)
 
 
-def correlators_from_probabilities(t: CorrelationTensor) -> CorrelatorTensor:
+def correlators_from_probabilities(t: CorrelationTensor) -> np.ndarray:
     """Two-dimensional discrete Fourier transform of p(a,b|x,y): ``W p W^T``."""
-    w = _fourier_matrix(t.scenario.d)
-    return CorrelatorTensor(t.scenario, w @ t.probabilities @ w.T)
-
-
-def probabilities_from_correlators(c: CorrelatorTensor) -> CorrelationTensor:
-    """Exact inverse of :func:`correlators_from_probabilities`."""
-    d = c.scenario.d
-    w = _fourier_matrix(d).conj() / d
-    p = w.T @ c.values @ w
-    if not np.abs(p.imag).max() <= 1e-9:
-        raise ValueError("inverse transform produced complex probabilities")
-    return CorrelationTensor(c.scenario, p.real)
+    w = _fourier_matrix(t.probabilities.shape[-1])
+    return w @ t.probabilities @ w.T
 
 
 def expectation(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -238,14 +189,13 @@ def expectation(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> np.nda
     return g.reshape(len(ops_a), -1) @ ops_b.reshape(len(ops_b), -1).T
 
 
-def correlators_from_realization(r: Realization) -> CorrelatorTensor:
+def correlators_from_realization(r: Realization) -> np.ndarray:
     """<A_x^k (x) B_y^l> computed directly from operator powers."""
     d = r.d
     psi = r.state.reshape(r.dims)
     pow_a = [unitary_powers(o, d) for o in r.observables_a]
     pow_b = [unitary_powers(o, d) for o in r.observables_b]
-    values = np.array([[expectation(pa, pb, psi) for pb in pow_b] for pa in pow_a])
-    return CorrelatorTensor(r.scenario, values)
+    return np.array([[expectation(pa, pb, psi) for pb in pow_b] for pa in pow_a])
 
 
 def local_bound_bruteforce(functional) -> tuple[float, DeterministicStrategy]:
@@ -299,4 +249,4 @@ def sample_statistics(r: Realization, shots: int, seed: int) -> CorrelationTenso
             cell = np.clip(exact.probabilities[x, y].reshape(-1), 0.0, None)
             cell = cell / cell.sum()
             freqs[x, y] = rng.multinomial(n, cell).reshape(d, d) / n
-    return CorrelationTensor(r.scenario, freqs, setting_counts=setting_counts)
+    return CorrelationTensor(freqs, setting_counts=setting_counts)

@@ -51,10 +51,6 @@ class RationalPolynomial:
     def zero(cls) -> RationalPolynomial:
         return cls((), 1)
 
-    @classmethod
-    def constant(cls, value) -> RationalPolynomial:
-        return cls.from_list([value])
-
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The coefficients as exact fractions, ascending in degree."""
@@ -77,9 +73,6 @@ class RationalPolynomial:
             den,
         )
 
-    def __sub__(self, other: RationalPolynomial) -> RationalPolynomial:
-        return self + other.scale(-1)
-
     def scale(self, factor) -> RationalPolynomial:
         f = Fraction(factor)
         return _canonical(
@@ -97,12 +90,6 @@ class RationalPolynomial:
                 for j, bj in b:
                     out[i + j] += a * bj
         return _canonical(out, self.denominator * other.denominator)
-
-    def evaluate(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.numerators):
-            acc = acc * x + c / self.denominator
-        return acc
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -120,25 +120,18 @@ def spectral_projectors(a: np.ndarray, d: int) -> np.ndarray:
 class EigenDecomposition:
     """Eigendecomposition of an order-d unitary with root-of-unity snapping.
 
-    ``vectors`` is unitary with columns grouped by eigenvalue index:
-    ``groups[j]`` lists the column indices spanning the ``w**j``
-    eigenspace (an arbitrary orthonormal basis inside each group).
-    ``eigenvalues[c]`` is the snapped eigenvalue of column ``c``, exactly
-    ``w**j`` for some integer ``j``.
+    ``vectors`` is unitary with its columns in consecutive runs by
+    eigenvalue index: the first ``multiplicities[0]`` columns span the
+    ``w**0`` eigenspace, the next ``multiplicities[1]`` the ``w**1``
+    eigenspace, and so on (an arbitrary orthonormal basis inside each
+    run).  ``eigenvalues[c]`` is the snapped eigenvalue of column ``c``,
+    exactly ``w**j`` for some integer ``j``.
     """
 
     d: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
-
-    def projector(self, j: int) -> np.ndarray:
-        cols = self.vectors[:, list(self.groups[j])]
-        return cols @ dagger(cols)
+    multiplicities: tuple[int, ...]
 
     def reconstruction_error(self, a: np.ndarray) -> float:
         return frobenius_distance(a, self.vectors @ np.diag(self.eigenvalues) @ dagger(self.vectors))
@@ -188,7 +181,6 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     if off.any():
         raise NotOrderDError(f"eigenspace {expected[np.argmax(off)]} is numerically ill-defined")
     offsets = np.concatenate(([0], np.cumsum(mult)))
-    groups = tuple(tuple(range(offsets[k], offsets[k + 1])) for k in range(d))
     # one stacked QR per multiplicity class; set(), not np.unique, whose
     # first call in a process costs milliseconds
     for m in set(mult.tolist()) - {0}:
@@ -203,7 +195,7 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
         d=d,
         eigenvalues=roots_of_unity(d, expected),
         vectors=vectors,
-        groups=groups,
+        multiplicities=tuple(mult.tolist()),
     )
     err = decomp.reconstruction_error(a)
     if not err <= TOL_EIG:
@@ -230,29 +222,13 @@ def decomposition_from_basis(a: np.ndarray, vectors: np.ndarray, d: int) -> Eige
         d=d,
         eigenvalues=roots_of_unity(d, np.arange(d)),
         vectors=vectors,
-        groups=tuple((r,) for r in range(d)),
+        multiplicities=(1,) * d,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         err = decomp.reconstruction_error(a)
     if not err <= TOL_EIG:
         raise NotOrderDError(f"eigenbasis reconstruction error {err:.3e}")
     return decomp
-
-
-def partial_trace(state: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Reduced density matrix of a pure bipartite state.
-
-    ``keep`` selects the surviving subsystem, ``"A"`` or ``"B"``.
-    """
-    da, db = dims
-    if state.shape != (da * db,):
-        raise ValueError(f"state has dimension {state.shape}, expected {da * db}")
-    m = state.reshape(da, db)
-    if keep.upper() == "A":
-        return m @ m.conj().T
-    if keep.upper() == "B":
-        return m.T @ m.conj()
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,25 +9,12 @@ there is out of scope, and the API refuses non-maximal inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bell import Realization
 from .bell import correlators_from_realization  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
 from .selftest import tol_violation
-
-
-@dataclass(frozen=True)
-class RandomnessReport:
-    d: int
-    distribution: np.ndarray
-    guessing_probability: float
-    certified_bits: float
-    input_bits: float
-    output_bits: float
-    expansion_ratio: float
 
 
 def outcome_distribution(r: Realization, party: str, setting: int) -> np.ndarray:
@@ -70,18 +57,3 @@ def certified_bits(d: int) -> float:
         raise ValueError("d must be >= 2")
     return float(np.log2(d))
 
-
-def expansion_ledger(d: int, rounds: int) -> RandomnessReport:
-    """Randomness accounting: one input bit per round buys log2(d) output bits."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    bits = certified_bits(d)
-    return RandomnessReport(
-        d=d,
-        distribution=np.full(d, 1.0 / d),
-        guessing_probability=1.0 / d,
-        certified_bits=bits,
-        input_bits=float(rounds),
-        output_bits=rounds * bits,
-        expansion_ratio=bits,
-    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import CorrelationTensor, CorrelatorTensor, Realization
+from .bell import Realization
 from .linalg import omega, roots_of_unity, unitary_powers
 
 TOL_REAL = 1e-9
@@ -52,21 +52,12 @@ class BellFunctional:
             coeff[1, 1, k, d - k] = ak
         return cls(d=d, coefficients=coeff)
 
-    def validate_satwap(self, tol: float = 1e-12) -> None:
-        for k in range(1, self.d):
-            ak = self.coefficients[0, 0, k, self.d - k]
-            if not abs(abs(ak) - 1 / np.sqrt(2)) <= tol:
-                raise ValueError(f"|a_{k}| != 1/sqrt(2)")
-            adk = self.coefficients[0, 0, self.d - k, k]
-            if not abs(adk - ak.conjugate()) <= tol:
-                raise ValueError(f"a_{self.d - k} != conj(a_{k})")
 
-
-def evaluate(f: BellFunctional, c: CorrelatorTensor) -> float:
-    """Value of the functional on a correlator tensor (asserted real)."""
-    if c.scenario.d != f.d:
-        raise ValueError(f"scenario d={c.scenario.d} does not match functional d={f.d}")
-    val = complex(np.sum(f.coefficients * c.values))
+def evaluate(f: BellFunctional, c: np.ndarray) -> float:
+    """Value of the functional on (2, 2, d, d) correlators (asserted real)."""
+    if c.shape != f.coefficients.shape:
+        raise ValueError(f"correlators of shape {c.shape} do not match functional d={f.d}")
+    val = complex(np.sum(f.coefficients * c))
     if not abs(val.imag) <= TOL_REAL:
         raise ValueError(
             f"imaginary residue {val.imag:.3e}: malformed correlators or wrong "
@@ -131,7 +122,3 @@ def probability_form(f: BellFunctional) -> np.ndarray:
         raise ValueError("probability-form coefficients are not real")
     return t.real
 
-
-def evaluate_probabilities(f: BellFunctional, t: CorrelationTensor) -> float:
-    """Value computed in the probability picture, t-dot-p."""
-    return float(np.sum(probability_form(f) * t.probabilities))

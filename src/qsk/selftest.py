@@ -69,7 +69,6 @@ class ExtractionResult:
     aux_state: np.ndarray
     fidelity: float
     residuals: dict[str, float]
-    log: tuple[str, ...]
 
 
 def check_multiplicities(decomp: EigenDecomposition) -> int:
@@ -225,7 +224,6 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
     it hands it in.
     """
     d = r.d
-    log: list[str] = []
     try:
         dec_a1, dec_a2, dec_b1, dec_b2 = r.validate()
         value = evaluate(BellFunctional.satwap(d), r.correlators)
@@ -239,7 +237,6 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
             f"value {value:.9f} misses the quantum bound {quantum_bound(d)} "
             f"by {gap:.3e} (tolerance {gate:.1e})",
         )
-    log.append(f"violation gate: |{value:.9f} - {quantum_bound(d)}| = {gap:.2e}")
 
     for name, obs in (
         ("A1", r.observables_a[0]),
@@ -255,21 +252,11 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
                 f"Tr({name}^{n}) does not vanish for proper divisor n={n}: "
                 f"unequal eigenvalue multiplicities",
             )
-    log.append("vanishing-trace conditions: all four observables pass")
 
     ideal = ideal if ideal is not None else canonical.ideal_realization(d)
     u_b, (res_b1, res_b2) = extract_bob(*r.observables_b, dec_b1, dec_b2, ideal)
-    log.append(f"Bob alignment: residuals ({res_b1:.2e}, {res_b2:.2e})")
-
     u_a, (res_a1, res_a2) = extract_alice(*r.observables_a, dec_a1, dec_a2, ideal)
-    log.append(f"Alice alignment: residuals ({res_a1:.2e}, {res_a2:.2e})")
-
     state = canonicalize_state(r, u_a, u_b)
-    log.append(
-        f"state: fidelity {state.fidelity:.9f}, off-diagonal "
-        f"{state.off_diagonal_residual:.2e}, diagonal mismatch {state.diagonal_mismatch:.2e}"
-    )
-
     return ExtractionResult(
         u_a=u_a,
         u_b=u_b,
@@ -285,7 +272,6 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
             "state_off_diagonal": state.off_diagonal_residual,
             "state_diagonal_mismatch": state.diagonal_mismatch,
         },
-        log=tuple(log),
     )
 
 
@@ -332,7 +318,7 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
             g_b @ np.kron(o, np.eye(aux_b)) @ dagger(g_b) for o in r.observables_b
         ),
     )
-    drift = np.abs(scrambled.correlators.values - r.correlators.values).max()
+    drift = np.abs(scrambled.correlators - r.correlators).max()
     if not drift <= 1e-9:
         raise AssertionError(f"scrambling changed the correlations by {drift:.3e}")
     return scrambled

@@ -11,8 +11,7 @@ stacks (L, R), and no operator on the joint space is formed.
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
 proper divisors, intermediate trace identities, root-of-unity sum
-identities, and the block structure of the second observable in the
-eigenbasis of the first.
+identities, and the block grid of an operator on C^d (x) aux.
 """
 
 from __future__ import annotations
@@ -245,32 +244,6 @@ def check_root_identities(d: int) -> RootIdentityReport:
     return RootIdentityReport(d=d, ratio_sum=r1, weighted_sum=r2)
 
 
-@dataclass(frozen=True)
-class BlockStructureReport:
-    """Residuals of the block equations for B2 in the eigenbasis of B1 = Z (x) I.
-
-    ``first_row`` and ``off_diagonal`` compare blocks against their scalar
-    solutions and hold only after the intra-eigenspace alignment; the other
-    three are alignment-independent consequences of maximal violation.
-    """
-
-    d: int
-    aux_dim: int
-    diagonal: float        # F_ii = ((d-2)/d) w^(i+1/2) I
-    transpose_pairing: float  # F_ij = w^(i+j+1) dagger(F_ji)
-    block_unitarity: float    # F_ij dagger(F_ij) = (4/d^2) I, i != j
-    first_row: float          # F_0j = (2/d) w^((j+1)/2) I
-    off_diagonal: float       # F_ij = -(2/d) w^((i+j+1)/2) I, i,j >= 1, i != j
-
-    @property
-    def aligned(self) -> bool:
-        return worst(self.first_row, self.off_diagonal) <= 1e-7
-
-    @property
-    def max_alignment_free(self) -> float:
-        return worst(self.diagonal, self.transpose_pairing, self.block_unitarity)
-
-
 def extract_blocks(b2: np.ndarray, d: int, aux_dim: int) -> np.ndarray:
     """The (d, d) grid of aux_dim x aux_dim blocks of an operator on C^d (x) aux."""
     n = d * aux_dim
@@ -278,35 +251,3 @@ def extract_blocks(b2: np.ndarray, d: int, aux_dim: int) -> np.ndarray:
         raise ValueError(f"operator has shape {b2.shape}, expected ({n}, {n})")
     return b2.reshape(d, aux_dim, d, aux_dim).transpose(0, 2, 1, 3)
 
-
-def check_fij_structure(b2: np.ndarray, d: int, aux_dim: int) -> BlockStructureReport:
-    """Block equations for the second observable given B1 = Z (x) I.
-
-    The caller must already be in a basis where the first observable is
-    the clock; the report then quantifies how far ``b2`` is from the
-    canonical partner T (x) I, equation by equation.  Each equation is
-    evaluated over the whole (i, j) grid of blocks at once; w**(k/2) is
-    the 2d-th root of unity of k, every exponent reduced mod 2d.
-    """
-    blocks = extract_blocks(b2, d, aux_dim)
-    eye = np.eye(aux_dim)
-    i, j = np.ogrid[:d, :d]
-    half = roots_of_unity(2 * d, i + j + 1)[..., None, None]  # w**((i+j+1)/2) per block
-    full = roots_of_unity(d, i + j + 1)[..., None, None]  # w**(i+j+1) per block
-    off = i != j
-
-    def norms(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x, axis=(-2, -1))
-
-    def largest(x: np.ndarray) -> float:
-        return float(np.max(x, initial=0.0))  # NaN propagates; 0 over no blocks
-
-    return BlockStructureReport(
-        d=d,
-        aux_dim=aux_dim,
-        diagonal=largest(norms(blocks - ((d - 2) / d) * half * eye)[i == j]),
-        transpose_pairing=largest(norms(blocks - full * dagger(blocks.swapaxes(0, 1)))[off]),
-        block_unitarity=largest(norms(blocks @ dagger(blocks) - (4 / d**2) * eye)[off]),
-        first_row=largest(norms(blocks[0] - (2 / d) * half[0] * eye)[1:]),
-        off_diagonal=largest(norms(blocks + (2 / d) * half * eye)[1:, 1:][off[1:, 1:]]),
-    )

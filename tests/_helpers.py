@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsk.bell import Realization
-from qsk.linalg import haar_random_unitary, omega
+from qsk.bell import CorrelationTensor, DeterministicStrategy, Realization
+from qsk.linalg import EigenDecomposition, dagger, haar_random_unitary, omega
 
 
 def random_order_d(dim: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -46,3 +46,32 @@ def random_realization(
 def random_probability_tensor(d: int, rng: np.random.Generator) -> np.ndarray:
     p = rng.random((2, 2, d, d))
     return p / p.sum(axis=(2, 3), keepdims=True)
+
+
+def strategy_probabilities(s: DeterministicStrategy, d: int) -> CorrelationTensor:
+    """The 0/1 tensor of a deterministic strategy: p(a,b|x,y) = 1 at its outputs."""
+    p = np.zeros((2, 2, d, d))
+    for x in range(2):
+        for y in range(2):
+            p[x, y, s.outputs_a[x], s.outputs_b[y]] = 1.0
+    return CorrelationTensor(p)
+
+
+def check_correlators(c: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise unless (2, 2, d, d) correlators have <A^0 B^0> = 1 and the
+    conjugation symmetry <A^(d-k) B^(d-l)> = <A^k B^l>*."""
+    d = c.shape[-1]
+    if c.shape != (2, 2, d, d):
+        raise ValueError(f"correlator tensor has shape {c.shape}")
+    if not np.abs(c[:, :, 0, 0] - 1.0).max() <= tol:
+        raise ValueError("<A^0 B^0> must equal 1")
+    flipped = c[:, :, (-np.arange(d)) % d][:, :, :, (-np.arange(d)) % d]
+    if not np.abs(flipped - c.conj()).max() <= tol:
+        raise ValueError("conjugation symmetry <A^(d-k) B^(d-l)> = <A^k B^l>* violated")
+
+
+def projector(decomp: EigenDecomposition, j: int) -> np.ndarray:
+    """Projector onto the w**j eigenspace: the j-th run of columns of ``decomp.vectors``."""
+    start = sum(decomp.multiplicities[:j])
+    cols = decomp.vectors[:, start : start + decomp.multiplicities[j]]
+    return cols @ dagger(cols)

@@ -18,6 +18,8 @@ from math import gcd
 
 import numpy as np
 
+from _helpers import projector
+
 import qsk.linalg
 from qsk.bell import Realization, _fourier_matrix
 from qsk.linalg import (
@@ -60,9 +62,9 @@ def born_probabilities(r: Realization) -> np.ndarray:
     proj_b = [eig_unitary(o, d) for o in r.observables_b]
     p = np.zeros((2, 2, d, d))
     for x in range(2):
-        pa = [proj_a[x].projector(a) for a in range(d)]
+        pa = [projector(proj_a[x], a) for a in range(d)]
         for y in range(2):
-            qb = [proj_b[y].projector(b) for b in range(d)]
+            qb = [projector(proj_b[y], b) for b in range(d)]
             for a in range(d):
                 left = psi.conj().T @ pa[a] @ psi
                 for b in range(d):
@@ -269,12 +271,11 @@ def eig_unitary_svd(a: np.ndarray, d: int) -> EigenDecomposition:
     mult = np.bincount(np.round(np.angle(raw) * d / (2 * np.pi)).astype(int) % d, minlength=d)
     projs = spectral_projectors(a, d)
     blocks = [np.linalg.svd(projs[j])[0][:, : mult[j]] for j in range(d)]
-    offsets = np.concatenate(([0], np.cumsum(mult)))
     return EigenDecomposition(
         d=d,
         eigenvalues=np.repeat([omega(d, j) for j in range(d)], mult),
         vectors=np.hstack(blocks),
-        groups=tuple(tuple(range(offsets[j], offsets[j + 1])) for j in range(d)),
+        multiplicities=tuple(mult.tolist()),
     )
 
 
@@ -294,7 +295,7 @@ def eig_unitary_looped_polish(a: np.ndarray, d: int) -> EigenDecomposition:
         d=d,
         eigenvalues=roots_of_unity(d, np.repeat(np.arange(d), mult)),
         vectors=vectors,
-        groups=tuple(tuple(range(offsets[j], offsets[j + 1])) for j in range(d)),
+        multiplicities=tuple(mult.tolist()),
     )
 
 

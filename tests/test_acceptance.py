@@ -218,8 +218,8 @@ def test_criterion_6_extraction_round_trip():
             worst_stats = max(
                 worst_stats,
                 np.abs(
-                    correlators_from_realization(canon).values
-                    - correlators_from_realization(scrambled).values
+                    correlators_from_realization(canon)
+                    - correlators_from_realization(scrambled)
                 ).max(),
             )
     # d = 8 = 2^3: certifying three maximally entangled qubit pairs at once

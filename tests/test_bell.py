@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from _helpers import random_probability_tensor, random_realization
+import _oracles
+from _helpers import (
+    check_correlators,
+    random_probability_tensor,
+    random_realization,
+    strategy_probabilities,
+)
 
 from qsk.bell import (
     CorrelationTensor,
-    CorrelatorTensor,
     DeterministicStrategy,
     Realization,
-    Scenario,
     born_probabilities,
     correlators_from_probabilities,
     correlators_from_realization,
     local_bound_bruteforce,
-    probabilities_from_correlators,
     sample_statistics,
 )
 from qsk.canonical import ideal_realization, z_observable
@@ -23,17 +26,19 @@ rng = np.random.default_rng(42)
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(1)
-    with pytest.raises(ValueError):
-        Scenario(3, m=1)
+    # the scenario is d outcomes and two settings per party; a realization
+    # carries d and rejects fewer than two outcomes
+    r = ideal_realization(2)
+    for d in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"d must be >= 2, got {d}"):
+            Realization(d, r.dims, r.state, r.observables_a, r.observables_b)
 
 
 def test_born_ideal_qubit_correlators():
     # optimal two-setting binary statistics: every first-power correlator
     # has magnitude 1/sqrt(2)
     c = correlators_from_probabilities(born_probabilities(ideal_realization(2)))
-    mags = np.abs(c.values[:, :, 1, 1])
+    mags = np.abs(c[:, :, 1, 1])
     assert np.abs(mags - 1 / np.sqrt(2)).max() < 1e-10
 
 
@@ -69,8 +74,8 @@ def test_born_rejects_non_order_d_observable():
 
 def test_correlators_flat_distribution_vanish():
     d = 4
-    flat = CorrelationTensor(Scenario(d), np.full((2, 2, d, d), 1 / d**2))
-    c = correlators_from_probabilities(flat).values
+    flat = CorrelationTensor(np.full((2, 2, d, d), 1 / d**2))
+    c = correlators_from_probabilities(flat)
     assert np.abs(c[:, :, 0, 0] - 1.0).max() < 1e-12
     mask = np.ones((d, d), dtype=bool)
     mask[0, 0] = False
@@ -79,7 +84,7 @@ def test_correlators_flat_distribution_vanish():
 
 def test_binary_correlator_matches_parity_expectation():
     p = random_probability_tensor(2, rng)
-    c = correlators_from_probabilities(CorrelationTensor(Scenario(2), p)).values
+    c = correlators_from_probabilities(CorrelationTensor(p))
     for x in range(2):
         for y in range(2):
             e = sum((-1) ** (a + b) * p[x, y, a, b] for a in range(2) for b in range(2))
@@ -89,38 +94,37 @@ def test_binary_correlator_matches_parity_expectation():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_fourier_round_trip(d):
     p = random_probability_tensor(d, rng)
-    t = CorrelationTensor(Scenario(d), p)
-    back = probabilities_from_correlators(correlators_from_probabilities(t))
-    assert np.abs(back.probabilities - p).max() < 1e-12
+    c = correlators_from_probabilities(CorrelationTensor(p))
+    back = _oracles.probabilities_from_correlators(c)
+    assert np.abs(back - p).max() < 1e-12
 
 
 def test_correlator_tensor_validation():
-    c = correlators_from_probabilities(CorrelationTensor(Scenario(3), random_probability_tensor(3, rng)))
-    c.validate()
-    broken = CorrelatorTensor(c.scenario, c.values + 0.1j)
+    c = correlators_from_probabilities(CorrelationTensor(random_probability_tensor(3, rng)))
+    check_correlators(c)
     with pytest.raises(ValueError):
-        broken.validate()
+        check_correlators(c + 0.1j)
 
 
 def test_correlators_from_realization_trivial_term():
     r = random_realization(2, rng)
     c = correlators_from_realization(r)
-    assert np.abs(c.values[:, :, 0, 0] - 1.0).max() < 1e-10
+    assert np.abs(c[:, :, 0, 0] - 1.0).max() < 1e-10
 
 
 def test_correlators_ideal_d3_functional_total():
     # maximal quantum value 2(d-1) = 4 for d = 3
     c = correlators_from_realization(ideal_realization(3))
     f = BellFunctional.satwap(3)
-    total = complex(np.sum(f.coefficients * c.values))
+    total = complex(np.sum(f.coefficients * c))
     assert abs(total - 4.0) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_two_correlator_routes_agree(d):
     r = random_realization(d, rng, dim_a=2 * d, dim_b=d)
-    via_ops = correlators_from_realization(r).values
-    via_probs = correlators_from_probabilities(born_probabilities(r)).values
+    via_ops = correlators_from_realization(r)
+    via_probs = correlators_from_probabilities(born_probabilities(r))
     assert np.abs(via_ops - via_probs).max() < 1e-9
 
 
@@ -128,10 +132,9 @@ def test_local_bound_d2():
     bound, strategy = local_bound_bruteforce(BellFunctional.satwap(2))
     assert abs(bound - np.sqrt(2)) < 1e-9
     # the reported strategy attains the bound
-    p = strategy.probabilities(Scenario(2))
-    c = correlators_from_probabilities(p)
+    c = correlators_from_probabilities(strategy_probabilities(strategy, 2))
     f = BellFunctional.satwap(2)
-    assert abs(complex(np.sum(f.coefficients * c.values)).real - bound) < 1e-9
+    assert abs(complex(np.sum(f.coefficients * c)).real - bound) < 1e-9
 
 
 def test_local_bound_d3():
@@ -206,8 +209,7 @@ def test_sampling_law_of_large_numbers():
 
 
 def test_deterministic_strategy_tensor():
-    s = DeterministicStrategy((1, 0), (2, 2))
-    p = s.probabilities(Scenario(3))
+    p = strategy_probabilities(DeterministicStrategy((1, 0), (2, 2)), 3)
     p.validate()
     assert p.probabilities[0, 0, 1, 2] == 1.0
     assert p.probabilities[1, 1, 0, 2] == 1.0
@@ -236,28 +238,22 @@ def test_realization_validate_returns_the_four_decompositions():
 
 
 def test_correlation_tensor_validate_rejects_all_nan():
-    t = CorrelationTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan))
+    t = CorrelationTensor(np.full((2, 2, 3, 3), np.nan))
     with pytest.raises(ValueError):
         t.validate()
 
 
 def test_correlator_tensor_validate_rejects_nan_at_the_origin():
-    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    c = np.full((2, 2, 3, 3), np.nan, dtype=complex)
     with pytest.raises(ValueError, match="must equal 1"):
-        c.validate()
+        check_correlators(c)
 
 
 def test_correlator_tensor_validate_rejects_nan_off_the_origin():
-    values = correlators_from_realization(ideal_realization(3)).values.copy()
+    values = correlators_from_realization(ideal_realization(3)).copy()
     values[0, 1, 1, 2] = np.nan
     with pytest.raises(ValueError, match="conjugation symmetry"):
-        CorrelatorTensor(Scenario(3), values).validate()
-
-
-def test_inverse_transform_rejects_nan_correlators():
-    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
-    with pytest.raises(ValueError, match="complex probabilities"):
-        probabilities_from_correlators(c)
+        check_correlators(values)
 
 
 def test_local_bound_rejects_nan_coefficients():

@@ -17,7 +17,7 @@ from qsk.canonical import (
     w_alice,
     z_observable,
 )
-from qsk.linalg import dagger, eig_unitary, frobenius_distance, omega, partial_trace
+from qsk.linalg import dagger, eig_unitary, frobenius_distance, omega
 from qsk.satwap import BellFunctional, coefficient_a, evaluate
 from qsk.cyclotomic import proper_divisors
 
@@ -86,7 +86,8 @@ def test_maximally_entangled():
     for d in (2, 4, 7):
         s = maximally_entangled(d)
         assert abs(np.linalg.norm(s) - 1) < 1e-12
-        assert frobenius_distance(partial_trace(s, (d, d), "A"), np.eye(d) / d) < 1e-12
+        psi = s.reshape(d, d)  # Tr_B |phi_d+><phi_d+| = psi psi^dag = I/d
+        assert frobenius_distance(psi @ dagger(psi), np.eye(d) / d) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 5])

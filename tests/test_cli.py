@@ -40,7 +40,7 @@ def test_realization_json_round_trip_is_byte_stable(tmp_path):
     assert first == second
     # and the physics survives
     drift = np.abs(
-        correlators_from_realization(reparsed).values - correlators_from_realization(r).values
+        correlators_from_realization(reparsed) - correlators_from_realization(r)
     ).max()
     assert drift < 1e-12
 
@@ -78,6 +78,7 @@ def test_verify_file_extract(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert report["extraction"]["fidelity"] >= 1 - 1e-7
+    assert set(report["extraction"]) == {"fidelity", "aux_dims", "residuals"}
 
 
 def test_verify_corrupted_file(tmp_path, capsys):
@@ -299,6 +300,40 @@ def test_verify_file_with_non_integral_d_is_an_input_error(tmp_path, capsys):
     path = _write_realization(tmp_path, d=2.7)
     assert main(["verify", "--file", path]) == EXIT_INPUT_ERROR
     assert "d must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_verify_file_with_d_below_two_is_an_input_error(d, tmp_path, capsys):
+    path = _write_realization(tmp_path, d=d)
+    assert main(["verify", "--file", path, "--format", "json"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: d must be >= 2, got {d}\n"
+    assert captured.out == ""
+
+
+def test_verify_file_that_does_not_exist_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["verify", "--file", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scramble", "--d", "3"],
+        ["simulate", "--d", "2", "--shots", "10"],
+    ],
+    ids=["scramble", "simulate"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_an_input_error(argv, target, tmp_path, capsys):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_file_with_non_integral_dims_is_an_input_error(tmp_path, capsys):

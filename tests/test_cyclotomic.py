@@ -130,7 +130,9 @@ def test_lemma2_agrees_with_numerical_root_evaluation():
         coeffs = list(rng.integers(-9, 10, size=d))
         w = P(coeffs)
         verdict = lemma2_conclude(w, d)
-        evals = [abs(w.evaluate(np.exp(2j * np.pi * n / d))) for n in proper_divisors(d)]
+        # w at the root w**n, by numpy's own polynomial evaluation (highest degree first)
+        values = [float(c) for c in reversed(w.coefficients)]
+        evals = [abs(np.polyval(values, np.exp(2j * np.pi * n / d))) for n in proper_divisors(d)]
         if verdict.equal:
             assert max(evals) < 1e-10
         else:

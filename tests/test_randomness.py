@@ -5,11 +5,10 @@ from _helpers import random_realization
 
 import qsk.bell
 import qsk.randomness
-from qsk.bell import CorrelationTensor, Scenario, sample_statistics
+from qsk.bell import CorrelationTensor, sample_statistics
 from qsk.canonical import ideal_realization
 from qsk.randomness import (
     certified_bits,
-    expansion_ledger,
     ideal_guessing_probability,
     outcome_distribution,
 )
@@ -54,21 +53,10 @@ def test_certified_bits():
         certified_bits(1)
 
 
-def test_expansion_ledger():
-    report = expansion_ledger(2, rounds=100)
-    assert report.expansion_ratio == 1.0
-    assert report.input_bits == 100.0
-    assert report.output_bits == 100.0
-    report = expansion_ledger(16, rounds=3)
-    assert report.expansion_ratio == 4.0
-    assert report.output_bits == 12.0
-    assert abs(report.guessing_probability - 1 / 16) < 1e-12
-    with pytest.raises(ValueError):
-        expansion_ledger(4, rounds=0)
-
-
 def test_expansion_ratio_monotone_in_d():
-    ratios = [expansion_ledger(d, rounds=1).expansion_ratio for d in range(2, 20)]
+    # one input bit per round buys certified_bits(d) = log2 d output bits
+    ratios = [certified_bits(d) for d in range(2, 20)]
+    assert ratios == [float(np.log2(d)) for d in range(2, 20)]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
@@ -88,7 +76,7 @@ def test_empirical_uniformity():
 
 
 def test_signaling_gate_rejects_nan_probabilities(monkeypatch):
-    nan = CorrelationTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan))
+    nan = CorrelationTensor(np.full((2, 2, 3, 3), np.nan))
     monkeypatch.setattr(qsk.bell, "born_probabilities", lambda r: nan)
     with pytest.raises(ValueError, match="signal"):
         outcome_distribution(ideal_realization(3), "B", 1)

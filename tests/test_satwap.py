@@ -3,13 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from _helpers import random_probability_tensor, random_realization
+from _helpers import random_probability_tensor, random_realization, strategy_probabilities
 from _oracles import kron_sum
 
 from qsk.bell import (
     CorrelationTensor,
-    CorrelatorTensor,
-    Scenario,
     born_probabilities,
     correlators_from_probabilities,
     correlators_from_realization,
@@ -22,7 +20,6 @@ from qsk.satwap import (
     classical_bound,
     coefficient_a,
     evaluate,
-    evaluate_probabilities,
     probability_form,
     quantum_bound,
 )
@@ -57,9 +54,9 @@ def test_coefficient_range_errors():
 def test_functional_invariants():
     for d in (2, 3, 7):
         f = BellFunctional.satwap(d)
-        f.validate_satwap()
-        mags = [abs(f.coefficients[0, 0, k, d - k]) for k in range(1, d)]
-        assert np.abs(np.array(mags) - 1 / np.sqrt(2)).max() < 1e-12
+        a = np.array([f.coefficients[0, 0, k, d - k] for k in range(1, d)])  # a_1 .. a_(d-1)
+        assert np.abs(np.abs(a) - 1 / np.sqrt(2)).max() < 1e-12
+        assert np.abs(a[::-1] - a.conj()).max() < 1e-12  # a_(d-k) = conj(a_k)
 
 
 def test_evaluate_ideal_d3():
@@ -70,21 +67,21 @@ def test_evaluate_ideal_d3():
 def test_evaluate_best_deterministic_d2():
     f = BellFunctional.satwap(2)
     bound, strategy = local_bound_bruteforce(f)
-    c = correlators_from_probabilities(strategy.probabilities(Scenario(2)))
+    c = correlators_from_probabilities(strategy_probabilities(strategy, 2))
     assert abs(evaluate(f, c) - np.sqrt(2)) < 1e-9
     assert abs(bound - np.sqrt(2)) < 1e-9
 
 
 def test_evaluate_flat_distribution_is_zero():
     d = 5
-    flat = CorrelationTensor(Scenario(d), np.full((2, 2, d, d), 1 / d**2))
+    flat = CorrelationTensor(np.full((2, 2, d, d), 1 / d**2))
     assert abs(evaluate(BellFunctional.satwap(d), correlators_from_probabilities(flat))) < 1e-12
 
 
 def test_evaluate_rejects_imaginary_residue():
     d = 3
     c = correlators_from_realization(ideal_realization(d))
-    broken = type(c)(c.scenario, c.values + 1e-3j * np.ones_like(c.values))
+    broken = c + 1e-3j * np.ones_like(c)
     with pytest.raises(ValueError):
         evaluate(BellFunctional.satwap(d), broken)
 
@@ -150,9 +147,9 @@ def test_probability_form_agrees_on_random_tensors():
     d = 3
     f = BellFunctional.satwap(d)
     for _ in range(100):
-        p = CorrelationTensor(Scenario(d), random_probability_tensor(d, rng))
+        p = CorrelationTensor(random_probability_tensor(d, rng))
         via_corr = evaluate(f, correlators_from_probabilities(p))
-        via_prob = evaluate_probabilities(f, p)
+        via_prob = float(np.sum(probability_form(f) * p.probabilities))
         assert abs(via_corr - via_prob) < 1e-9
 
 
@@ -162,7 +159,7 @@ def test_probability_form_stays_real_at_large_d(d):
     # residue crossed the 1e-12 gate at d = 56 and at every d >= 80
     f = BellFunctional.satwap(d)
     t = probability_form(f)
-    p = CorrelationTensor(Scenario(d), random_probability_tensor(d, np.random.default_rng(d)))
+    p = CorrelationTensor(random_probability_tensor(d, np.random.default_rng(d)))
     via_corr = evaluate(f, correlators_from_probabilities(p))
     assert abs(float(np.sum(t * p.probabilities)) - via_corr) < 1e-9
 
@@ -176,8 +173,14 @@ def test_quantum_bound_is_supremum(d):
         assert value <= quantum_bound(d) + 1e-6
 
 
+def test_evaluate_rejects_correlators_of_another_d():
+    c = correlators_from_realization(ideal_realization(4))
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 4, 4\) do not match functional d=3"):
+        evaluate(BellFunctional.satwap(3), c)
+
+
 def test_evaluate_rejects_nan_correlators():
-    c = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    c = np.full((2, 2, 3, 3), np.nan, dtype=complex)
     with pytest.raises(ValueError, match="imaginary residue"):
         evaluate(BellFunctional.satwap(3), c)
 
@@ -187,9 +190,3 @@ def test_probability_form_rejects_nan_coefficients():
     with pytest.raises(ValueError, match="not real"):
         probability_form(f)
 
-
-def test_validate_satwap_rejects_nan_coefficient():
-    f = BellFunctional.satwap(3)
-    f.coefficients[0, 0, 1, 2] = np.nan
-    with pytest.raises(ValueError, match="a_1"):
-        f.validate_satwap()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import _oracles
 from _helpers import random_order_d, random_realization
 from _oracles import kron_sum
 
 import qsk.bell
 import qsk.selftest
-from qsk.bell import CorrelatorTensor, Realization, Scenario, correlators_from_realization
+from qsk.bell import Realization, correlators_from_realization
 from qsk.canonical import (
     ideal_realization,
     t_observable,
@@ -79,6 +80,19 @@ def test_extract_bob_round_trip(d, m):
         frobenius_distance(u @ b1 @ dagger(u), np.kron(z_observable(d), np.eye(m))),
         frobenius_distance(u @ b2 @ dagger(u), np.kron(t_observable(d), np.eye(m))),
     )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extracted_second_observable_satisfies_the_fij_block_equations(d, m):
+    # in the aligned eigenbasis of B1 = Z (x) I, every block F_ij of B2
+    # takes its scalar solution: all five block equations of the loop oracle
+    # (diagonal, transpose pairing, block unitarity, first row, off-diagonal)
+    g = haar_random_unitary(d * m, np.random.default_rng(100 * d + m))  # own data
+    b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
+    b2 = g @ np.kron(t_observable(d), np.eye(m)) @ dagger(g)
+    u, _ = _stage(extract_bob, b1, b2, d)
+    assert max(_oracles.fij_structure(u @ b2 @ dagger(u), d, m)) < 1e-9
 
 
 def test_extract_bob_unscrambled():
@@ -165,7 +179,7 @@ def test_extract_round_trip_with_aux(d):
     # physics unchanged by canonicalization
     canon = canonicalized_realization(r, result)
     drift = np.abs(
-        correlators_from_realization(canon).values - correlators_from_realization(r).values
+        correlators_from_realization(canon) - correlators_from_realization(r)
     ).max()
     assert drift < 1e-8
 
@@ -246,8 +260,8 @@ def test_scramble_preserves_statistics_and_value():
     d = 3
     r = ideal_realization(d)
     s = scramble(r, 2, 1, seed=4)
-    ca = correlators_from_realization(r).values
-    cb = correlators_from_realization(s).values
+    ca = correlators_from_realization(r)
+    cb = correlators_from_realization(s)
     assert np.abs(ca - cb).max() < 1e-9
     f = BellFunctional.satwap(d)
     assert abs(evaluate(f, correlators_from_realization(s)) - quantum_bound(d)) < 1e-9
@@ -304,7 +318,7 @@ def test_scramble_rejects_nonpositive_aux():
 
 
 def test_scramble_drift_gate_rejects_nan_correlators(monkeypatch):
-    nan = CorrelatorTensor(Scenario(3), np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    nan = np.full((2, 2, 3, 3), np.nan, dtype=complex)
     monkeypatch.setattr(qsk.bell, "correlators_from_realization", lambda r: nan)
     with pytest.raises(AssertionError, match="changed the correlations"):
         scramble(ideal_realization(3), 2, 1, seed=0)

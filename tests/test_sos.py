@@ -18,12 +18,10 @@ from qsk.canonical import (
 from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, omega, worst
 from qsk.satwap import BellFunctional, bell_operator
 from qsk.sos import (
-    BlockStructureReport,
     RootIdentityReport,
     TraceConditionReport,
     TraceIdentityReport,
     check_commutation_relation,
-    check_fij_structure,
     check_intermediate_identities,
     check_root_identities,
     check_trace_conditions,
@@ -251,11 +249,8 @@ def test_trace_condition_witness_names_a_nan_entry():
 def test_fij_structure_canonical_with_aux():
     d, m = 4, 3
     b2 = np.kron(t_observable(d), np.eye(m))
-    report = check_fij_structure(b2, d, m)
-    assert report.max_alignment_free < 1e-9
-    assert report.first_row < 1e-9
-    assert report.off_diagonal < 1e-9
-    assert report.aligned
+    # (diagonal, transpose_pairing, block_unitarity, first_row, off_diagonal)
+    assert max(_oracles.fij_structure(b2, d, m)) < 1e-9
 
 
 def test_fij_structure_d2_blocks_frozen():
@@ -263,9 +258,9 @@ def test_fij_structure_d2_blocks_frozen():
     blocks = extract_blocks(t2, 2, 1)
     assert abs(blocks[0, 0][0, 0]) < 1e-12          # (d-2)/d vanishes at d=2
     assert abs(blocks[0, 1][0, 0] - (-1)) < 1e-12
-    report = check_fij_structure(t2, 2, 1)
-    assert report.diagonal < 1e-12
-    assert report.block_unitarity < 1e-12
+    diagonal, _, block_unitarity, _, _ = _oracles.fij_structure(t2, 2, 1)
+    assert diagonal < 1e-12
+    assert block_unitarity < 1e-12
 
 
 def test_fij_structure_detects_intra_eigenspace_rotation():
@@ -277,15 +272,14 @@ def test_fij_structure_detects_intra_eigenspace_rotation():
     for i in range(d):
         h[i * m : (i + 1) * m, i * m : (i + 1) * m] = blocks[i]
     b2 = h @ np.kron(t_observable(d), np.eye(m)) @ dagger(h)
-    report = check_fij_structure(b2, d, m)
-    assert report.max_alignment_free < 1e-9
-    assert report.off_diagonal > 1e-3
-    assert not report.aligned
+    diagonal, pairing, unitarity, _, off_diagonal = _oracles.fij_structure(b2, d, m)
+    assert max(diagonal, pairing, unitarity) < 1e-9
+    assert off_diagonal > 1e-3
 
 
 def test_fij_structure_dimension_check():
     with pytest.raises(ValueError):
-        check_fij_structure(t_observable(4), 4, 2)
+        extract_blocks(t_observable(4), 4, 2)
 
 
 def test_sos_per_term_stabilization_written_out():
@@ -357,10 +351,6 @@ CLEAN_TRACE = TraceIdentityReport(
     d=3, ladder_first=1e-14, ladder_second=1e-14, half_phase=0.0, doubled_power=0.0, order=0.0
 )
 CLEAN_ROOT = RootIdentityReport(d=3, ratio_sum=1e-15, weighted_sum=0.0)
-CLEAN_BLOCKS = BlockStructureReport(
-    d=3, aux_dim=1, diagonal=0.0, transpose_pairing=0.0, block_unitarity=0.0,
-    first_row=0.0, off_diagonal=0.0,
-)
 AGGREGATES = [
     (
         CLEAN_TRACE,
@@ -368,7 +358,6 @@ AGGREGATES = [
         ("ladder_first", "ladder_second", "half_phase", "doubled_power", "order"),
     ),
     (CLEAN_ROOT, "max_residual", ("ratio_sum", "weighted_sum")),
-    (CLEAN_BLOCKS, "max_alignment_free", ("diagonal", "transpose_pairing", "block_unitarity")),
 ]
 
 
@@ -385,33 +374,3 @@ def test_nan_in_any_report_component_makes_its_aggregate_nan(report, aggregate, 
     assert np.isnan(value)
     assert not value <= 1e-8
 
-
-@pytest.mark.parametrize("component", ["first_row", "off_diagonal"])
-def test_nan_in_any_scalar_block_equation_is_not_aligned(component):
-    assert CLEAN_BLOCKS.aligned
-    assert not dataclasses.replace(CLEAN_BLOCKS, **{component: float("nan")}).aligned
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-@pytest.mark.parametrize("aux_dim", [1, 2, 3])
-def test_fij_structure_matches_loop_oracle(d, aux_dim):
-    aligned = np.kron(t_observable(d), np.eye(aux_dim))
-    h = haar_random_unitary(d * aux_dim, rng)
-    for b2 in (aligned, h @ aligned @ dagger(h)):
-        report = check_fij_structure(b2, d, aux_dim)
-        fast = (
-            report.diagonal,
-            report.transpose_pairing,
-            report.block_unitarity,
-            report.first_row,
-            report.off_diagonal,
-        )
-        assert np.abs(np.subtract(fast, _oracles.fij_structure(b2, d, aux_dim))).max() <= 1e-12
-
-
-def test_fij_structure_fails_closed_on_a_nan_block():
-    b2 = np.kron(t_observable(3), np.eye(2))
-    b2[5, 3] = np.nan  # inside block (2, 1): every equation that reads it turns NaN
-    report = check_fij_structure(b2, 3, 2)
-    assert np.isnan(report.max_alignment_free) and np.isnan(report.off_diagonal)
-    assert not report.aligned
