@@ -599,7 +599,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     # MemoryError: an input too large to hold; OSError: a file that cannot be read or written
     except (ValueError, MemoryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # LAPACK's failed workspace allocation raises a MemoryError with no message
+        message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -65,7 +65,8 @@ def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
     same norm (Van Loan and Pitsianis, 1993).  With the thin QR
     ``L^T = Q1 R1`` that norm is ``|R1 R|``: memory O((na^2 + nb^2) T)
     instead of O(na^2 nb^2), and nothing is squared, so no cancellation
-    floor.  A non-finite entry makes the result NaN.
+    floor.  The stacks may be real or complex; a real pair takes a real QR.
+    A non-finite entry makes the result NaN.
     """
     t = len(ls)
     r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")

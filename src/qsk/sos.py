@@ -6,7 +6,11 @@ maximal violation.  What maximal violation adds is the per-term
 stabilization of the state, checked separately.  The terms of both
 decompositions are the Bell operator's own Kronecker terms, grouped by
 one party (``satwap.bell_operator``); every residual is read off their
-stacks (L, R), and no operator on the joint space is formed.
+stacks (L, R), and no operator on the joint space is formed.  Each
+residual is the sum of a Hermitian and an anti-Hermitian part, which are
+orthogonal, so its norm is that of two sums of Kronecker products of
+Hermitian factors; x -> Re x + Im x embeds those factors isometrically as
+real matrices, so both norms are taken in real arithmetic.
 
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
@@ -22,7 +26,7 @@ import numpy as np
 
 from .bell import Realization
 from .cyclotomic import proper_divisors
-from .linalg import dagger, kron_sum_norm, roots_of_unity, unitary_powers, worst
+from .linalg import kron_sum_norm, roots_of_unity, unitary_powers, worst
 from .satwap import BellFunctional, bell_operator, quantum_bound
 
 TOL_TRACE = 1e-8
@@ -44,25 +48,69 @@ def sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
     return ls[:, 1:].reshape(-1, *ls.shape[2:]), rs[:, 1:].reshape(-1, *rs.shape[2:])
 
 
+def _embedded_parts(m: np.ndarray, swap: bool = False) -> np.ndarray:
+    """Real embeddings of the Hermitian parts of each matrix in a stack (T, n, n).
+
+    With m = a + i b, the parts are m_re = (m + m^dag)/2 and
+    m_im = (m - m^dag)/(2i); each is embedded as x -> Re x + Im x, that is
+    (a + a^T + b - b^T)/2 = (s + t^T)/2 and (b + b^T - a + a^T)/2 =
+    (s^T - t)/2 with s = a + b and t = a - b.  The result is the float64
+    stack (2T, n, n) of the m_re then the m_im, in the other order if
+    ``swap``; it is written straight from the real and imaginary views,
+    with no complex intermediate.
+    """
+    s, t = m.real + m.imag, m.real - m.imag
+    out = np.empty((2, *m.shape))
+    re, im = (out[1], out[0]) if swap else (out[0], out[1])
+    np.add(s, t.swapaxes(1, 2), out=re)
+    np.subtract(s.swapaxes(1, 2), t, out=im)
+    out *= 0.5
+    return out.reshape(-1, *m.shape[1:])
+
+
+def _embedded_gram(m: np.ndarray) -> np.ndarray:
+    """The real embedding Re + Im of each m_t^dag m_t, as a float64 stack.
+
+    With m = a + i b, m^dag m = a^T a + b^T b + i (a^T b - b^T a), so its
+    embedding is a^T (a + b) + b^T (b - a): two real products per matrix.
+    """
+    a, b = np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
+    at, bt = a.swapaxes(1, 2), b.swapaxes(1, 2)
+    return at @ (a + b) + bt @ (b - a)
+
+
 def _sos_residual(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float:
-    """Residual of the decomposition as the norm of one Kronecker sum.
+    """Residual of the decomposition as the norms of two real Kronecker sums.
 
     With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``
     holds for any L, R (no unitarity is assumed), and the T terms X sum to
-    the Bell operator, so the residual ``beta_Q I - BellOp - (1/2) sum
-    P^dag P`` is the sum of the 3T + 1 terms (1/2) X^dag, -(1/2) X,
-    -(1/2) (L^dag L) (x) (R^dag R) and (beta_Q - T/2) I (x) I;
-    ``kron_sum_norm`` takes its norm without forming any (da db x da db)
-    operator.
+    the Bell operator, so the residual M = ``beta_Q I - BellOp - (1/2) sum
+    P^dag P`` splits as M = H + K with
+
+        H = (beta_Q - T/2) I (x) I - (1/2) sum_t (L_t^dag L_t) (x) (R_t^dag R_t),
+        K = (1/2) sum_t (L_t^dag (x) R_t^dag - L_t (x) R_t).
+
+    H is Hermitian and K anti-Hermitian for every L and R, so they are
+    orthogonal in the Frobenius inner product and |M|^2 = |H|^2 + |K|^2.
+    With the Hermitian parts L = L_re + i L_im and R = R_re + i R_im,
+    |K| = |sum_t (L_re,t (x) R_im,t + L_im,t (x) R_re,t)|, so every factor
+    of both sums is Hermitian.  x -> Re x + Im x maps Hermitian matrices
+    isometrically, inner products included, onto real ones (a symmetric
+    and an antisymmetric matrix are orthogonal), and ``kron_sum_norm``
+    depends on its stacks only through their Gram matrices; so each norm
+    is ``kron_sum_norm`` of float64 stacks, 2T terms for K and T + 1 for
+    H.  No operator on the joint space is formed.  The norms combine as
+    ``sqrt(k*k + h*h)``, which keeps a NaN a NaN (``hypot(inf, nan)`` is
+    inf).
     """
     ls, rs = terms
     da, db = r.dims
+    k = kron_sum_norm(_embedded_parts(ls), _embedded_parts(rs, swap=True))
     scale = quantum_bound(r.d) - 0.5 * len(ls)
-    left = np.concatenate(
-        [0.5 * dagger(ls), -0.5 * ls, -0.5 * (dagger(ls) @ ls), scale * np.eye(da)[None]]
-    )
-    right = np.concatenate([dagger(rs), rs, dagger(rs) @ rs, np.eye(db)[None]])
-    return kron_sum_norm(left, right)
+    left = np.concatenate([-0.5 * _embedded_gram(ls), scale * np.eye(da)[None]])
+    right = np.concatenate([_embedded_gram(rs), np.eye(db)[None]])
+    h = kron_sum_norm(left, right)
+    return float(np.sqrt(k * k + h * h))
 
 
 def sos_residual_bob(r: Realization, terms=None) -> float:

@@ -27,6 +27,7 @@ from qsk.linalg import (
     assert_unitary,
     dagger,
     eig_unitary,
+    kron_sum_norm,
     omega,
     roots_of_unity,
     unitary_powers,
@@ -155,6 +156,41 @@ def sos_residual(r: Realization, side: str) -> float:
         p = np.eye(n) - term
         acc -= 0.5 * (dagger(p) @ p)
     return float(np.linalg.norm(acc))
+
+
+def sos_operator(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """beta_Q I - sum_t X_t - (1/2) sum_t P_t^dag P_t, formed densely from stacks (L, R).
+
+    X_t = L_t (x) R_t and P_t = I - X_t, so the Bell operator is the one
+    the stacks sum to, whatever coefficient table they were grouped from.
+    """
+    ls, rs = terms
+    n = r.dims[0] * r.dims[1]
+    acc = quantum_bound(r.d) * np.eye(n, dtype=complex)
+    for lt, rt in zip(ls, rs):
+        x = np.kron(lt, rt)
+        p = np.eye(n) - x
+        acc -= x + 0.5 * (dagger(p) @ p)
+    return acc
+
+
+def sos_residual_one_complex_sum(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float:
+    """The residual from (L, R) = ``sos.sos_terms`` as one complex Kronecker sum.
+
+    With X = L (x) R, ``P^dag P = I - X - X^dag + (L^dag L) (x) (R^dag R)``,
+    so the residual is the sum of the 3T + 1 terms (1/2) X^dag, -(1/2) X,
+    -(1/2) (L^dag L) (x) (R^dag R) and (beta_Q - T/2) I (x) I, whose norm
+    is one ``kron_sum_norm`` call on complex stacks: one complex thin QR of
+    shape (da^2, 3T + 1).
+    """
+    ls, rs = terms
+    da, db = r.dims
+    scale = quantum_bound(r.d) - 0.5 * len(ls)
+    left = np.concatenate(
+        [0.5 * dagger(ls), -0.5 * ls, -0.5 * (dagger(ls) @ ls), scale * np.eye(da)[None]]
+    )
+    right = np.concatenate([dagger(rs), rs, dagger(rs) @ rs, np.eye(db)[None]])
+    return kron_sum_norm(left, right)
 
 
 def stabilizer_residuals(r: Realization, side: str) -> dict[tuple[int, int], float]:

@@ -513,6 +513,19 @@ def test_verify_sos_builds_each_grouping_once(monkeypatch):
     assert calls == ["bob", "alice", "bob", "alice"]
 
 
+def test_a_bare_memory_error_says_memory_ran_out(monkeypatch, capsys):
+    # LAPACK's failed workspace allocation (init_geqrf) raises MemoryError()
+    # with no message; the error line must still say what went wrong
+    def out_of_memory(ls, rs):
+        raise MemoryError()
+
+    monkeypatch.setattr(qsk.sos, "kron_sum_norm", out_of_memory)
+    assert main(["verify", "--d", "3", "--sos"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: out of memory"]
+    assert captured.out == ""
+
+
 def test_help_returns_exit_code_0(capsys):
     # argparse exits after printing the help; main returns that code instead
     assert main(["--help"]) == EXIT_OK

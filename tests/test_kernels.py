@@ -288,8 +288,10 @@ def test_operator_kernels_form_no_kronecker_product(monkeypatch):
 @pytest.mark.parametrize("d,aux", [(3, (2, 3)), (5, (1, 2))])
 @pytest.mark.parametrize("residual", [sos_residual_bob, sos_residual_alice])
 def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux, residual):
-    # 6(d - 1) + 1 terms (X^dag, X, X^dag X per square, and the identity),
-    # the squares read off one grouping of the Bell operator, and every
+    # 6(d - 1) + 1 terms split into two real sums: the anti-Hermitian part
+    # (L_re (x) R_im and L_im (x) R_re, two terms per square) and the
+    # Hermitian part (L^dag L (x) R^dag R per square, and the identity); the
+    # squares are read off one grouping of the Bell operator, and every
     # factor acts on one party only, so no (da db x da db) operator is passed
     r = _realization(d, aux, seed=90 + d)
     da, db = r.dims
@@ -298,11 +300,35 @@ def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux
     original = qsk.sos.kron_sum_norm
 
     def recorded(ls, rs):
-        stacks.append((ls.shape, rs.shape))
+        stacks.append((ls.dtype, ls.shape, rs.dtype, rs.shape))
         return original(ls, rs)
 
     monkeypatch.setattr(qsk.sos, "kron_sum_norm", recorded)
     residual(r)
-    terms = 6 * (d - 1) + 1
-    assert stacks == [((terms, da, da), (terms, db, db))]
+    f8 = np.dtype(np.float64)
+    assert stacks == [
+        (f8, (4 * (d - 1), da, da), f8, (4 * (d - 1), db, db)),
+        (f8, (2 * (d - 1) + 1, da, da), f8, (2 * (d - 1) + 1, db, db)),
+    ]
     assert len(bell_calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("aux", [(1, 1), (2, 3)])
+def test_sos_residuals_match_the_one_complex_sum_oracle(d, aux):
+    # the two real sums against the single complex Kronecker sum they
+    # replace and against the dense residual: at rounding level for
+    # order-d observables, to 1e-12 relative where the identity fails
+    order_d = _realization(d, aux, seed=70 * d + aux[0])
+    arbitrary = _generic(d, aux, seed=71 * d + aux[0])
+    for r, generic in ((order_d, False), (arbitrary, True)):
+        for fast, side in ((sos_residual_bob, "bob"), (sos_residual_alice, "alice")):
+            terms = qsk.sos.sos_terms(r, side)
+            got = fast(r, terms)
+            for expected in (
+                _oracles.sos_residual_one_complex_sum(r, terms),
+                _oracles.sos_residual(r, side),
+            ):
+                bound = 1e-12 * expected if generic else 1e-12
+                assert abs(got - expected) <= bound
+            assert (got > 0.1) == generic

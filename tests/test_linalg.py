@@ -234,6 +234,28 @@ def test_kron_sum_norm_of_cancelling_terms_is_zero():
     assert kron_sum_norm(np.stack([a, -a]), np.stack([b, b])) <= 1e-15
 
 
+def test_real_embedding_of_hermitian_stacks_keeps_kron_sum_norm():
+    # x -> Re x + Im x: for Hermitian x the real part is symmetric and the
+    # imaginary part antisymmetric, so the embedding keeps the inner
+    # product tr(xy), and with it the norm of a sum of Kronecker products
+    g = np.random.default_rng(303)
+
+    def hermitian(t, n):
+        z = g.standard_normal((t, n, n)) + 1j * g.standard_normal((t, n, n))
+        return (z + dagger(z)) / 2
+
+    def embed(m):
+        return m.real + m.imag
+
+    x, y = hermitian(2, 5)
+    assert abs(np.sum(embed(x) * embed(y)) - np.trace(x @ y)) <= 1e-13
+    for t, na, nb in ((1, 2, 3), (4, 3, 2), (7, 4, 4)):
+        ls, rs = hermitian(t, na), hermitian(t, nb)
+        expected = kron_sum_norm(ls, rs)
+        got = kron_sum_norm(embed(ls), embed(rs))
+        assert abs(got - expected) <= 1e-13 * expected
+
+
 # Every gate reads ``not (x <= tol)``: a NaN residual must fail, not pass.
 
 

@@ -28,6 +28,7 @@ from qsk.sos import (
     extract_blocks,
     sos_residual_alice,
     sos_residual_bob,
+    sos_terms,
     stabilizer_residuals,
 )
 
@@ -305,6 +306,47 @@ def test_random_quadruples_share_no_special_structure():
     )
     assert sos_residual_bob(r) < 1e-8
     assert sos_residual_alice(r) < 1e-8
+
+
+def _phase_error_on_one_coefficient(monkeypatch):
+    # c[0, 1, 3, 5] of the d = 8 SATWAP table times exp(1e-3 i): the table
+    # is no longer Hermitian, and neither is the Bell operator the squares
+    # sum to
+    satwap = BellFunctional.satwap.__func__
+
+    def mutant(cls, d):
+        f = satwap(cls, d)
+        c = f.coefficients.copy()
+        c[0, 1, 3, 5] *= np.exp(1e-3j)
+        return dataclasses.replace(f, coefficients=c)
+
+    monkeypatch.setattr(BellFunctional, "satwap", classmethod(mutant))
+    return ideal_realization(8)
+
+
+def _a1_scaled(monkeypatch):
+    # A1 times 1 + 1e-3: no longer unitary
+    r = ideal_realization(8)
+    a1, a2 = r.observables_a
+    return dataclasses.replace(r, observables_a=((1 + 1e-3) * a1, a2))
+
+
+@pytest.mark.parametrize("mutant", [_phase_error_on_one_coefficient, _a1_scaled])
+@pytest.mark.parametrize("side", ["bob", "alice"])
+def test_sos_residual_keeps_both_halves_on_a_mutant(monkeypatch, mutant, side):
+    # negative controls: each mutant moves both the Hermitian and the
+    # anti-Hermitian half of the residual far above rounding, so a residual
+    # that dropped either half would not match the dense operator's norm
+    r = mutant(monkeypatch)
+    terms = sos_terms(r, side)
+    m = _oracles.sos_operator(r, terms)
+    hermitian = np.linalg.norm(m + dagger(m)) / 2
+    anti = np.linalg.norm(m - dagger(m)) / 2
+    assert hermitian > 1e-3 and anti > 1e-3
+    expected = np.linalg.norm(m)
+    residual = (sos_residual_bob if side == "bob" else sos_residual_alice)(r, terms)
+    assert residual > 1e-8
+    assert abs(residual - expected) <= 1e-12 * expected
 
 
 def test_sos_residual_memory_stays_below_one_dense_operator():
