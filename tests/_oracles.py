@@ -174,6 +174,13 @@ def sos_operator(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> np.nda
     return acc
 
 
+def kron_sum_norm_one_product(ls: np.ndarray, rs: np.ndarray) -> float:
+    """``kron_sum_norm`` with the whole (T, nb^2) product ``R1 R`` formed at once."""
+    t = len(ls)
+    r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
+    return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
+
+
 def sos_residual_one_complex_sum(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float:
     """The residual from (L, R) = ``sos.sos_terms`` as one complex Kronecker sum.
 

@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qsk
 import qsk.canonical
 import qsk.satwap
 import qsk.selftest
 import qsk.sos
-from qsk.bell import correlators_from_realization
+from qsk.bell import correlators_from_realization, sample_statistics
 from qsk.canonical import ideal_realization
 from qsk.cli import (
     EXIT_CHECK_FAILED,
@@ -413,6 +416,64 @@ def test_canonical_dumps_refuses_non_finite_floats():
         canonical_dumps({"residual": float("nan")})
     with pytest.raises(ValueError):
         canonical_dumps({"tolerance": float("inf")})
+
+
+# doubles where float.__repr__ changes form: signed zeros, subnormals, the
+# smallest normal, integral values, and the switches to exponent form at
+# 1e16 and below 1e-04
+REPR_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -2.0, 3.0,
+    1e15, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1e22, 1e300,
+    1e-4, 9.999999999999999e-05, 1.0000000000000001e-04, 1e-05, 1.5e-05, 1 / 3, 0.1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=4, max_side=5),
+        elements=st.one_of(
+            st.sampled_from(REPR_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+        ),
+    )
+)
+def test_array_values_are_written_as_the_stdlib_writes_their_lists(a):
+    expected = json.dumps(a.tolist(), separators=(",", ":")) + "\n"
+    assert canonical_dumps(a) == expected
+    assert canonical_dumps(a.T) == json.dumps(a.T.tolist(), separators=(",", ":")) + "\n"
+    nested = {"z": [1, {"b": a, "a": -0.0}], "a": (a, "s"), "m": None}
+    listed = {"z": [1, {"b": a.tolist(), "a": -0.0}], "a": (a.tolist(), "s"), "m": None}
+    assert canonical_dumps(nested) == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_canonical_dumps_refuses_non_finite_array_values(bad):
+    a = np.full((2, 3), 0.25)
+    a[1, 2] = bad
+    with pytest.raises(ValueError):
+        canonical_dumps({"frequencies": a})
+
+
+def test_canonical_dumps_writes_only_float64_arrays():
+    # as json.dumps refuses any ndarray: no integer, complex or 0-d array is written
+    for a in (np.arange(3), np.zeros(2, dtype=complex), np.array(0.5)):
+        with pytest.raises(TypeError):
+            canonical_dumps({"a": a})
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_json_is_the_stdlib_encoding_of_its_listed_payload(d, tmp_path, capsys):
+    path = tmp_path / "sim.json"
+    argv = ["simulate", "--d", str(d), "--shots", "100000", "--seed", "5", "--format", "json"]
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    tensor = sample_statistics(ideal_realization(d), 100000, 5)
+    payload["setting_counts"] = tensor.setting_counts.tolist()
+    payload["frequencies"] = tensor.probabilities.tolist()
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_text() == text
 
 
 @pytest.mark.parametrize("group,builds", [("--all", [4]), ("--cyclotomic", [])])

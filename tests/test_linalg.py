@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from _helpers import projector
-from _oracles import eig_unitary_looped_polish, eig_unitary_svd, unitary_power
+from _oracles import (
+    eig_unitary_looped_polish,
+    eig_unitary_svd,
+    kron_sum_norm_one_product,
+    unitary_power,
+)
 
 import qsk.linalg
 from qsk.linalg import (
@@ -232,6 +237,23 @@ def test_kron_sum_norm_of_cancelling_terms_is_zero():
     a = haar_random_unitary(2, g)
     b = haar_random_unitary(3, g)
     assert kron_sum_norm(np.stack([a, -a]), np.stack([b, b])) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 64])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocked_kron_sum_norm_matches_the_one_shot_product(d, dtype):
+    # stacks shaped like an SOS residual's: 4d terms of (d, d) factors;
+    # d = 64 has d^2 = 4096 columns, four blocks
+    g = np.random.default_rng(d)
+    shape = (4 * d, d, d)
+    ls, rs = (g.standard_normal(shape).astype(dtype) for _ in range(2))
+    if dtype is complex:
+        ls.imag, rs.imag = g.standard_normal(shape), g.standard_normal(shape)
+    expected = kron_sum_norm_one_product(ls, rs)
+    got = kron_sum_norm(ls, rs)
+    assert abs(got - expected) <= 1e-14 * expected
+    if d * d <= qsk.linalg._KRON_BLOCK_COLUMNS:
+        assert got == expected  # one block: bitwise the one-shot norm
 
 
 def test_real_embedding_of_hermitian_stacks_keeps_kron_sum_norm():
