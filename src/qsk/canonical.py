@@ -78,24 +78,6 @@ def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
     return v / np.sqrt(d)
 
 
-def _cglmp_bases(d: int) -> tuple[np.ndarray, ...]:
-    """The eigenbases of (A1', A2', B1', B2')."""
-    return tuple(cglmp_eigenbasis(d, p, s) for p, s in (("A", 1), ("A", 2), ("B", 1), ("B", 2)))
-
-
-def cglmp_observables(
-    d: int, bases: tuple[np.ndarray, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four CGLMP observables (A1', A2', B1', B2'), each V diag(w**r) V^dag.
-
-    ``bases`` are their eigenbases when the caller has already built them.
-    """
-    bases = _cglmp_bases(d) if bases is None else bases
-    roots = roots_of_unity(d, np.arange(d))
-    a1, a2, b1, b2 = ((v * roots) @ dagger(v) for v in bases)
-    return a1, a2, b1, b2
-
-
 def structural_unitaries(d: int) -> tuple[np.ndarray, ...]:
     """The building blocks (F, Y, S, M1, M2) of the basis-change unitaries.
 
@@ -168,11 +150,14 @@ def ideal_realization(d: int) -> Realization:
 def cglmp_realization(d: int) -> Realization:
     """|phi_d+> measured with the CGLMP observables; also a maximal violator.
 
-    The observables are built from their Fourier eigenbases, which the
-    realization carries so that its Born rule reads them directly.
+    The observables (A1', A2', B1', B2') are each V diag(w**r) V^dag over
+    their Fourier eigenbases V, which the realization carries so that its
+    Born rule reads them directly.
     """
-    bases = _cglmp_bases(d)
-    a1, a2, b1, b2 = cglmp_observables(d, bases)
+    settings = (("A", 1), ("A", 2), ("B", 1), ("B", 2))
+    bases = tuple(cglmp_eigenbasis(d, party, x) for party, x in settings)
+    roots = roots_of_unity(d, np.arange(d))
+    a1, a2, b1, b2 = ((v * roots) @ dagger(v) for v in bases)
     return Realization(
         d=d,
         dims=(d, d),

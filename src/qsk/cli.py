@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,34 +195,24 @@ class CheckResult:
 class VerificationReport:
     d: int
     seed: int
-    checks: list[CheckResult]
-    bell_value: float | None = None
-    classical_bound: float | None = None
-    quantum_bound: float | None = None
-    extraction: dict | None = None
-    randomness: dict | None = None
+    checks: list[CheckResult] = field(default_factory=list)
+    # top-level JSON fields the check groups write, e.g. bell_value, extraction
+    summary: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "tool": "qsk",
             "version": __version__,
             "d": self.d,
             "seed": self.seed,
             "checks": [c.to_json() for c in self.checks],
             "pass": self.passed,
+            **self.summary,
         }
-        for key in ("bell_value", "classical_bound", "quantum_bound"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        if self.extraction is not None:
-            out["extraction"] = self.extraction
-        if self.randomness is not None:
-            out["randomness"] = self.randomness
-        return out
 
     def print_table(self, stream=None) -> None:
         stream = stream if stream is not None else sys.stdout
@@ -236,22 +226,58 @@ class VerificationReport:
         print(f"overall: {'pass' if self.passed else 'FAIL'}", file=stream)
 
 
-def _bounds_checks(
-    ideal: bell.Realization, checks: list[CheckResult]
-) -> tuple[float, float, float]:
-    d = ideal.d
-    beta_c = satwap.classical_bound(d)
+def _bell_value(report: VerificationReport, r: bell.Realization, name: str, tol: float) -> None:
+    """Check that ``r`` attains the quantum bound; record its value and both bounds."""
+    d = r.d
+    value = satwap.evaluate(satwap.BellFunctional.satwap(d), r.correlators)
     beta_q = satwap.quantum_bound(d)
-    value = satwap.evaluate(satwap.BellFunctional.satwap(d), ideal.correlators)
-    checks.append(CheckResult("quantum-bound-attained", abs(value - beta_q), 1e-9))
-    if d <= bell.BRUTE_FORCE_CAP:
-        brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
-        checks.append(CheckResult("classical-bound-brute-force", abs(brute - beta_c), 1e-9))
-    return value, beta_c, beta_q
+    report.checks.append(CheckResult(name, abs(value - beta_q), tol))
+    report.summary.update(
+        bell_value=value, classical_bound=satwap.classical_bound(d), quantum_bound=beta_q
+    )
 
 
-def _sos_checks(ideal: bell.Realization, seed: int, checks: list[CheckResult]) -> None:
-    d = ideal.d
+def _extraction(
+    report: VerificationReport, r: bell.Realization, ideal: bell.Realization | None
+) -> None:
+    """Extract the canonical form from ``r``, compared against ``ideal`` (built when None)."""
+    checks = report.checks
+    try:
+        result = selftest.extract(r, ideal)
+    except selftest.ExtractionError as exc:
+        # sentinel failing check; the diagnostic itself rides in the summary
+        checks.append(CheckResult(f"extraction-stage-{exc.stage}", 1.0, 0.0))
+        report.summary["extraction"] = {"error": str(exc)}
+        return
+    checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7))
+    worst_obs = worst(
+        *(result.residuals[f"{party}_observable_{i}"] for party in ("bob", "alice") for i in (1, 2))
+    )
+    checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
+    canon = selftest.canonicalized_realization(r, result)
+    drift = np.abs(canon.correlators - r.correlators).max()
+    checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
+    report.summary["extraction"] = {
+        "fidelity": result.fidelity,
+        "aux_dims": list(result.aux_dims),
+        "residuals": result.residuals,
+    }
+
+
+# Each check group appends its checks to the report and writes its own
+# summary fields; ``ideal`` is the canonical realization for the report's d.
+
+
+def _bounds_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    _bell_value(report, ideal, "quantum-bound-attained", 1e-9)
+    if ideal.d <= bell.BRUTE_FORCE_CAP:
+        brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(ideal.d))
+        residual = abs(brute - satwap.classical_bound(ideal.d))
+        report.checks.append(CheckResult("classical-bound-brute-force", residual, 1e-9))
+
+
+def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    d, checks = ideal.d, report.checks
     stab = []
     # one grouping per side, shared by its residual and its stabilizers and
     # dropped before the other side's is built
@@ -261,7 +287,7 @@ def _sos_checks(ideal: bell.Realization, seed: int, checks: list[CheckResult]) -
         stab.extend(sos.stabilizer_residuals(ideal, side, terms).values())
         del terms
     checks.append(CheckResult("sos-stabilizers-canonical", worst(*stab), 1e-9))
-    rng = np.random.default_rng(np.random.Philox(seed))
+    rng = np.random.default_rng(np.random.Philox(report.seed))
     z = ideal.observables_b[0]
     random_obs = []
     for _ in range(4):
@@ -278,8 +304,8 @@ def _sos_checks(ideal: bell.Realization, seed: int, checks: list[CheckResult]) -
     checks.append(CheckResult("sos-operator-identity-random", residual, 1e-8))
 
 
-def _trace_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
-    d = ideal.d
+def _traces_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    d, checks = ideal.d, report.checks
     z, t = ideal.observables_b
     traces = worst(*(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries))
     checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
@@ -289,8 +315,8 @@ def _trace_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
     checks.append(CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8))
 
 
-def _cglmp_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
-    d = ideal.d
+def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    d, checks = ideal.d, report.checks
     z, t = ideal.observables_b
     w1, w2 = canonical.w1_w2(d)
     cglmp = canonical.cglmp_realization(d)
@@ -313,38 +339,12 @@ def _cglmp_checks(ideal: bell.Realization, checks: list[CheckResult]) -> None:
     checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8))
 
 
-def _extract_checks(
-    r: bell.Realization,
-    checks: list[CheckResult],
-    ideal: bell.Realization | None = None,
-) -> dict | None:
-    try:
-        result = selftest.extract(r, ideal)
-    except selftest.ExtractionError as exc:
-        # sentinel failing check; the diagnostic itself rides in the summary
-        checks.append(CheckResult(f"extraction-stage-{exc.stage}", 1.0, 0.0))
-        return {"error": str(exc)}
-    checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7))
-    worst_obs = worst(
-        *(
-            result.residuals[f"{party}_observable_{i}"]
-            for party in ("bob", "alice")
-            for i in (1, 2)
-        )
-    )
-    checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
-    canon = selftest.canonicalized_realization(r, result)
-    drift = np.abs(canon.correlators - r.correlators).max()
-    checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
-    return {
-        "fidelity": result.fidelity,
-        "aux_dims": list(result.aux_dims),
-        "residuals": result.residuals,
-    }
+def _extract_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    _extraction(report, selftest.scramble(ideal, 2, 2, report.seed), ideal)
 
 
-def _randomness_checks(ideal: bell.Realization, checks: list[CheckResult]) -> dict:
-    d = ideal.d
+def _randomness_group(report: VerificationReport, ideal: bell.Realization) -> None:
+    d, checks = ideal.d, report.checks
     dist = randomness.outcome_distribution(ideal, "B", 1)
     checks.append(CheckResult("uniform-outcomes", float(np.abs(dist - 1.0 / d).max()), 1e-9))
     guess = randomness.ideal_guessing_probability(ideal, "B", 1)
@@ -352,14 +352,15 @@ def _randomness_checks(ideal: bell.Realization, checks: list[CheckResult]) -> di
     # one input bit per round chooses the setting, so the expansion ratio
     # is the certified bits per round
     bits = randomness.certified_bits(d)
-    return {
+    report.summary["randomness"] = {
         "guessing_probability": guess,
         "certified_bits": bits,
         "expansion_ratio": bits,
     }
 
 
-def _cyclotomic_checks(d: int, checks: list[CheckResult]) -> None:
+def _cyclotomic_group(report: VerificationReport, ideal: bell.Realization | None) -> None:
+    d, checks = report.d, report.checks
     ok = cyclotomic.check_product_identity(d)
     checks.append(CheckResult("cyclotomic-product-identity", 0.0 if ok else 1.0, 0.5))
     equal = cyclotomic.lemma2_conclude(cyclotomic.all_ones_poly(d).scale(3), d)
@@ -378,7 +379,18 @@ def _cyclotomic_checks(d: int, checks: list[CheckResult]) -> None:
     )
 
 
-ALL_SELECTORS = ("bounds", "sos", "traces", "cglmp", "extract", "randomness", "cyclotomic")
+# selector -> check group, in report order
+CHECK_GROUPS = {
+    "bounds": _bounds_group,
+    "sos": _sos_group,
+    "traces": _traces_group,
+    "cglmp": _cglmp_group,
+    "extract": _extract_group,
+    "randomness": _randomness_group,
+    "cyclotomic": _cyclotomic_group,
+}
+ALL_SELECTORS = tuple(CHECK_GROUPS)
+FILE_SELECTORS = ("bounds", "extract")  # the others read only the canonical realization
 
 
 def build_verification_report(
@@ -387,44 +399,25 @@ def build_verification_report(
     seed: int = 0,
     realization: bell.Realization | None = None,
 ) -> VerificationReport:
-    """Run the selected module check groups and collect a report.
+    """Run the selected check groups and collect a report.
 
-    With an explicit ``realization``, the bounds/extract groups run against
-    it; otherwise the canonical realization for ``d`` is used throughout,
-    built once and only if a selected group reads it (all but cyclotomic).
+    With an explicit ``realization``, the report gates its Bell value at
+    ``maximal-violation`` and, when ``extract`` is selected, extracts its
+    canonical form; no other group applies to it.  Otherwise the selected
+    groups run in :data:`CHECK_GROUPS` order on the canonical realization
+    for ``d``, built once and only if a selected group reads it (all but
+    cyclotomic).
     """
-    checks: list[CheckResult] = []
-    report = VerificationReport(d=d, seed=seed, checks=checks)
+    report = VerificationReport(d=d, seed=seed)
     if realization is not None:
-        value = satwap.evaluate(satwap.BellFunctional.satwap(d), realization.correlators)
-        report.bell_value = value
-        report.classical_bound = satwap.classical_bound(d)
-        report.quantum_bound = satwap.quantum_bound(d)
-        gap = abs(value - report.quantum_bound)
-        checks.append(CheckResult("maximal-violation", gap, selftest.tol_violation(d)))
+        _bell_value(report, realization, "maximal-violation", selftest.tol_violation(d))
         if "extract" in selectors:
-            report.extraction = _extract_checks(realization, checks)
+            _extraction(report, realization, None)
         return report
-
     ideal = canonical.ideal_realization(d) if set(selectors) - {"cyclotomic"} else None
-    if "bounds" in selectors:
-        value, beta_c, beta_q = _bounds_checks(ideal, checks)
-        report.bell_value = value
-        report.classical_bound = beta_c
-        report.quantum_bound = beta_q
-    if "sos" in selectors:
-        _sos_checks(ideal, seed, checks)
-    if "traces" in selectors:
-        _trace_checks(ideal, checks)
-    if "cglmp" in selectors:
-        _cglmp_checks(ideal, checks)
-    if "extract" in selectors:
-        scrambled = selftest.scramble(ideal, 2, 2, seed)
-        report.extraction = _extract_checks(scrambled, checks, ideal)
-    if "randomness" in selectors:
-        report.randomness = _randomness_checks(ideal, checks)
-    if "cyclotomic" in selectors:
-        _cyclotomic_checks(d, checks)
+    for selector, group in CHECK_GROUPS.items():
+        if selector in selectors:
+            group(report, ideal)
     return report
 
 
@@ -463,17 +456,21 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    selectors = tuple(s for s in ALL_SELECTORS if getattr(args, s.replace("-", "_")))
-    if args.all or not selectors:
-        selectors = ALL_SELECTORS
-    realization = None
-    d = args.d
+    selectors = tuple(s for s in ALL_SELECTORS if getattr(args, s))
+    realization, d = None, args.d
     if args.file:
+        canonical_only = [f"--{s}" for s in selectors if s not in FILE_SELECTORS]
+        if canonical_only:
+            raise ValueError(
+                f"{', '.join(canonical_only)} cannot be used with --file: only "
+                f"{' and '.join(f'--{s}' for s in FILE_SELECTORS)} read a realization file"
+            )
         realization = load_realization(args.file)
         d = realization.d
+    if args.all or not selectors:
+        selectors = ALL_SELECTORS
     if d is None:
-        print("error: provide --d or --file", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise ValueError("provide --d or --file")
     report = build_verification_report(d, selectors, seed=args.seed, realization=realization)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report.to_json()))

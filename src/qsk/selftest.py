@@ -87,16 +87,6 @@ def check_multiplicities(decomp: EigenDecomposition) -> int:
     return m
 
 
-def align_first_observable(decomp: EigenDecomposition) -> np.ndarray:
-    """Unitary V with V B1 V^dag = Z (x) I, eigenspaces ordered by w**j.
-
-    The intra-eigenspace bases are arbitrary at this stage; the second
-    observable's block alignment fixes them.
-    """
-    check_multiplicities(decomp)
-    return dagger(decomp.vectors)
-
-
 def extract_bob(
     b1: np.ndarray,
     b2: np.ndarray,
@@ -115,8 +105,10 @@ def extract_bob(
     with the two conjugation residuals it verified.
     """
     d = dec1.d
-    v = align_first_observable(dec1)
-    m = dec1.multiplicities[0]
+    m = check_multiplicities(dec1)
+    # V B1 V^dag = Z (x) I with eigenspaces ordered by w**j; the bases within
+    # them are arbitrary until the second observable's block alignment
+    v = dagger(dec1.vectors)
     m_b2 = check_multiplicities(dec2)
     if m != m_b2:
         raise ExtractionError(
@@ -292,8 +284,9 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
     """Hide a realization inside the equivalence class the statistics fix.
 
     Tensors a random auxiliary state onto the parties, conjugates by
-    Haar-random local unitaries, and asserts that the correlators are
-    unchanged; extraction must see through exactly this freedom.
+    Haar-random local unitaries, and checks that the correlators are
+    unchanged (``ValueError`` if not); extraction must see through exactly
+    this freedom.
     """
     if aux_a < 1 or aux_b < 1:
         raise ValueError(f"aux dimensions must be positive, got {aux_a}x{aux_b}")
@@ -320,5 +313,5 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
     )
     drift = np.abs(scrambled.correlators - r.correlators).max()
     if not drift <= 1e-9:
-        raise AssertionError(f"scrambling changed the correlations by {drift:.3e}")
+        raise ValueError(f"scrambling changed the correlations by {drift:.3e}")
     return scrambled

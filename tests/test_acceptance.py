@@ -19,7 +19,6 @@ from qsk.bell import (
 )
 from qsk.canonical import (
     cglmp_eigenbasis,
-    cglmp_observables,
     cglmp_realization,
     ideal_realization,
     t_eigenbasis,
@@ -137,7 +136,8 @@ def test_criterion_5_cglmp_equivalence():
     for d in range(2, 13):
         z, t = z_observable(d), t_observable(d)
         w1, w2 = w1_w2(d)
-        a1p, a2p, b1p, b2p = cglmp_observables(d)
+        cglmp = cglmp_realization(d)
+        (a1p, a2p), (b1p, b2p) = cglmp.observables_a, cglmp.observables_b
         worst_conj = max(
             worst_conj,
             np.linalg.norm(a1p - w1 @ z @ dagger(w1)),

@@ -6,7 +6,6 @@ import qsk
 from qsk.bell import born_probabilities, correlators_from_realization
 from qsk.canonical import (
     cglmp_eigenbasis,
-    cglmp_observables,
     cglmp_realization,
     ideal_realization,
     maximally_entangled,
@@ -100,7 +99,8 @@ def test_cglmp_attains_quantum_bound(d):
 
 def test_cglmp_observables_order_d():
     d = 6
-    for o in cglmp_observables(d):
+    cglmp = cglmp_realization(d)
+    for o in (*cglmp.observables_a, *cglmp.observables_b):
         assert eig_unitary(o, d).multiplicities == (1,) * d
 
 
@@ -130,7 +130,8 @@ def test_structural_unitaries():
 def test_w1_w2_conjugations(d):
     z, t = z_observable(d), t_observable(d)
     w1, w2 = w1_w2(d)
-    a1p, a2p, b1p, b2p = cglmp_observables(d)
+    cglmp = cglmp_realization(d)
+    (a1p, a2p), (b1p, b2p) = cglmp.observables_a, cglmp.observables_b
     assert frobenius_distance(a1p, w1 @ z @ dagger(w1)) < 1e-8
     assert frobenius_distance(a2p, w1 @ t @ dagger(w1)) < 1e-8
     assert frobenius_distance(b1p, w2 @ z @ dagger(w2)) < 1e-8
@@ -228,18 +229,20 @@ def test_every_produced_unitary_is_tightly_unitary(d):
     produced += list(w1_w2(d))
     produced += list(structural_unitaries(d))
     produced += list(ideal_realization(d).observables_a)
-    produced += list(cglmp_observables(d))
+    cglmp = cglmp_realization(d)
+    produced += [*cglmp.observables_a, *cglmp.observables_b]
     for u in produced:
         assert frobenius_distance(dagger(u) @ u, np.eye(d)) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [*range(2, 17), 64])
 def test_closed_forms_match_their_loop_oracles(d):
+    cglmp = cglmp_realization(d)
     pairs = [
         (z_observable(d), _oracles.z_observable(d)),
         (t_observable(d), _oracles.t_observable(d)),
         (w_alice(d), _oracles.w_alice(d)),
-        *zip(cglmp_observables(d), _oracles.cglmp_observables(d)),
+        *zip((*cglmp.observables_a, *cglmp.observables_b), _oracles.cglmp_observables(d)),
         *zip(structural_unitaries(d), _oracles.structural_unitaries(d)),
         *zip(w1_w2(d), _oracles.w1_w2(d)),
     ]

@@ -20,6 +20,7 @@ import qsk.sos
 from qsk.bell import correlators_from_realization, sample_statistics
 from qsk.canonical import ideal_realization
 from qsk.cli import (
+    ALL_SELECTORS,
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -490,7 +491,7 @@ def test_verify_builds_the_canonical_realization_at_most_once(group, builds, mon
 
 
 CERTIFY_ARGV = ["--bounds", "--sos", "--traces", "--cglmp", "--randomness", "--cyclotomic"]
-BUILDERS = ("z_observable", "t_observable", "w1_w2", "cglmp_observables")
+BUILDERS = ("z_observable", "t_observable", "w1_w2", "cglmp_realization")
 
 
 @pytest.mark.parametrize(
@@ -672,3 +673,56 @@ def test_a_nan_extraction_residual_fails_extraction_observables(key, monkeypatch
     report = build_verification_report(3, ("extract",))
     (result,) = [c for c in report.checks if c.name == "extraction-observables"]
     assert np.isnan(result.residual) and not result.passed
+
+
+@pytest.mark.parametrize("group", ["sos", "traces", "cglmp", "randomness", "cyclotomic"])
+def test_verify_file_refuses_a_group_of_the_canonical_realization(group, tmp_path, capsys):
+    # these groups never read the file, so a report of the file alone would
+    # pass without running what was asked for
+    path = _scrambled_d4(tmp_path)
+    capsys.readouterr()
+    for argv in ([f"--{group}"], ["--all", f"--{group}"]):
+        assert main(["verify", "--file", str(path), *argv, "--format", "json"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --{group} cannot be used with --file: "
+            "only --bounds and --extract read a realization file"
+        ]
+        assert captured.out == ""
+
+
+def test_verify_file_keeps_the_meaning_of_all_and_of_no_selector(tmp_path, capsys):
+    path = _scrambled_d4(tmp_path)
+    outputs = []
+    for argv in (["--extract"], ["--all"], []):
+        capsys.readouterr()
+        assert main(["verify", "--file", str(path), *argv, "--format", "json"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    names = [c["name"] for c in json.loads(outputs[0])["checks"]]
+    assert names[0] == "maximal-violation" and set(names) == FILE_CHECKS
+
+
+@pytest.mark.parametrize("argv", [["scramble", "--d", "3"], ["verify", "--d", "3", "--extract"]])
+def test_a_scrambling_defect_is_an_input_error(argv, monkeypatch, capsys):
+    # a non-unitary "Haar" draw changes the correlations; scramble's drift
+    # gate must end the command with one error line, not a traceback
+    monkeypatch.setattr(qsk.selftest, "haar_random_unitary", lambda n, rng: 2 * np.eye(n))
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: scrambling changed the correlations by 7.625e+02"]
+    assert captured.out == ""
+
+
+def test_all_report_is_the_concatenation_of_the_single_group_reports():
+    # catches a reordered or dropped group and a summary field written by
+    # the wrong group
+    assert ALL_SELECTORS == ("bounds", "sos", "traces", "cglmp", "extract", "randomness", "cyclotomic")
+    everything = build_verification_report(3, ALL_SELECTORS, seed=3)
+    singles = [build_verification_report(3, (s,), seed=3) for s in ALL_SELECTORS]
+    assert [c.name for c in everything.checks] == [c.name for r in singles for c in r.checks]
+    assert list(everything.summary) == [key for r in singles for key in r.summary]
+    assert everything.checks == [c for r in singles for c in r.checks]
+    assert everything.summary == {k: v for r in singles for k, v in r.summary.items()}
+    base = {"tool", "version", "d", "seed", "checks", "pass"}
+    assert set(everything.to_json()) == base | set(everything.summary)

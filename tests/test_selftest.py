@@ -17,7 +17,6 @@ from qsk.linalg import dagger, eig_unitary, frobenius_distance, haar_random_unit
 from qsk.satwap import BellFunctional, bell_operator, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
-    align_first_observable,
     canonicalize_state,
     canonicalized_realization,
     check_multiplicities,
@@ -44,10 +43,15 @@ def test_check_multiplicities():
     assert "multiplicit" in str(err.value)
 
 
+def _align_first(b1, d):
+    """extract_bob's first stage: V = E^dag over B1's eigenvectors, ordered by w**j."""
+    return dagger(eig_unitary(b1, d).vectors)
+
+
 def test_align_first_observable_block_diagonal_input():
     d, m = 3, 2
     b1 = np.kron(z_observable(d), np.eye(m))
-    v = align_first_observable(eig_unitary(b1, d))
+    v = _align_first(b1, d)
     assert frobenius_distance(v @ b1 @ dagger(v), b1) < 1e-9
 
 
@@ -55,7 +59,7 @@ def test_align_first_observable_round_trip():
     d, m = 3, 2
     g = haar_random_unitary(d * m, rng)
     b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
-    v = align_first_observable(eig_unitary(b1, d))
+    v = _align_first(b1, d)
     assert frobenius_distance(v @ b1 @ dagger(v), np.kron(z_observable(d), np.eye(m))) < 1e-8
 
 
@@ -63,7 +67,7 @@ def test_align_first_observable_reorders_eigenvalues():
     d = 4
     perm = [2, 0, 3, 1]
     b1 = np.diag([omega(d, j) for j in perm]).astype(complex)
-    v = align_first_observable(eig_unitary(b1, d))
+    v = _align_first(b1, d)
     assert frobenius_distance(v @ b1 @ dagger(v), z_observable(d)) < 1e-9
 
 
@@ -320,7 +324,7 @@ def test_scramble_rejects_nonpositive_aux():
 def test_scramble_drift_gate_rejects_nan_correlators(monkeypatch):
     nan = np.full((2, 2, 3, 3), np.nan, dtype=complex)
     monkeypatch.setattr(qsk.bell, "correlators_from_realization", lambda r: nan)
-    with pytest.raises(AssertionError, match="changed the correlations"):
+    with pytest.raises(ValueError, match="changed the correlations"):
         scramble(ideal_realization(3), 2, 1, seed=0)
 
 

@@ -9,7 +9,7 @@ from _helpers import random_order_d, random_realization
 
 from qsk.bell import Realization
 from qsk.canonical import (
-    cglmp_observables,
+    cglmp_realization,
     ideal_realization,
     maximally_entangled,
     t_observable,
@@ -164,7 +164,7 @@ def test_intermediate_identities_canonical(d):
 def _order_d_pairs(d):
     """(Z, T), the CGLMP Bob pair and a random order-d pair at dimension d."""
     yield "canonical", z_observable(d), t_observable(d)
-    yield "cglmp-bob", *cglmp_observables(d)[2:]
+    yield "cglmp-bob", *cglmp_realization(d).observables_b
     yield "random", random_order_d(d, d, rng), random_order_d(d, d, rng)
 
 
