@@ -151,20 +151,15 @@ def born_probabilities(r: Realization) -> CorrelationTensor:
         left = dagger(dec_a[x].vectors) @ psi
         for y in range(2):
             weights = np.abs(left @ dec_b[y].vectors.conj()) ** 2
-            p[x, y] = _membership(dec_a[x]) @ weights @ _membership(dec_b[y]).T
+            p[x, y] = membership(dec_a[x]) @ weights @ membership(dec_b[y]).T
     tensor = CorrelationTensor(p)
     tensor.validate(tol=1e-7)
     return tensor
 
 
-def _membership(decomp: EigenDecomposition) -> np.ndarray:
-    """The (d, n) 0/1 matrix with a 1 at [j, c] when column c lies in group j.
-
-    The groups are consecutive runs of columns in the order j = 0..d-1,
-    so column c's label is ``repeat(arange(d), multiplicities)[c]``.
-    """
-    labels = np.repeat(np.arange(decomp.d), decomp.multiplicities)
-    return (np.arange(decomp.d)[:, None] == labels).astype(float)
+def membership(decomp: EigenDecomposition) -> np.ndarray:
+    """The (d, n) 0/1 matrix with a 1 at [j, c] when column c lies in group j."""
+    return (np.arange(decomp.d)[:, None] == decomp.labels).astype(float)
 
 
 def _fourier_matrix(d: int) -> np.ndarray:

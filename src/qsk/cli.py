@@ -306,11 +306,11 @@ def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
 
 def _traces_group(report: VerificationReport, ideal: bell.Realization) -> None:
     d, checks = ideal.d, report.checks
-    z, t = ideal.observables_b
-    traces = worst(*(v for obs in (z, t) for _, v in sos.check_trace_conditions(obs, d).entries))
+    z, t = ideal.decompositions[2:]
+    traces = worst(*(v for dec in (z, t) for _, v in sos.check_trace_conditions(dec).entries))
     checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
-    checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t, d), 1e-8))
-    identities = sos.check_intermediate_identities(z, t, d).max_residual
+    checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t), 1e-8))
+    identities = sos.check_intermediate_identities(z, t).max_residual
     checks.append(CheckResult("trace-identities", identities, 1e-8))
     checks.append(CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8))
 
@@ -459,6 +459,8 @@ def cmd_verify(args) -> int:
     selectors = tuple(s for s in ALL_SELECTORS if getattr(args, s))
     realization, d = None, args.d
     if args.file:
+        if args.seed is not None:
+            raise ValueError("--seed cannot be used with --file: no check of a file reads it")
         canonical_only = [f"--{s}" for s in selectors if s not in FILE_SELECTORS]
         if canonical_only:
             raise ValueError(
@@ -471,7 +473,7 @@ def cmd_verify(args) -> int:
         selectors = ALL_SELECTORS
     if d is None:
         raise ValueError("provide --d or --file")
-    report = build_verification_report(d, selectors, seed=args.seed, realization=realization)
+    report = build_verification_report(d, selectors, seed=args.seed or 0, realization=realization)
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report.to_json()))
     else:
@@ -591,12 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run verification checks for a dimension or a file")
-    p.add_argument("--d", type=int)
-    p.add_argument("--file", help="realization JSON to verify instead of the canonical one")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--d", type=int)
+    target.add_argument("--file", help="realization JSON to verify instead of the canonical one")
     p.add_argument("--all", action="store_true", help="run every check group")
     for sel in ALL_SELECTORS:
         p.add_argument(f"--{sel}", action="store_true", help=f"run the {sel} group")
-    p.add_argument("--seed", type=int, default=0)
+    # None marks an omitted seed, which --file requires: no check of a file reads one
+    p.add_argument("--seed", type=int, help="seed of the scrambling and random checks (default 0)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_verify)
 
@@ -632,7 +636,7 @@ def _check_arguments(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 2, got {value}")
     if args.command == "bounds" and args.d_min > args.d_max:
         raise ValueError(f"--d-min {args.d_min} exceeds --d-max {args.d_max}")
-    if getattr(args, "seed", 0) < 0:
+    if (getattr(args, "seed", None) or 0) < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     max_shots = int(np.iinfo(np.int64).max)  # the sampler counts shots in int64
     if args.command == "simulate" and not 1 <= args.shots <= max_shots:

@@ -143,12 +143,22 @@ class EigenDecomposition:
     eigenspace, and so on (an arbitrary orthonormal basis inside each
     run).  ``eigenvalues[c]`` is the snapped eigenvalue of column ``c``,
     exactly ``w**j`` for some integer ``j``.
+
+    The order-d property is certified here and only here: the unitarity,
+    ``TOL_SNAP`` and ``TOL_EIG`` gates of :func:`eig_unitary` and
+    :func:`decomposition_from_basis` pass only when ``B**d = I``, so a
+    caller may read ``B**k`` off ``labels`` with k reduced mod d.
     """
 
     d: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
     multiplicities: tuple[int, ...]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Eigenvalue index j of each column: ``repeat(arange(d), multiplicities)``."""
+        return np.repeat(np.arange(self.d), self.multiplicities)
 
     def reconstruction_error(self, a: np.ndarray) -> float:
         return frobenius_distance(a, self.vectors @ np.diag(self.eigenvalues) @ dagger(self.vectors))

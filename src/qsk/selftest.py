@@ -230,13 +230,8 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
             f"by {gap:.3e} (tolerance {gate:.1e})",
         )
 
-    for name, obs in (
-        ("A1", r.observables_a[0]),
-        ("A2", r.observables_a[1]),
-        ("B1", r.observables_b[0]),
-        ("B2", r.observables_b[1]),
-    ):
-        report = check_trace_conditions(obs, d)
+    for name, dec in zip(("A1", "A2", "B1", "B2"), (dec_a1, dec_a2, dec_b1, dec_b2)):
+        report = check_trace_conditions(dec)
         if not report.passed:
             n = report.witness
             raise ExtractionError(

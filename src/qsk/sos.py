@@ -15,7 +15,8 @@ real matrices, so both norms are taken in real arithmetic.
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
 proper divisors, intermediate trace identities, root-of-unity sum
-identities, and the block grid of an operator on C^d (x) aux.
+identities, and the block grid of an operator on C^d (x) aux.  The trace
+and commutation checks read every power off an ``EigenDecomposition``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import Realization
+from .bell import Realization, membership
 from .cyclotomic import proper_divisors
-from .linalg import kron_sum_norm, roots_of_unity, unitary_powers, worst
+from .linalg import EigenDecomposition, dagger, kron_sum_norm, roots_of_unity, worst
 from .satwap import BellFunctional, bell_operator, quantum_bound
 
 TOL_TRACE = 1e-8
+
+_POWER_BLOCK = 2**18  # entries of the H_k stack check_commutation_relation holds at once
 
 
 def sos_terms(r: Realization, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -144,32 +147,29 @@ def stabilizer_residuals(r: Realization, side: str, terms=None) -> dict[tuple[in
     return dict(zip(keys, norms.tolist()))
 
 
-def _order_residual(powers: np.ndarray, b: np.ndarray) -> float:
-    """|B^d - I| from the stack B^0 .. B^(d-1).
+def check_commutation_relation(dec1: EigenDecomposition, dec2: EigenDecomposition) -> float:
+    """max_k |B1^k B2^-k - w^-k B2^k B1^-k| over k in [1, d).
 
-    Reading B^k as ``powers[k % d]`` is exact only when this vanishes, so
-    every check that reduces exponents mod d reports it as well.
+    With B1 = V diag(lambda) V^dag, B2 = W diag(mu) W^dag and G = V^dag W,
+    the relation at k reads ``diag(lambda^k) H_k^dag - w^-k H_k
+    diag(lambda^-k)`` in the eigenbasis of B1, with ``H_k = G diag(mu^k)
+    G^dag``; each power is a root of unity read off the labels (the
+    decompositions' gates certified B^d = I), and the k run in blocks of
+    about ``_POWER_BLOCK`` entries of H.  The relation is a consequence of
+    maximal violation; a commuting pair fails it.
     """
-    return float(np.linalg.norm(powers[-1] @ b - powers[0]))
-
-
-def check_commutation_relation(b1: np.ndarray, b2: np.ndarray, d: int) -> float:
-    """max_k |B1^k B2^-k - w^-k B2^k B1^-k|, and |B^d - I| of both inputs.
-
-    Every power, B^-k = B^(d-k) included, is read off one power stack per
-    observable, which presumes B^d = I; the result is the larger of the
-    relation's residual and the two order residuals, so a pair that is not
-    of order d fails even where its relation would hold.  The relation is a
-    consequence of maximal violation and holds for the canonical pair; a
-    commuting pair fails it.
-    """
-    p1 = unitary_powers(b1, d)
-    p2 = unitary_powers(b2, d)
-    k = np.arange(1, d)
-    lhs = p1[k] @ p2[-k % d]
-    rhs = roots_of_unity(d, -k)[:, None, None] * (p2[k] @ p1[-k % d])
-    relation = float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
-    return worst(relation, _order_residual(p1, b1), _order_residual(p2, b2))
+    d, l1, l2 = dec1.d, dec1.labels, dec2.labels
+    g = dagger(dec1.vectors) @ dec2.vectors
+    gh = dagger(g)
+    residual = 0.0
+    step = max(1, _POWER_BLOCK // len(l1) ** 2)
+    for start in range(1, d, step):
+        k = np.arange(start, min(start + step, d))[:, None]
+        lam = roots_of_unity(d, k * l1)[:, :, None]
+        h = (g * roots_of_unity(d, k * l2)[:, None, :]) @ gh
+        twist = roots_of_unity(d, -k)[:, :, None] * lam.conj().swapaxes(1, 2)
+        residual = worst(residual, *np.linalg.norm(lam * dagger(h) - h * twist, axis=(1, 2)))
+    return residual
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,16 @@ class TraceConditionReport:
         return None
 
 
-def check_trace_conditions(b: np.ndarray, d: int) -> TraceConditionReport:
-    """Vanishing of Tr(B^n) for every proper divisor n of d.
+def check_trace_conditions(dec: EigenDecomposition) -> TraceConditionReport:
+    """Vanishing of Tr(B^n) = sum_j m_j w^(jn) for every proper divisor n of d.
 
-    The traces are taken of the power stack B^0 .. B^(d-1), so no exponent
-    is reduced mod d.  Equal eigenvalue multiplicities imply all these
-    traces vanish; a witness divisor certifies unequal multiplicities.
+    The m_j are the eigenvalue multiplicities.  Equal multiplicities imply
+    all these traces vanish; a witness divisor certifies unequal ones.
     """
-    powers = unitary_powers(b, d)
-    entries = tuple((n, float(abs(np.trace(powers[n])))) for n in proper_divisors(d))
-    return TraceConditionReport(d=d, entries=entries)
+    d = dec.d
+    divisors = proper_divisors(d)
+    traces = roots_of_unity(d, np.outer(divisors, np.arange(d))) @ np.asarray(dec.multiplicities)
+    return TraceConditionReport(d=d, entries=tuple(zip(divisors, np.abs(traces).tolist())))
 
 
 @dataclass(frozen=True)
@@ -213,49 +213,42 @@ class TraceIdentityReport:
     ladder_second: float     # Tr(B2^y) = w^(sy) Tr(B1^(2sy) B2^((-2s+1)y))
     half_phase: float        # Tr(B1^x) = w^(-x/2) Tr(B2^x), x <= floor(d/2)
     doubled_power: float     # Tr(B1^-x B2^(2x)) = w^x Tr(B1^x)
-    order: float             # max_i |B_i^d - I|; the others read exponents mod d
 
     @property
     def max_residual(self) -> float:
-        return worst(
-            self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power, self.order
-        )
+        return worst(self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power)
 
 
-def check_intermediate_identities(b1: np.ndarray, b2: np.ndarray, d: int) -> TraceIdentityReport:
+def check_intermediate_identities(
+    dec1: EigenDecomposition, dec2: EigenDecomposition
+) -> TraceIdentityReport:
     """Trace identities that follow from the twisted commutation relation.
 
     Every trace is an entry of the table ``tr[a, b] = Tr(B1^a B2^b)`` over
-    a, b in Z_d, one (d, n^2) @ (n^2, d) product of the two power stacks;
-    every exponent and every phase w**(sx) is reduced mod d.  The ladders
-    are d-periodic in s as well as in x and y, so they are checked over
-    every s, x, y in Z_d.  The doubled-power identity carries the phase
-    w**x (it follows from multiplying the commutation relation at k = x by
-    B2^x and tracing; on the canonical pair both sides vanish for x in
-    [1, d)).  The reduction presumes B^d = I, so ``order`` holds |B^d - I|
-    of both inputs and a pair that is not of order d fails.
+    a, b in Z_d, which in the eigenbases V of B1 and W of B2 is ``F C F^T``
+    with ``F[a, j] = w^(aj mod d)`` and the class overlap
+    ``C = M1 |V^dag W|^2 M2^T`` (:func:`bell.membership`).  Every exponent
+    and every phase w**(sx) is reduced mod d, exact because the
+    decompositions' gates certified B^d = I.  The ladders are d-periodic
+    in s as well as in x and y, so they are checked over every s, x, y in
+    Z_d.  The doubled-power identity carries the phase w**x (it follows
+    from multiplying the commutation relation at k = x by B2^x and
+    tracing; on the canonical pair both sides vanish for x in [1, d)).
     """
-    p1 = unitary_powers(b1, d)
-    p2 = unitary_powers(b2, d)
-    n = b1.shape[0]
-    tr = p1.reshape(d, n * n) @ p2.swapaxes(1, 2).reshape(d, n * n).T
+    d = dec1.d
+    overlap = np.abs(dagger(dec1.vectors) @ dec2.vectors) ** 2
+    classes = membership(dec1) @ overlap @ membership(dec2).T
     roots = roots_of_unity(d, np.arange(d))
     s, x = np.ogrid[:d, :d]
-    phase = roots[s * x % d]
+    phase = roots[s * x % d]  # w^(sx), which is also F
+    tr = phase @ classes @ phase.T
     r1 = np.abs(tr[x, 0] - phase * tr[(2 * s + 1) * x % d, -2 * s * x % d]).max()
     r2 = np.abs(tr[0, x] - phase * tr[2 * s * x % d, (1 - 2 * s) * x % d]).max()
     h = np.arange(1, d // 2 + 1)
     r3 = np.abs(tr[h, 0] - np.exp(-1j * np.pi * h / d) * tr[0, h]).max()
     k = np.arange(1, d)
     r4 = np.abs(tr[-k % d, 2 * k % d] - roots[k] * tr[k, 0]).max()
-    return TraceIdentityReport(
-        d=d,
-        ladder_first=float(r1),
-        ladder_second=float(r2),
-        half_phase=float(r3),
-        doubled_power=float(r4),
-        order=worst(_order_residual(p1, b1), _order_residual(p2, b2)),
-    )
+    return TraceIdentityReport(d, float(r1), float(r2), float(r3), float(r4))
 
 
 @dataclass(frozen=True)

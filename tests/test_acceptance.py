@@ -119,8 +119,9 @@ def test_criterion_4_trace_and_commutation_conditions():
         for n in proper_divisors(d):
             worst_t = max(worst_t, abs(np.trace(np.linalg.matrix_power(t, n))))
             worst_z = max(worst_z, abs(np.trace(np.linalg.matrix_power(z, n))))
-        worst_rest = max(worst_rest, check_commutation_relation(z, t, d))
-        worst_rest = max(worst_rest, check_intermediate_identities(z, t, d).max_residual)
+        dz, dt = ideal_realization(d).decompositions[2:]
+        worst_rest = max(worst_rest, check_commutation_relation(dz, dt))
+        worst_rest = max(worst_rest, check_intermediate_identities(dz, dt).max_residual)
     assert worst_t <= 1e-8, f"worst |Tr(T^n)| = {worst_t:.3e}"
     assert worst_z <= 1e-12, f"worst |Tr(Z^n)| = {worst_z:.3e}"
     assert worst_rest <= 1e-8, f"worst identity residual {worst_rest:.3e}"
@@ -326,10 +327,11 @@ def test_criterion_9_negative_soundness():
         extract(nonviolating)
 
     lopsided = np.diag([1.0, 1.0, omega(4, 2), omega(4, 3)]).astype(complex)
-    report = check_trace_conditions(lopsided, 4)
+    decomp = eig_unitary(lopsided, 4)
+    report = check_trace_conditions(decomp)
     assert not report.passed and report.witness == 1
     with pytest.raises(ExtractionError):
-        check_multiplicities(eig_unitary(lopsided, 4))
+        check_multiplicities(decomp)
     _report(
         9,
         "perturbed and non-violating realizations are rejected at the gate; unequal "

@@ -726,3 +726,29 @@ def test_all_report_is_the_concatenation_of_the_single_group_reports():
     assert everything.summary == {k: v for r in singles for k, v in r.summary.items()}
     base = {"tool", "version", "d", "seed", "checks", "pass"}
     assert set(everything.to_json()) == base | set(everything.summary)
+
+
+@pytest.mark.parametrize("d", ["4", "5"])
+def test_verify_refuses_both_d_and_file(d, tmp_path, capsys):
+    # --file fixes d; a --d beside it, even an agreeing one, would be ignored
+    path = _scrambled_d4(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--d", d, "--file", str(path), "--bounds"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith("argument --file: not allowed with argument --d")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_verify_file_refuses_an_explicit_seed(seed, tmp_path, capsys):
+    # no check of a file reads the seed, so a report could not honour it
+    path = _scrambled_d4(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--file", str(path), "--bounds", "--seed", seed]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: --seed cannot be used with --file: no check of a file reads it"
+    ]
+    assert captured.out == ""
+    assert main(["verify", "--file", str(path), "--bounds", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seed"] == 0

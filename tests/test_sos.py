@@ -12,10 +12,21 @@ from qsk.canonical import (
     cglmp_realization,
     ideal_realization,
     maximally_entangled,
+    t_eigenbasis,
     t_observable,
     z_observable,
 )
-from qsk.linalg import dagger, frobenius_distance, haar_random_unitary, omega, worst
+from qsk.linalg import (
+    NotOrderDError,
+    dagger,
+    decomposition_from_basis,
+    eig_unitary,
+    frobenius_distance,
+    haar_random_unitary,
+    omega,
+    worst,
+)
+from qsk.selftest import scramble
 from qsk.satwap import BellFunctional, bell_operator
 from qsk.sos import (
     RootIdentityReport,
@@ -102,15 +113,20 @@ def test_stabilizers_fail_off_the_maximal_point():
     assert max(stabilizer_residuals(r, "bob").values()) > 1e-3
 
 
+def _canonical_decompositions(d):
+    """The decompositions of (Z, T) from their closed-form eigenbases."""
+    return ideal_realization(d).decompositions[2:]
+
+
 @pytest.mark.parametrize("d", list(range(2, 13)))
 def test_commutation_relation_canonical(d):
-    assert check_commutation_relation(z_observable(d), t_observable(d), d) < 1e-9
+    assert check_commutation_relation(*_canonical_decompositions(d)) < 1e-9
 
 
 def test_commutation_relation_fails_for_commuting_pair():
     d = 5
-    z = z_observable(d)
-    residual = check_commutation_relation(z, z, d)
+    z = eig_unitary(z_observable(d), d)
+    residual = check_commutation_relation(z, z)
     expected = max(abs(omega(d, -k) - 1) * np.sqrt(d) for k in range(1, d))
     assert abs(residual - expected) < 1e-9
 
@@ -135,7 +151,7 @@ def test_commutation_relation_periodic_in_k():
 
 
 def test_trace_conditions_z6():
-    report = check_trace_conditions(z_observable(6), 6)
+    report = check_trace_conditions(eig_unitary(z_observable(6), 6))
     assert report.passed
     assert [n for n, _ in report.entries] == [1, 2, 3]
     assert all(v < 1e-12 for _, v in report.entries)
@@ -143,57 +159,79 @@ def test_trace_conditions_z6():
 
 @pytest.mark.parametrize("d", list(range(2, 13)))
 def test_trace_conditions_canonical_pair(d):
-    assert check_trace_conditions(z_observable(d), d).passed
-    assert check_trace_conditions(t_observable(d), d).passed
+    assert all(check_trace_conditions(dec).passed for dec in _canonical_decompositions(d))
 
 
 def test_trace_conditions_unequal_multiplicities():
     w = omega(4, 1)
     bad = np.diag([1.0, 1.0, w**2, w**3])
-    report = check_trace_conditions(bad, 4)
+    report = check_trace_conditions(eig_unitary(bad, 4))
     assert not report.passed
     assert report.witness == 1
 
 
 @pytest.mark.parametrize("d", list(range(2, 11)))
 def test_intermediate_identities_canonical(d):
-    report = check_intermediate_identities(z_observable(d), t_observable(d), d)
+    report = check_intermediate_identities(*_canonical_decompositions(d))
     assert report.max_residual < 1e-8
 
 
 def _order_d_pairs(d):
-    """(Z, T), the CGLMP Bob pair and a random order-d pair at dimension d."""
+    """Order-d pairs at dimension d and above, with multiplicities 1, 2 and 3.
+
+    (Z, T), the CGLMP Bob pair, a random pair, a random pair of
+    multiplicity 3, and both pairs of the canonical realization scrambled
+    with aux dimensions 3 x 2.
+    """
     yield "canonical", z_observable(d), t_observable(d)
     yield "cglmp-bob", *cglmp_realization(d).observables_b
     yield "random", random_order_d(d, d, rng), random_order_d(d, d, rng)
+    yield "random-multiplicity-3", random_order_d(3 * d, d, rng), random_order_d(3 * d, d, rng)
+    scrambled = scramble(ideal_realization(d), 3, 2, seed=d)
+    yield "scrambled-alice", *scrambled.observables_a
+    yield "scrambled-bob", *scrambled.observables_b
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)))
-def test_power_stack_checks_match_loop_oracles(d):
-    # random pairs break the identities, so this compares nonzero residuals too
+def test_power_stack_checks_match_loop_oracles(d, monkeypatch):
+    # random pairs break the identities, so this compares nonzero residuals too;
+    # the checks read the eigendecompositions, the oracles matrix powers
     for name, b1, b2 in _order_d_pairs(d):
-        report = check_intermediate_identities(b1, b2, d)
+        dec1, dec2 = eig_unitary(b1, d), eig_unitary(b2, d)
+        report = check_intermediate_identities(dec1, dec2)
         fast = (report.ladder_first, report.ladder_second, report.half_phase, report.doubled_power)
         for got, want in zip(fast, _oracles.intermediate_identities(b1, b2, d)):
             assert abs(got - want) <= 1e-12, name
-        assert report.order <= 1e-12, name
-        got = check_commutation_relation(b1, b2, d)
-        assert abs(got - _oracles.commutation_relation(b1, b2, d)) <= 1e-12, name
+        want = _oracles.commutation_relation(b1, b2, d)
+        # one block of every k, then blocks of two k, as at large n
+        for block in (None, 2 * len(b1) ** 2):
+            if block is not None:
+                monkeypatch.setattr("qsk.sos._POWER_BLOCK", block)
+            assert abs(check_commutation_relation(dec1, dec2) - want) <= 1e-12, name
+        monkeypatch.undo()
+        for b, dec in ((b1, dec1), (b2, dec2)):
+            for n, got in check_trace_conditions(dec).entries:
+                assert abs(got - abs(np.trace(np.linalg.matrix_power(b, n)))) <= 1e-12, name
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_power_stack_checks_fail_closed_off_order_d(d):
     # e^{i eps} (Z, T) satisfies the commutation relation exactly, but
-    # B^d = e^{i d eps} I, so no power may be read mod d
-    eps = 1e-3
-    phase = np.exp(1j * eps)
-    b1, b2 = phase * z_observable(d), phase * t_observable(d)
-    floor = abs(np.exp(1j * d * eps) - 1)
-    assert _oracles.commutation_relation(b1, b2, d) < 1e-9
-    assert check_commutation_relation(b1, b2, d) >= floor
-    report = check_intermediate_identities(b1, b2, d)
-    assert report.order >= floor
-    assert report.max_residual >= floor
+    # B^d = e^{i d eps} I, so no power may be read mod d.  The checks read
+    # powers off a decomposition, and the gates that build one refuse the
+    # pair: eig_unitary at the snap gate (eps = 1e-3) or at the
+    # reconstruction gate (eps = 1e-8), decomposition_from_basis with the
+    # closed-form bases at its reconstruction gate
+    bases = (np.eye(d, dtype=complex), t_eigenbasis(d))
+    for eps, gate in ((1e-3, "nearest d-th root"), (1e-8, "reconstruction error")):
+        phase = np.exp(1j * eps)
+        pair = (phase * z_observable(d), phase * t_observable(d))
+        assert _oracles.commutation_relation(*pair, d) < 1e-9
+        for b, basis in zip(pair, bases):
+            with pytest.raises(NotOrderDError, match=gate):
+                eig_unitary(b, d)
+            with pytest.raises(NotOrderDError, match="reconstruction error"):
+                decomposition_from_basis(b, basis, d)
 
 
 def test_intermediate_identities_zero_exponent_trivial():
@@ -390,14 +428,14 @@ def test_stabilizer_residuals_rejects_unknown_side():
 
 
 CLEAN_TRACE = TraceIdentityReport(
-    d=3, ladder_first=1e-14, ladder_second=1e-14, half_phase=0.0, doubled_power=0.0, order=0.0
+    d=3, ladder_first=1e-14, ladder_second=1e-14, half_phase=0.0, doubled_power=0.0
 )
 CLEAN_ROOT = RootIdentityReport(d=3, ratio_sum=1e-15, weighted_sum=0.0)
 AGGREGATES = [
     (
         CLEAN_TRACE,
         "max_residual",
-        ("ladder_first", "ladder_second", "half_phase", "doubled_power", "order"),
+        ("ladder_first", "ladder_second", "half_phase", "doubled_power"),
     ),
     (CLEAN_ROOT, "max_residual", ("ratio_sum", "weighted_sum")),
 ]
