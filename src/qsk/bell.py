@@ -53,14 +53,6 @@ class CorrelationTensor:
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """Local deterministic assignment x -> a, y -> b."""
-
-    outputs_a: tuple[int, ...]
-    outputs_b: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Realization:
     """A bipartite state plus two order-d observables per party.
 
@@ -193,12 +185,12 @@ def correlators_from_realization(r: Realization) -> np.ndarray:
     return np.array([[expectation(pa, pb, psi) for pb in pow_b] for pa in pow_a])
 
 
-def local_bound_bruteforce(functional) -> tuple[float, DeterministicStrategy]:
+def local_bound_bruteforce(functional) -> float:
     """Exact local bound by enumerating all d^4 deterministic strategies.
 
     ``functional`` must expose ``d`` and a complex coefficient array
     ``coefficients`` of shape (2, 2, d, d) over correlator indices
-    (x, y, k, l).  Returns the bound together with an attaining strategy.
+    (x, y, k, l).
     """
     d = functional.d
     if d > BRUTE_FORCE_CAP:
@@ -217,9 +209,7 @@ def local_bound_bruteforce(functional) -> tuple[float, DeterministicStrategy]:
         + v[1, 0][None, :, :, None]
         + v[1, 1][None, :, None, :]
     )
-    idx = np.unravel_index(np.argmax(total), total.shape)
-    a1, a2, b1, b2 = (int(i) for i in idx)
-    return float(total[idx]), DeterministicStrategy((a1, a2), (b1, b2))
+    return float(total.max())
 
 
 def sample_statistics(r: Realization, shots: int, seed: int) -> CorrelationTensor:

@@ -271,7 +271,7 @@ def _extraction(
 def _bounds_group(report: VerificationReport, ideal: bell.Realization) -> None:
     _bell_value(report, ideal, "quantum-bound-attained", 1e-9)
     if ideal.d <= bell.BRUTE_FORCE_CAP:
-        brute, _ = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(ideal.d))
+        brute = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(ideal.d))
         residual = abs(brute - satwap.classical_bound(ideal.d))
         report.checks.append(CheckResult("classical-bound-brute-force", residual, 1e-9))
 
@@ -430,7 +430,7 @@ def cmd_bounds(args) -> int:
     for d in range(args.d_min, args.d_max + 1):
         bf = None
         if d <= BOUNDS_BRUTE_FORCE_MAX_D:
-            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))[0]
+            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
         beta_c = satwap.classical_bound(d)
         beta_q = satwap.quantum_bound(d)
         rows.append(

@@ -17,8 +17,6 @@ TOL_UNITARY = 1e-9
 TOL_EIG = 1e-9
 TOL_SNAP = 1e-6
 
-_KRON_BLOCK_COLUMNS = 1024  # kron_sum_norm's product block; one block while nb <= 32
-
 
 class NotOrderDError(ValueError):
     """Raised when a matrix fails the order-d observable checks."""
@@ -68,25 +66,11 @@ def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
     ``L^T = Q1 R1`` that norm is ``|R1 R|``: memory O((na^2 + nb^2) T)
     instead of O(na^2 nb^2), and nothing is squared, so no cancellation
     floor.  The stacks may be real or complex; a real pair takes a real QR.
-    ``R1 R`` is formed ``_KRON_BLOCK_COLUMNS`` columns at a time and only
-    the squared norms of the blocks are summed, so the product is never
-    held whole (535 MB of it at the d = 256 SOS residual).  Up to that many
-    columns (nb <= 32) there is one block, whose norm is bitwise
-    ``np.linalg.norm`` of the whole product.
     A non-finite entry makes the result NaN.
     """
     t = len(ls)
     r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
-    rs = rs.reshape(t, -1)
-    sqnorm = 0.0
-    for j in range(0, rs.shape[1], _KRON_BLOCK_COLUMNS):
-        block = (r1 @ rs[:, j : j + _KRON_BLOCK_COLUMNS]).ravel()
-        # np.linalg.norm's own sum of squares, so one block gives its exact result
-        if np.iscomplexobj(block):
-            sqnorm += block.real.dot(block.real) + block.imag.dot(block.imag)
-        else:
-            sqnorm += block.dot(block)
-    return float(np.sqrt(sqnorm))
+    return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,17 +125,15 @@ class EigenDecomposition:
     eigenvalue index: the first ``multiplicities[0]`` columns span the
     ``w**0`` eigenspace, the next ``multiplicities[1]`` the ``w**1``
     eigenspace, and so on (an arbitrary orthonormal basis inside each
-    run).  ``eigenvalues[c]`` is the snapped eigenvalue of column ``c``,
-    exactly ``w**j`` for some integer ``j``.
+    run).  ``multiplicities`` is the one record of the spectrum.
 
-    The order-d property is certified here and only here: the unitarity,
-    ``TOL_SNAP`` and ``TOL_EIG`` gates of :func:`eig_unitary` and
-    :func:`decomposition_from_basis` pass only when ``B**d = I``, so a
-    caller may read ``B**k`` off ``labels`` with k reduced mod d.
+    Both constructors, :func:`eig_unitary` and
+    :func:`decomposition_from_basis`, return only what :func:`_certified`
+    passed, and that gate holds only when ``B**d = I`` to its tolerance, so
+    a caller may read ``B**k`` off ``labels`` with k reduced mod d.
     """
 
     d: int
-    eigenvalues: np.ndarray
     vectors: np.ndarray
     multiplicities: tuple[int, ...]
 
@@ -160,8 +142,44 @@ class EigenDecomposition:
         """Eigenvalue index j of each column: ``repeat(arange(d), multiplicities)``."""
         return np.repeat(np.arange(self.d), self.multiplicities)
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalue of each column, exactly ``w**j`` for its label j."""
+        return roots_of_unity(self.d, self.labels)
+
     def reconstruction_error(self, a: np.ndarray) -> float:
-        return frobenius_distance(a, self.vectors @ np.diag(self.eigenvalues) @ dagger(self.vectors))
+        return frobenius_distance(a, (self.vectors * self.eigenvalues) @ dagger(self.vectors))
+
+
+def _certified(
+    a: np.ndarray, vectors: np.ndarray, multiplicities: tuple[int, ...], d: int
+) -> EigenDecomposition:
+    """The decomposition of ``a`` in the candidate basis ``vectors``, or :class:`NotOrderDError`.
+
+    Column c of ``vectors`` carries the eigenvalue ``w**j`` of its run, the
+    runs of lengths ``multiplicities`` in order j = 0..d-1.  The basis must
+    be unitary to ``TOL_UNITARY`` (a non-unitary basis can still reconstruct
+    ``a``, e.g. a hyperbolic mix of two columns whose eigenvalues are w**0
+    and w**(d/2)), and ``V diag(w**j) V^dag`` must reconstruct ``a`` to
+    ``TOL_EIG``.  Together they place ``a`` within ``TOL_EIG`` of an exactly
+    order-d unitary with these multiplicities, however the basis was found.
+    A wrong shape fails, and so does a NaN anywhere.
+    """
+    n = len(a)
+    if not a.shape == vectors.shape == (n, n) or (len(multiplicities), sum(multiplicities)) != (d, n):
+        raise NotOrderDError(
+            f"basis of shape {vectors.shape}, multiplicities {multiplicities} "
+            f"for a {a.shape} observable at d={d}"
+        )
+    err = _unitarity_error(vectors)
+    if not err <= TOL_UNITARY:
+        raise NotOrderDError(f"eigenbasis is not unitary: |V^dag V - I| = {err:.3e}")
+    decomp = EigenDecomposition(d=d, vectors=vectors, multiplicities=multiplicities)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = decomp.reconstruction_error(a)
+    if not err <= TOL_EIG:
+        raise NotOrderDError(f"eigendecomposition reconstruction error {err:.3e}")
+    return decomp
 
 
 def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
@@ -176,10 +194,10 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     to that of a per-eigenspace SVD; the groups of one multiplicity m go
     through one stacked QR of shape (groups, n, m).
 
-    Raises :class:`NotOrderDError` when ``a`` is not unitary with
-    ``a**d = I``, i.e. when any raw eigenvalue sits further than
-    ``TOL_SNAP`` from every d-th root of unity, and when the projector
-    traces, the eigenvalue labels or the reconstruction disagree.
+    Raises ``ValueError`` when ``a`` is not unitary to ``TOL_SNAP`` (a NaN
+    or inf entry included), and :class:`NotOrderDError` when any raw
+    eigenvalue sits further than ``TOL_SNAP`` from every d-th root of unity
+    or the basis fails :func:`_certified`.
     """
     assert_unitary(a, tol=max(TOL_UNITARY, TOL_SNAP), what="observable")
     raw = np.linalg.eigvals(a)
@@ -195,18 +213,7 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     mult = np.bincount(j.astype(int), minlength=d)
 
     projs = spectral_projectors(a, d)
-    tr = np.trace(projs, axis1=1, axis2=2).real
-    off = ~(np.abs(tr - mult) <= 1e-6)
-    if off.any():
-        k = int(np.argmax(off))
-        raise NotOrderDError(
-            f"projector trace {tr[k]:.6f} disagrees with eigenvalue multiplicity {mult[k]}"
-        )
-    labels, vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))
-    expected = np.repeat(np.arange(d), mult)
-    off = ~(np.abs(labels - expected) <= 0.5)
-    if off.any():
-        raise NotOrderDError(f"eigenspace {expected[np.argmax(off)]} is numerically ill-defined")
+    vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))[1]
     offsets = np.concatenate(([0], np.cumsum(mult)))
     # one stacked QR per multiplicity class; set(), not np.unique, whose
     # first call in a process costs milliseconds
@@ -217,45 +224,19 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
         stack = projs if len(ks) == d else projs[ks]
         blocks = vectors[:, cols].transpose(1, 0, 2)
         vectors[:, cols] = np.linalg.qr(stack @ blocks)[0].transpose(1, 0, 2)
-
-    decomp = EigenDecomposition(
-        d=d,
-        eigenvalues=roots_of_unity(d, expected),
-        vectors=vectors,
-        multiplicities=tuple(mult.tolist()),
-    )
-    err = decomp.reconstruction_error(a)
-    if not err <= TOL_EIG:
-        raise NotOrderDError(f"eigendecomposition reconstruction error {err:.3e}")
-    return decomp
+    return _certified(a, vectors, tuple(mult.tolist()), d)
 
 
 def decomposition_from_basis(a: np.ndarray, vectors: np.ndarray, d: int) -> EigenDecomposition:
     """The decomposition of a simple-spectrum ``a`` in a basis known in closed form.
 
     Column r of the (d, d) ``vectors`` carries the eigenvalue ``w**r``.
-    The basis is gated, not trusted: it must be unitary to ``TOL_UNITARY``
-    (a non-unitary basis can still reconstruct ``a``, e.g. a hyperbolic
-    mix of two columns whose eigenvalues are w**0 and w**(d/2)), and
-    ``V diag(w**r) V^dag`` must reconstruct ``a`` to ``TOL_EIG``.  Either
-    failure, a wrong shape or a NaN anywhere raises :class:`NotOrderDError`.
+    The basis is gated, not trusted: any other shape, or a basis that
+    fails :func:`_certified`, raises :class:`NotOrderDError`.
     """
     if vectors.shape != (d, d) or a.shape != (d, d):
         raise NotOrderDError(f"basis of shape {vectors.shape} for a {a.shape} observable at d={d}")
-    err = _unitarity_error(vectors)
-    if not err <= TOL_UNITARY:
-        raise NotOrderDError(f"eigenbasis is not unitary: |V^dag V - I| = {err:.3e}")
-    decomp = EigenDecomposition(
-        d=d,
-        eigenvalues=roots_of_unity(d, np.arange(d)),
-        vectors=vectors,
-        multiplicities=(1,) * d,
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = decomp.reconstruction_error(a)
-    if not err <= TOL_EIG:
-        raise NotOrderDError(f"eigenbasis reconstruction error {err:.3e}")
-    return decomp
+    return _certified(a, vectors, (1,) * d, d)
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -153,8 +153,8 @@ def check_commutation_relation(dec1: EigenDecomposition, dec2: EigenDecompositio
     With B1 = V diag(lambda) V^dag, B2 = W diag(mu) W^dag and G = V^dag W,
     the relation at k reads ``diag(lambda^k) H_k^dag - w^-k H_k
     diag(lambda^-k)`` in the eigenbasis of B1, with ``H_k = G diag(mu^k)
-    G^dag``; each power is a root of unity read off the labels (the
-    decompositions' gates certified B^d = I), and the k run in blocks of
+    G^dag``; each power is a root of unity read off the labels
+    (``linalg._certified`` proved B^d = I), and the k run in blocks of
     about ``_POWER_BLOCK`` entries of H.  The relation is a consequence of
     maximal violation; a commuting pair fails it.
     """
@@ -228,8 +228,8 @@ def check_intermediate_identities(
     a, b in Z_d, which in the eigenbases V of B1 and W of B2 is ``F C F^T``
     with ``F[a, j] = w^(aj mod d)`` and the class overlap
     ``C = M1 |V^dag W|^2 M2^T`` (:func:`bell.membership`).  Every exponent
-    and every phase w**(sx) is reduced mod d, exact because the
-    decompositions' gates certified B^d = I.  The ladders are d-periodic
+    and every phase w**(sx) is reduced mod d, exact because
+    ``linalg._certified`` proved B^d = I.  The ladders are d-periodic
     in s as well as in x and y, so they are checked over every s, x, y in
     Z_d.  The doubled-power identity carries the phase w**x (it follows
     from multiplying the commutation relation at k = x by B2^x and

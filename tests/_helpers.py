@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qsk.bell import CorrelationTensor, DeterministicStrategy, Realization
+from qsk.bell import CorrelationTensor, Realization
 from qsk.linalg import EigenDecomposition, dagger, haar_random_unitary, omega
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Local deterministic assignment x -> a, y -> b."""
+
+    outputs_a: tuple[int, ...]
+    outputs_b: tuple[int, ...]
 
 
 def random_order_d(dim: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,11 +14,12 @@ cross-check the fast kernels in :mod:`qsk`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import numpy as np
 
-from _helpers import projector
+from _helpers import DeterministicStrategy, projector
 
 import qsk.linalg
 from qsk.bell import Realization, _fourier_matrix
@@ -29,7 +30,6 @@ from qsk.linalg import (
     eig_unitary,
     kron_sum_norm,
     omega,
-    roots_of_unity,
     unitary_powers,
 )
 from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
@@ -174,13 +174,6 @@ def sos_operator(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> np.nda
     return acc
 
 
-def kron_sum_norm_one_product(ls: np.ndarray, rs: np.ndarray) -> float:
-    """``kron_sum_norm`` with the whole (T, nb^2) product ``R1 R`` formed at once."""
-    t = len(ls)
-    r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
-    return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
-
-
 def sos_residual_one_complex_sum(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float:
     """The residual from (L, R) = ``sos.sos_terms`` as one complex Kronecker sum.
 
@@ -300,6 +293,21 @@ def probability_form(coefficients: np.ndarray) -> np.ndarray:
     return np.einsum("xykl,ka,lb->xyab", coefficients, w, w)
 
 
+def best_deterministic_strategy(functional) -> tuple[float, DeterministicStrategy]:
+    """A deterministic strategy of largest value and that value, by a loop
+    over all d^4 output assignments (a1, a2, b1, b2), each valued term by
+    term in the probability picture."""
+    t = probability_form(functional.coefficients).real
+
+    def value(s: DeterministicStrategy) -> float:
+        a, b = s.outputs_a, s.outputs_b
+        return float(sum(t[x, y, a[x], b[y]] for x in range(2) for y in range(2)))
+
+    outputs = product(range(functional.d), repeat=4)
+    best = max((DeterministicStrategy((a1, a2), (b1, b2)) for a1, a2, b1, b2 in outputs), key=value)
+    return value(best), best
+
+
 def spectral_projectors(a: np.ndarray, d: int) -> list[np.ndarray]:
     """P_j = (1/d) sum_k w^(-jk) a^k, one weighted sum of powers per j."""
     powers = unitary_powers(a, d)
@@ -316,7 +324,6 @@ def eig_unitary_svd(a: np.ndarray, d: int) -> EigenDecomposition:
     blocks = [np.linalg.svd(projs[j])[0][:, : mult[j]] for j in range(d)]
     return EigenDecomposition(
         d=d,
-        eigenvalues=np.repeat([omega(d, j) for j in range(d)], mult),
         vectors=np.hstack(blocks),
         multiplicities=tuple(mult.tolist()),
     )
@@ -336,7 +343,6 @@ def eig_unitary_looped_polish(a: np.ndarray, d: int) -> EigenDecomposition:
         vectors[:, cols] = np.linalg.qr(projs[j] @ vectors[:, cols])[0]
     return EigenDecomposition(
         d=d,
-        eigenvalues=roots_of_unity(d, np.repeat(np.arange(d), mult)),
         vectors=vectors,
         multiplicities=tuple(mult.tolist()),
     )

@@ -72,7 +72,7 @@ def test_criterion_1_quantum_bound_attained():
 def test_criterion_2_classical_bound_cross_validation():
     worst = 0.0
     for d in range(2, 9):
-        brute, _ = local_bound_bruteforce(BellFunctional.satwap(d))
+        brute = local_bound_bruteforce(BellFunctional.satwap(d))
         worst = max(worst, abs(brute - classical_bound(d)))
     assert worst <= 1e-9, f"worst deviation {worst:.3e}"
     _report(2, f"enumeration matches the closed form for d=2..8 (worst {worst:.2e})")

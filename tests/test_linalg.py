@@ -5,7 +5,6 @@ from _helpers import projector
 from _oracles import (
     eig_unitary_looped_polish,
     eig_unitary_svd,
-    kron_sum_norm_one_product,
     unitary_power,
 )
 
@@ -239,23 +238,6 @@ def test_kron_sum_norm_of_cancelling_terms_is_zero():
     assert kron_sum_norm(np.stack([a, -a]), np.stack([b, b])) <= 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 16, 64])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_blocked_kron_sum_norm_matches_the_one_shot_product(d, dtype):
-    # stacks shaped like an SOS residual's: 4d terms of (d, d) factors;
-    # d = 64 has d^2 = 4096 columns, four blocks
-    g = np.random.default_rng(d)
-    shape = (4 * d, d, d)
-    ls, rs = (g.standard_normal(shape).astype(dtype) for _ in range(2))
-    if dtype is complex:
-        ls.imag, rs.imag = g.standard_normal(shape), g.standard_normal(shape)
-    expected = kron_sum_norm_one_product(ls, rs)
-    got = kron_sum_norm(ls, rs)
-    assert abs(got - expected) <= 1e-14 * expected
-    if d * d <= qsk.linalg._KRON_BLOCK_COLUMNS:
-        assert got == expected  # one block: bitwise the one-shot norm
-
-
 def test_real_embedding_of_hermitian_stacks_keeps_kron_sum_norm():
     # x -> Re x + Im x: for Hermitian x the real part is symmetric and the
     # imaginary part antisymmetric, so the embedding keeps the inner
@@ -303,30 +285,70 @@ def test_eig_unitary_snap_gate_rejects_one_nan_eigenvalue(position, monkeypatch)
         eig_unitary(z_observable(3), 3)
 
 
-def test_eig_unitary_trace_gate_rejects_nan_projector(monkeypatch):
-    monkeypatch.setattr(
-        qsk.linalg, "spectral_projectors", lambda a, d: [np.full(a.shape, np.nan)] * d
-    )
-    with pytest.raises(NotOrderDError, match="projector trace"):
-        eig_unitary(z_observable(3), 3)
-
-
-def test_eig_unitary_label_gate_rejects_nan_labels(monkeypatch):
-    eigh = np.linalg.eigh
-
-    def nan_eigh(a, *args, **kwargs):
-        labels, vectors = eigh(a, *args, **kwargs)
-        return np.full_like(labels, np.nan), vectors
-
-    monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
-    with pytest.raises(NotOrderDError, match="ill-defined"):
-        eig_unitary(z_observable(3), 3)
-
-
 def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
     monkeypatch.setattr(EigenDecomposition, "reconstruction_error", lambda self, a: np.nan)
     with pytest.raises(NotOrderDError, match="reconstruction error"):
         eig_unitary(z_observable(3), 3)
+
+
+# Negative controls for the certificate: each input passes the snap gate,
+# so only ``_certified``'s unitarity or reconstruction gate can refuse it.
+
+
+def _clock_off_its_roots(d, seed):
+    """A Haar-conjugated clock whose eigenvalues sit 5e-7 off their roots, in random directions."""
+    g = np.random.default_rng(seed)
+    u = haar_random_unitary(d, g)
+    return (u * roots_of_unity(d, np.arange(d)) * np.exp(5e-7j * g.choice([-1, 1], d))) @ dagger(u)
+
+
+@pytest.mark.parametrize("d, gate", [(8, "reconstruction error"), (64, "not unitary")])
+def test_certificate_rejects_a_clock_off_its_roots(d, gate):
+    # at d = 64 the label operator of the perturbed projectors is not
+    # Hermitian, and the polished groups are not mutually orthogonal
+    with pytest.raises(NotOrderDError, match=gate):
+        eig_unitary(_clock_off_its_roots(d, seed=1), d)
+
+
+def test_certificate_rejects_a_non_normal_observable():
+    # upper triangular: the eigenvalues are exactly the roots on the diagonal
+    z = z_observable(8).astype(complex)
+    z[0, 1] = 5e-7
+    with pytest.raises(NotOrderDError, match="not unitary"):
+        eig_unitary(z, 8)
+
+
+@pytest.mark.parametrize("basis", ["scaled", "nan"])
+def test_certificate_rejects_a_bad_polished_basis(basis, monkeypatch):
+    a = _scrambled_diagonal((2, 1, 3), seed=3)  # before the patch: Haar sampling reads qr
+    qr = np.linalg.qr
+
+    def bad_qr(*args, **kwargs):
+        q, r = qr(*args, **kwargs)
+        return (q * (1 + 1e-6) if basis == "scaled" else np.full_like(q, np.nan)), r
+
+    monkeypatch.setattr(np.linalg, "qr", bad_qr)
+    with pytest.raises(NotOrderDError, match="not unitary"):
+        eig_unitary(a, 3)
+
+
+@pytest.mark.parametrize("mults", [(1, 1, 1), (1, 1, 1, 2), (2, 1, 1, 0, 0)])
+def test_certificate_rejects_multiplicities_that_do_not_fit(mults):
+    # d = 4 and n = 4: too few eigenspaces, too many columns, too many eigenspaces
+    with pytest.raises(NotOrderDError, match="shape"):
+        qsk.linalg._certified(t_observable(4), t_eigenbasis(4), mults, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_unitary_refuses_non_finite_input_before_the_projectors(bad, monkeypatch):
+    def unreachable(a, d):
+        raise AssertionError("spectral_projectors called on a non-finite observable")
+
+    monkeypatch.setattr(qsk.linalg, "spectral_projectors", unreachable)
+    z = z_observable(3).astype(complex)
+    z[1, 2] = bad
+    with pytest.raises(ValueError, match="observable is not unitary"):
+        eig_unitary(z, 3)
 
 
 @pytest.mark.parametrize("d", [2, 5, 40])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import random_probability_tensor, random_realization, strategy_probabilities
-from _oracles import kron_sum
+from _oracles import best_deterministic_strategy, kron_sum
 
 from qsk.bell import (
     CorrelationTensor,
@@ -66,7 +66,8 @@ def test_evaluate_ideal_d3():
 
 def test_evaluate_best_deterministic_d2():
     f = BellFunctional.satwap(2)
-    bound, strategy = local_bound_bruteforce(f)
+    bound = local_bound_bruteforce(f)
+    _, strategy = best_deterministic_strategy(f)
     c = correlators_from_probabilities(strategy_probabilities(strategy, 2))
     assert abs(evaluate(f, c) - np.sqrt(2)) < 1e-9
     assert abs(bound - np.sqrt(2)) < 1e-9
@@ -95,7 +96,7 @@ def test_classical_bound_frozen_values():
 
 @pytest.mark.parametrize("d", list(range(2, 9)))
 def test_classical_bound_matches_enumeration(d):
-    bound, _ = local_bound_bruteforce(BellFunctional.satwap(d))
+    bound = local_bound_bruteforce(BellFunctional.satwap(d))
     assert abs(bound - classical_bound(d)) < 1e-9
 
 
