@@ -22,22 +22,13 @@ class NotOrderDError(ValueError):
     """Raised when a matrix fails the order-d observable checks."""
 
 
-def omega(d: int, q: float = 1.0) -> complex:
-    """Principal-branch power of the d-th root of unity: exp(2*pi*i*q/d).
-
-    Fractional ``q`` (half and quarter powers) always uses the principal
-    branch; every construction in this package relies on that convention.
-    """
-    return complex(np.exp(2j * np.pi * q / d))
-
-
 def roots_of_unity(n: int, k) -> np.ndarray:
     """``exp(2*pi*i*k/n)`` for integer-valued exponents ``k`` of any shape.
 
     Each exponent is reduced mod n first, and the angle is formed in real
-    arithmetic, so an exponent already in [0, n) gives exactly
-    ``omega(n, k)``.  A half or quarter power w**(k/2), w**(k/4) of the
-    d-th root is ``roots_of_unity(2*d, k)``, ``roots_of_unity(4*d, k)``.
+    arithmetic.  A half or quarter power w**(k/2), w**(k/4) of the d-th
+    root, on the principal branch, is ``roots_of_unity(2*d, k)``,
+    ``roots_of_unity(4*d, k)``.
     """
     return np.exp(1j * (2 * np.pi * (np.asarray(k) % n) / n))
 
@@ -71,13 +62,6 @@ def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
     t = len(ls)
     r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
     return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of ``a - b``."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def _unitarity_error(a: np.ndarray) -> float:
@@ -148,7 +132,7 @@ class EigenDecomposition:
         return roots_of_unity(self.d, self.labels)
 
     def reconstruction_error(self, a: np.ndarray) -> float:
-        return frobenius_distance(a, (self.vectors * self.eigenvalues) @ dagger(self.vectors))
+        return float(np.linalg.norm(a - (self.vectors * self.eigenvalues) @ dagger(self.vectors)))
 
 
 def _certified(

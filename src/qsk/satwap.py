@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import Realization
-from .linalg import omega, roots_of_unity, unitary_powers
+from .linalg import roots_of_unity, unitary_powers
 
 TOL_REAL = 1e-9
 
@@ -44,10 +44,11 @@ class BellFunctional:
     def satwap(cls, d: int) -> BellFunctional:
         """The SATWAP functional: every term pairs A_x^k with B_y^(d-k)."""
         coeff = np.zeros((2, 2, d, d), dtype=complex)
+        roots = roots_of_unity(d, np.arange(d)).tolist()
         for k in range(1, d):
             ak = coefficient_a(d, k)
             coeff[0, 0, k, d - k] = ak
-            coeff[0, 1, k, d - k] = ak.conjugate() * omega(d, k)
+            coeff[0, 1, k, d - k] = ak.conjugate() * roots[k]
             coeff[1, 0, k, d - k] = ak.conjugate()
             coeff[1, 1, k, d - k] = ak
         return cls(d=d, coefficients=coeff)

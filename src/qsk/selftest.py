@@ -23,7 +23,7 @@ import numpy as np
 from . import canonical
 from .bell import Realization
 from .bell import correlators_from_realization  # noqa: F401  kept bound here for perfbench's span wrappers
-from .linalg import EigenDecomposition, dagger, haar_random_unitary, omega, worst
+from .linalg import EigenDecomposition, dagger, haar_random_unitary, roots_of_unity
 from .linalg import eig_unitary  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
 from .sos import check_trace_conditions, extract_blocks
@@ -117,8 +117,9 @@ def extract_bob(
     blocks = extract_blocks(v @ b2 @ dagger(v), d, m)
     fixing = np.zeros((d * m, d * m), dtype=complex)
     fixing[:m, :m] = np.eye(m)
+    half = roots_of_unity(2 * d, np.arange(1, d + 1)).conj().tolist()  # w**(-(i+1)/2)
     for i in range(1, d):
-        u_i = (d / 2) * omega(d, -(i + 1) / 2) * blocks[0, i]
+        u_i = (d / 2) * half[i] * blocks[0, i]
         err = np.linalg.norm(u_i @ dagger(u_i) - np.eye(m))
         if not err <= TOL_BLOCK_UNITARY:
             raise ExtractionError(
@@ -172,33 +173,29 @@ def canonicalize_state(
     """Rotate the state and decompose it over the two qudits and the aux pair.
 
     Writing (U_A (x) U_B)|psi> = sum_ij |ij> |psi_ij>, maximal violation
-    forces psi_ij = 0 for i != j and all psi_ii equal; the returned
-    fidelity is |<phi_d+ (x) aux | rotated psi>| with aux the normalized
+    forces psi_ij = 0 for i != j and all psi_ii equal.  The residuals are
+    the largest |psi_ij| off the diagonal and the largest |psi_ii - psi_jj|,
+    from one reduction over all d^2 block norms and one broadcast difference.
+    The fidelity is |<phi_d+ (x) aux | rotated psi>| with aux the normalized
     psi_00 (falling back to the largest diagonal block when psi_00
     vanishes).  Failure is reported through the numbers, never raised.
     """
     d = r.d
     da, db = r.dims
     ma, mb = da // d, db // d
-    rotated = (u_a @ r.state.reshape(da, db) @ u_b.T).reshape(-1)
-    grid = rotated.reshape(d, ma, d, mb)
-    off = worst(
-        0.0,
-        *(float(np.linalg.norm(grid[i, :, j, :])) for i in range(d) for j in range(d) if i != j),
-    )
-    diagonal = [grid[i, :, i, :].reshape(-1) for i in range(d)]
-    mismatch = worst(
-        *(float(np.linalg.norm(diagonal[i] - diagonal[j])) for i in range(d) for j in range(d))
-    )
-    anchor = diagonal[0]
-    if np.linalg.norm(anchor) < 1e-12:
-        norms = [np.linalg.norm(v) for v in diagonal]
-        anchor = diagonal[int(np.argmax(norms))]
-    if np.linalg.norm(anchor) < 1e-12:
+    rotated = u_a @ r.state.reshape(da, db) @ u_b.T
+    grid = rotated.reshape(d, ma, d, mb).transpose(0, 2, 1, 3)  # block [i, j] is psi_ij
+    norms = np.linalg.norm(grid, axis=(2, 3))
+    off = float(np.max(norms[~np.eye(d, dtype=bool)]))
+    diagonal = grid[np.arange(d), np.arange(d)].reshape(d, -1)
+    mismatch = float(np.linalg.norm(diagonal[:, None] - diagonal[None], axis=-1).max())
+    a = int(np.argmax(np.diagonal(norms))) if norms[0, 0] < 1e-12 else 0
+    if norms[a, a] < 1e-12:
         aux = np.zeros(ma * mb, dtype=complex)
         fidelity = 0.0
     else:
-        aux = anchor / np.linalg.norm(anchor)
+        with np.errstate(invalid="ignore"):  # a NaN block gives a NaN fidelity, not a warning
+            aux = diagonal[a] / np.linalg.norm(diagonal[a])
         fidelity = float(abs(sum(np.vdot(aux, v) for v in diagonal)) / np.sqrt(d))
     return StateCanonicalization(
         fidelity=fidelity,

@@ -267,20 +267,18 @@ class RootIdentityReport:
 def check_root_identities(d: int) -> RootIdentityReport:
     """Verify the two root-of-unity sum identities over all valid indices.
 
-    Both sums are evaluated at once over their whole index grids, every
-    exponent reduced mod d into one table of the d-th roots of unity; the
-    excluded j = i terms have numerator 1 - w^0 = 0 exactly and get a unit
-    denominator.
+    The ratio sum depends on i and j only through m = j - i, so one row of
+    m in [1, d) covers every i: the table [k, m] holds (1 - w^(km)) /
+    (1 - w^(-m)), and its row sums are checked against k.  The weighted sum
+    is one (d - 1, d) table over n and k.  Every exponent is reduced mod d
+    into one table of the d-th roots of unity.
     """
     ks = np.arange(d)
-    roots = roots_of_unity(d, np.arange(d))
-    k = ks[1:, None, None]
-    diff = ks[None, :] - ks[:, None]  # [i, j] = j - i
-    den = 1 - roots[-diff % d]
-    np.fill_diagonal(den, 1)
-    total = ((1 - roots[k * diff % d]) / den).sum(axis=-1)
-    r1 = float(np.abs(total - k[:, :, 0]).max())
-    weighted = roots[np.outer(ks[1:], ks) % d] @ ks
+    roots = roots_of_unity(d, ks)
+    k, m = ks[1:, None], ks[1:]
+    total = ((1 - roots[k * m % d]) / (1 - roots[-m % d])).sum(axis=-1)
+    r1 = float(np.abs(total - ks[1:]).max())
+    weighted = roots[k * ks % d] @ ks
     r2 = float(np.abs(weighted - d / (roots[1:] - 1)).max())
     return RootIdentityReport(d=d, ratio_sum=r1, weighted_sum=r2)
 

@@ -7,7 +7,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from qsk.bell import CorrelationTensor, Realization
-from qsk.linalg import EigenDecomposition, dagger, haar_random_unitary, omega
+from qsk.linalg import EigenDecomposition, dagger, haar_random_unitary
+
+
+def omega(d: int, q: float = 1.0) -> complex:
+    """Principal-branch power of the d-th root of unity: exp(2*pi*i*q/d), the scalar reference.
+
+    Fractional ``q`` (half and quarter powers) uses the principal branch,
+    the convention of every construction in :mod:`qsk`.
+    """
+    return complex(np.exp(2j * np.pi * q / d))
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of ``a - b``; operands of different shapes raise."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)

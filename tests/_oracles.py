@@ -3,11 +3,12 @@
 Each function here is the direct transcription of a definition: one
 ``einsum`` per correlator entry, one trace per Born probability, one dense
 ``kron`` per Bell-operator or sum-of-squares term, ``Fraction`` arithmetic
-term by term for polynomials, an ``einsum`` per Fourier transform and a
-sum of weighted powers per spectral projector, and a ``matrix_power``
-per operator power (negative exponents through the adjoint, no exponent
-reduced mod d; the sum-of-squares combinations read B^-k as B^(d-k), the
-power the Bell operator pairs with A^k).  They are slow and exist only to
+term by term for polynomials, an ``einsum`` per Fourier transform, a
+sum of weighted powers per spectral projector, one ``norm`` per block of
+a canonicalized state, and a ``matrix_power`` per operator power
+(negative exponents through the adjoint, no exponent reduced mod d; the
+sum-of-squares combinations read B^-k as B^(d-k), the power the Bell
+operator pairs with A^k).  They are slow and exist only to
 cross-check the fast kernels in :mod:`qsk`.
 """
 
@@ -19,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from _helpers import DeterministicStrategy, projector
+from _helpers import DeterministicStrategy, omega, projector
 
 import qsk.linalg
 from qsk.bell import Realization, _fourier_matrix
@@ -29,10 +30,11 @@ from qsk.linalg import (
     dagger,
     eig_unitary,
     kron_sum_norm,
-    omega,
     unitary_powers,
+    worst,
 )
 from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
+from qsk.selftest import StateCanonicalization
 
 
 def expectation(op_a: np.ndarray, op_b: np.ndarray, psi: np.ndarray) -> complex:
@@ -362,6 +364,39 @@ def root_identities(d: int) -> tuple[float, float]:
         total = sum(k * omega(d, k * n) for k in range(d))
         r2 = max(r2, abs(total - d / (omega(d, n) - 1)))
     return r1, r2
+
+
+def canonicalize_state(r: Realization, u_a: np.ndarray, u_b: np.ndarray) -> StateCanonicalization:
+    """The state canonicalization block by block: one ``norm`` per block pair."""
+    d = r.d
+    da, db = r.dims
+    ma, mb = da // d, db // d
+    rotated = (u_a @ r.state.reshape(da, db) @ u_b.T).reshape(-1)
+    grid = rotated.reshape(d, ma, d, mb)
+    off = worst(
+        0.0,
+        *(float(np.linalg.norm(grid[i, :, j, :])) for i in range(d) for j in range(d) if i != j),
+    )
+    diagonal = [grid[i, :, i, :].reshape(-1) for i in range(d)]
+    mismatch = worst(
+        *(float(np.linalg.norm(diagonal[i] - diagonal[j])) for i in range(d) for j in range(d))
+    )
+    anchor = diagonal[0]
+    if np.linalg.norm(anchor) < 1e-12:
+        norms = [np.linalg.norm(v) for v in diagonal]
+        anchor = diagonal[int(np.argmax(norms))]
+    if np.linalg.norm(anchor) < 1e-12:
+        aux = np.zeros(ma * mb, dtype=complex)
+        fidelity = 0.0
+    else:
+        aux = anchor / np.linalg.norm(anchor)
+        fidelity = float(abs(sum(np.vdot(aux, v) for v in diagonal)) / np.sqrt(d))
+    return StateCanonicalization(
+        fidelity=fidelity,
+        aux_state=aux,
+        off_diagonal_residual=off,
+        diagonal_mismatch=mismatch,
+    )
 
 
 def unitary_power(a: np.ndarray, k: int) -> np.ndarray:

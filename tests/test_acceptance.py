@@ -8,7 +8,7 @@ assertion message.
 import numpy as np
 import pytest
 
-from _helpers import random_order_d
+from _helpers import omega, random_order_d
 
 from qsk.bell import (
     Realization,
@@ -34,7 +34,7 @@ from qsk.cyclotomic import (
     lemma2_conclude,
     proper_divisors,
 )
-from qsk.linalg import dagger, eig_unitary, omega
+from qsk.linalg import dagger, eig_unitary
 from qsk.randomness import certified_bits, ideal_guessing_probability, outcome_distribution
 from qsk.satwap import BellFunctional, classical_bound, evaluate, quantum_bound
 from qsk.selftest import (

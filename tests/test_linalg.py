@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import projector
+from _helpers import frobenius_distance, omega, projector
 from _oracles import (
     eig_unitary_looped_polish,
     eig_unitary_svd,
@@ -16,10 +16,8 @@ from qsk.linalg import (
     dagger,
     decomposition_from_basis,
     eig_unitary,
-    frobenius_distance,
     haar_random_unitary,
     kron_sum_norm,
-    omega,
     roots_of_unity,
     worst,
 )
@@ -118,10 +116,14 @@ def test_eig_unitary_snaps_to_exact_roots_grouped_by_exponent():
 
 
 def test_roots_of_unity_reduces_exponents_and_matches_omega():
-    n = 12
-    k = np.arange(-2 * n, 3 * n).reshape(5, n)
-    assert np.array_equal(roots_of_unity(n, k), roots_of_unity(n, k % n))
-    assert roots_of_unity(n, np.arange(n)).tolist() == [omega(n, j) for j in range(n)]
+    for n in range(2, 65):
+        k = np.arange(-2 * n, 3 * n).reshape(5, n)
+        assert np.array_equal(roots_of_unity(n, k), roots_of_unity(n, k % n))
+        # bitwise: BellFunctional.satwap and extract_bob read these two tables,
+        # so any difference from the scalar reference would move the JSON
+        assert roots_of_unity(n, np.arange(n)).tolist() == [omega(n, j) for j in range(n)]
+        half = roots_of_unity(2 * n, np.arange(1, n + 1)).conj().tolist()
+        assert half == [omega(n, -j / 2) for j in range(1, n + 1)], n
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
@@ -204,16 +206,6 @@ def test_partial_trace_maximally_mixed():
     for d in (2, 3, 5):
         psi = maximally_entangled(d).reshape(d, d)
         assert frobenius_distance(psi @ dagger(psi), np.eye(d) / d) < 1e-12
-
-
-def test_frobenius_distance():
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert frobenius_distance(m, m) == 0.0
-    assert abs(frobenius_distance(np.eye(2, dtype=complex), np.zeros((2, 2))) - np.sqrt(2)) < 1e-12
-    n = rng.standard_normal((4, 4)) + 0j
-    assert abs(frobenius_distance(m, n) - frobenius_distance(n, m)) < 1e-12
-    with pytest.raises(ValueError):
-        frobenius_distance(np.eye(2), np.eye(3))
 
 
 def test_haar_random_unitary_is_unitary():

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import _oracles
-from _helpers import random_order_d, random_realization
+from _helpers import frobenius_distance, omega, random_order_d, random_realization
 from _oracles import kron_sum
 
 import qsk.bell
@@ -13,7 +15,7 @@ from qsk.canonical import (
     t_observable,
     z_observable,
 )
-from qsk.linalg import dagger, eig_unitary, frobenius_distance, haar_random_unitary, omega
+from qsk.linalg import dagger, eig_unitary, haar_random_unitary
 from qsk.satwap import BellFunctional, bell_operator, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
@@ -167,6 +169,65 @@ def test_canonicalize_state_product_state_reports_low_fidelity():
     result = canonicalize_state(r, np.eye(d, dtype=complex), np.eye(d, dtype=complex))
     assert abs(result.fidelity - 1 / np.sqrt(d)) < 1e-9
     assert result.diagonal_mismatch > 0.5
+
+
+def _assert_matches_block_oracle(r, u_a, u_b):
+    fast, slow = canonicalize_state(r, u_a, u_b), _oracles.canonicalize_state(r, u_a, u_b)
+    # same anchor, same normalization, same d-term sum: bit for bit
+    assert fast.fidelity == slow.fidelity
+    assert np.array_equal(fast.aux_state, slow.aux_state)
+    # block norms by reduction against one norm per block: rounding level
+    for a, b in [
+        (fast.off_diagonal_residual, slow.off_diagonal_residual),
+        (fast.diagonal_mismatch, slow.diagonal_mismatch),
+    ]:
+        assert abs(a - b) <= 1e-15 + 1e-12 * b
+    return fast
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("aux", [(1, 1), (2, 3), (4, 2)], ids=str)
+def test_canonicalize_state_matches_block_oracle_on_scrambled_violators(d, aux):
+    r = scramble(ideal_realization(d), *aux, seed=10 * d + aux[0])
+    result = extract(r)
+    state = _assert_matches_block_oracle(r, result.u_a, result.u_b)
+    assert abs(state.fidelity - 1.0) <= 1e-9
+    # unextracted, the scrambled state has nonzero blocks everywhere
+    eye_a, eye_b = np.eye(r.dims[0], dtype=complex), np.eye(r.dims[1], dtype=complex)
+    state = _assert_matches_block_oracle(r, eye_a, eye_b)
+    assert state.off_diagonal_residual > 1e-3
+
+
+def test_canonicalize_state_matches_block_oracle_on_haar_random_state():
+    g = np.random.default_rng(31)
+    d, da, db = 4, 8, 12
+    r = random_realization(d, g, dim_a=da, dim_b=db)
+    _assert_matches_block_oracle(r, haar_random_unitary(da, g), haar_random_unitary(db, g))
+
+
+def test_canonicalize_state_anchors_on_largest_diagonal_block_when_psi_00_vanishes():
+    d = 2
+    r = ideal_realization(d)
+    state = np.zeros(d * d, dtype=complex)
+    state[3] = 1.0  # |11>: psi_00 = 0, psi_11 = 1
+    eye = np.eye(d, dtype=complex)
+    result = _assert_matches_block_oracle(dataclasses.replace(r, state=state), eye, eye)
+    assert abs(result.fidelity - 1 / np.sqrt(2)) <= 1e-15
+    assert result.aux_state.tolist() == [1.0]
+    assert result.off_diagonal_residual == 0.0
+    assert result.diagonal_mismatch == 1.0
+
+
+def test_canonicalize_state_nan_entry_gives_nan_fidelity_and_residuals():
+    d = 3
+    r = scramble(ideal_realization(d), 2, 1, seed=4)
+    result = extract(r)
+    state = r.state.copy()
+    state[5] = np.nan
+    out = canonicalize_state(dataclasses.replace(r, state=state), result.u_a, result.u_b)
+    assert np.isnan(out.fidelity)
+    assert np.isnan(out.off_diagonal_residual)
+    assert np.isnan(out.diagonal_mismatch)
 
 
 @pytest.mark.parametrize("d", [2, 3])

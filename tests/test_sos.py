@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _helpers import random_order_d, random_realization
+from _helpers import frobenius_distance, omega, random_order_d, random_realization
 
 from qsk.bell import Realization
 from qsk.canonical import (
@@ -21,9 +21,7 @@ from qsk.linalg import (
     dagger,
     decomposition_from_basis,
     eig_unitary,
-    frobenius_distance,
     haar_random_unitary,
-    omega,
     worst,
 )
 from qsk.selftest import scramble
@@ -269,7 +267,7 @@ def test_root_identities_sweep(d):
     assert check_root_identities(d).max_residual < 1e-8
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 16])
+@pytest.mark.parametrize("d", [2, 3, 7, 16, 31])
 def test_root_identities_match_loop_oracle(d):
     report = check_root_identities(d)
     ratio, weighted = _oracles.root_identities(d)
@@ -277,6 +275,19 @@ def test_root_identities_match_loop_oracle(d):
     assert abs(report.weighted_sum - weighted) <= 1e-12
     if d == 16:
         assert report.max_residual <= 1e-13
+
+
+def test_root_identities_memory_is_quadratic_in_d():
+    # one (d - 1, d - 1) table of ratios and one (d - 1, d) table of weighted
+    # terms: about 2 MiB at d = 256, where a (d - 1, d, d) complex grid over
+    # i, j and k would take 255 MiB
+    tracemalloc.start()
+    try:
+        check_root_identities(256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_trace_condition_witness_names_a_nan_entry():
