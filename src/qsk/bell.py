@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     EigenDecomposition,
+    NotOrderDError,
     dagger,
     decomposition_from_basis,
     eig_unitary,
@@ -83,7 +84,8 @@ class Realization:
     def validate(self) -> tuple[EigenDecomposition, ...]:
         """Check shapes, finiteness, normalization and the order-d property.
 
-        Returns the decompositions of (A1, A2, B1, B2) computed on the way.
+        Returns the decompositions of (A1, A2, B1, B2) computed on the way;
+        a failing observable is named in its :class:`NotOrderDError`.
         """
         da, db = self.dims
         if self.state.shape != (da * db,):
@@ -101,7 +103,12 @@ class Realization:
                     raise ValueError(f"observable {side}{i + 1} has shape {o.shape}")
                 if not np.isfinite(o).all():
                     raise ValueError(f"observable {side}{i + 1} has non-finite entries")
-                decomps.append(eig_unitary(o, self.d))  # raises NotOrderDError on failure
+                try:
+                    decomps.append(eig_unitary(o, self.d))
+                except ValueError as exc:
+                    raise NotOrderDError(
+                        f"observable {side}{i + 1} is not an order-{self.d} observable: {exc}"
+                    ) from exc
         return tuple(decomps)
 
     @cached_property

@@ -15,7 +15,7 @@ import numpy as np
 
 TOL_UNITARY = 1e-9
 TOL_EIG = 1e-9
-TOL_SNAP = 1e-6
+TOL_SCREEN = 1e-6  # eig_unitary's unitarity screen ahead of the projectors
 
 
 class NotOrderDError(ValueError):
@@ -103,7 +103,7 @@ def spectral_projectors(a: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigendecomposition of an order-d unitary with root-of-unity snapping.
+    """Eigendecomposition of an order-d unitary, its eigenvalues exact roots ``w**j``.
 
     ``vectors`` is unitary with its columns in consecutive runs by
     eigenvalue index: the first ``multiplicities[0]`` columns span the
@@ -167,37 +167,29 @@ def _certified(
 
 
 def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
-    """Eigendecomposition of ``a`` with eigenvalues snapped to ``w**j``.
+    """Eigendecomposition of ``a`` from one eigensolve, with exact eigenvalues ``w**j``.
 
     The basis comes from one Hermitian ``eigh`` of the label operator
     ``H = sum_j j P_j`` built from the Fourier-inverted spectral
-    projectors: its eigenvalues are the integers j, a gap of 1 apart, so
-    its columns are orthonormal and already sorted into the groups
-    j = 0..d-1 however degenerate the spectrum.  Each group is then
+    projectors: its eigenvalues, rounded, are the labels j, a gap of 1
+    apart, so its columns are orthonormal and already sorted into the
+    groups j = 0..d-1 however degenerate the spectrum.  Each group is then
     polished as ``qr(P_j V_j)``, which takes the reconstruction error down
     to that of a per-eigenspace SVD; the groups of one multiplicity m go
     through one stacked QR of shape (groups, n, m).
 
-    Raises ``ValueError`` when ``a`` is not unitary to ``TOL_SNAP`` (a NaN
-    or inf entry included), and :class:`NotOrderDError` when any raw
-    eigenvalue sits further than ``TOL_SNAP`` from every d-th root of unity
-    or the basis fails :func:`_certified`.
+    Raises ``ValueError`` when ``a`` is not unitary to ``TOL_SCREEN`` (a
+    NaN or inf entry included), and :class:`NotOrderDError` when a label
+    is NaN or outside 0..d-1 or the basis fails :func:`_certified`, the
+    gate that puts each eigenvalue within about ``TOL_EIG`` of its root.
     """
-    assert_unitary(a, tol=max(TOL_UNITARY, TOL_SNAP), what="observable")
-    raw = np.linalg.eigvals(a)
-    # float until the gate has passed: int() of a NaN would raise the wrong error
-    j = np.round(np.angle(raw) * d / (2 * np.pi)) % d
-    dist = np.abs(raw - roots_of_unity(d, j))
-    off = ~(dist <= TOL_SNAP)
-    if off.any():
-        c = int(np.argmax(off))
-        raise NotOrderDError(
-            f"eigenvalue {raw[c]:.6f} is {dist[c]:.3e} from the nearest d-th root of unity"
-        )
-    mult = np.bincount(j.astype(int), minlength=d)
-
+    assert_unitary(a, tol=TOL_SCREEN, what="observable")
     projs = spectral_projectors(a, d)
-    vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))[1]
+    values, vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))
+    j = np.rint(values)
+    if not ((j >= 0) & (j <= d - 1)).all():  # a NaN label fails too, before int() of it
+        raise NotOrderDError(f"eigenvalue labels {values.min():.3f}..{values.max():.3f} leave 0..{d - 1}")
+    mult = np.bincount(j.astype(int), minlength=d)
     offsets = np.concatenate(([0], np.cumsum(mult)))
     # one stacked QR per multiplicity class; set(), not np.unique, whose
     # first call in a process costs milliseconds

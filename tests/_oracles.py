@@ -350,6 +350,42 @@ def eig_unitary_looped_polish(a: np.ndarray, d: int) -> EigenDecomposition:
     )
 
 
+TOL_SNAP = 1e-6
+
+
+def eig_unitary_snapped(a: np.ndarray, d: int) -> EigenDecomposition:
+    """The two-eigensolve ``eig_unitary``: multiplicities counted from
+    ``eigvals`` of ``a`` behind a ``TOL_SNAP`` root-of-unity gate, columns
+    from the label operator's ``eigh``, the same stacked QR polish and
+    certificate."""
+    assert_unitary(a, tol=max(qsk.linalg.TOL_UNITARY, TOL_SNAP), what="observable")
+    raw = np.linalg.eigvals(a)
+    # float until the gate has passed: int() of a NaN would raise the wrong error
+    j = np.round(np.angle(raw) * d / (2 * np.pi)) % d
+    dist = np.abs(raw - qsk.linalg.roots_of_unity(d, j))
+    off = ~(dist <= TOL_SNAP)
+    if off.any():
+        c = int(np.argmax(off))
+        raise qsk.linalg.NotOrderDError(
+            f"eigenvalue {raw[c]:.6f} is {dist[c]:.3e} from the nearest d-th root of unity"
+        )
+    mult = np.bincount(j.astype(int), minlength=d)
+
+    projs = qsk.linalg.spectral_projectors(a, d)
+    vectors = np.linalg.eigh(np.tensordot(np.arange(d), projs, axes=1))[1]
+    offsets = np.concatenate(([0], np.cumsum(mult)))
+    # one stacked QR per multiplicity class; set(), not np.unique, whose
+    # first call in a process costs milliseconds
+    for m in set(mult.tolist()) - {0}:
+        ks = np.flatnonzero(mult == m)
+        cols = offsets[ks][:, None] + np.arange(m)
+        # every eigenspace in one class: the stack itself, not a gathered copy
+        stack = projs if len(ks) == d else projs[ks]
+        blocks = vectors[:, cols].transpose(1, 0, 2)
+        vectors[:, cols] = np.linalg.qr(stack @ blocks)[0].transpose(1, 0, 2)
+    return qsk.linalg._certified(a, vectors, tuple(mult.tolist()), d)
+
+
 def root_identities(d: int) -> tuple[float, float]:
     """Residuals of both root-of-unity sum identities, index by index."""
     r1 = 0.0

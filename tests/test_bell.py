@@ -72,6 +72,24 @@ def test_born_rejects_non_order_d_observable():
         born_probabilities(r)
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_validate_names_the_observable_that_is_not_order_d(index):
+    from qsk.linalg import NotOrderDError
+
+    observables = [z_observable(2)] * 4
+    observables[index] = np.diag([1.0, np.exp(1j * (np.pi + 0.01))])
+    r = Realization(
+        d=2,
+        dims=(2, 2),
+        state=np.array([1, 0, 0, 1]) / np.sqrt(2),
+        observables_a=tuple(observables[:2]),
+        observables_b=tuple(observables[2:]),
+    )
+    name = ("A1", "A2", "B1", "B2")[index]
+    with pytest.raises(NotOrderDError, match=f"^observable {name} is not an order-2 observable: "):
+        r.validate()
+
+
 def test_correlators_flat_distribution_vanish():
     d = 4
     flat = CorrelationTensor(np.full((2, 2, d, d), 1 / d**2))

@@ -315,6 +315,20 @@ def test_verify_file_with_d_below_two_is_an_input_error(d, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("group", [[], ["--extract"], ["--bounds"]])
+def test_verify_file_relabelled_to_another_d_names_the_observable(group, tmp_path, capsys):
+    # a d = 3 scramble read at d = 2: no observable is of order 2
+    payload = realization_to_json(scramble(ideal_realization(3), 2, 1, seed=5))
+    payload["d"] = 2
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--file", str(path), *group, "--format", "json"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: observable A1 is not an order-2 observable: ")
+
+
 def test_verify_file_that_does_not_exist_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing.json"
     assert main(["verify", "--file", str(path)]) == EXIT_INPUT_ERROR

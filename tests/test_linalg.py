@@ -1,9 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import frobenius_distance, omega, projector
 from _oracles import (
     eig_unitary_looped_polish,
+    eig_unitary_snapped,
     eig_unitary_svd,
     unitary_power,
 )
@@ -21,7 +26,14 @@ from qsk.linalg import (
     roots_of_unity,
     worst,
 )
-from qsk.canonical import maximally_entangled, t_eigenbasis, t_observable, z_observable
+from qsk.canonical import (
+    ideal_realization,
+    maximally_entangled,
+    t_eigenbasis,
+    t_observable,
+    z_observable,
+)
+from qsk.selftest import scramble
 
 rng = np.random.default_rng(20260810)
 
@@ -200,6 +212,80 @@ def test_eig_unitary_projectors_resolve_identity():
     assert frobenius_distance(acc, np.eye(d)) < 1e-9
 
 
+# The grid of the one-eigensolve tests: the ideal Alice pair, each
+# scrambled observable, and Z(3) read at d = 6, whose spectrum misses
+# the odd roots (multiplicities (1, 0, 1, 0, 1, 0)).
+EIG_GRID = [
+    *(("ideal", d, None) for d in (2, 3, 5, 16, 40)),
+    *(("scrambled", d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (4, 2))),
+    ("z3", 6, None),
+]
+
+
+@functools.cache
+def _grid_observables(kind, d, aux):
+    if kind == "ideal":
+        return ideal_realization(d).observables_a
+    if kind == "scrambled":
+        r = scramble(ideal_realization(d), *aux, seed=d)
+        return (*r.observables_a, *r.observables_b)
+    return (z_observable(3),)
+
+
+@pytest.mark.parametrize("kind, d, aux", EIG_GRID)
+def test_eig_unitary_matches_the_snapped_two_eigensolve_oracle(kind, d, aux):
+    for a in _grid_observables(kind, d, aux):
+        fast, oracle = eig_unitary(a, d), eig_unitary_snapped(a, d)
+        assert fast.multiplicities == oracle.multiplicities
+        assert np.array_equal(fast.vectors, oracle.vectors)
+    if kind == "z3":
+        assert fast.multiplicities == (1, 0, 1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("kind, d, aux", EIG_GRID)
+def test_eig_unitary_makes_one_hermitian_eigensolve(kind, d, aux, monkeypatch):
+    observables = _grid_observables(kind, d, aux)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigh(*args, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eig_unitary called a non-Hermitian eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvals", unreachable)
+    monkeypatch.setattr(np.linalg, "eig", unreachable)
+    for a in observables:
+        eig_unitary(a, d)
+    assert calls == [a.shape for a in observables]
+
+
+@settings(max_examples=100, deadline=None)
+@example(d=2, n=1, seed=0, fraction=0.0, sign=1)
+@example(d=12, n=24, seed=1, fraction=0.0, sign=-1)
+@given(
+    d=st.integers(2, 12),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.0),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_eig_unitary_refuses_an_eigenvalue_off_every_root(d, n, seed, fraction, sign):
+    # one angle moved by delta in [1e-6, pi/d] off its root sits at least
+    # 1e-6 in angle from every d-th root; the same matrix without the move
+    # passes, so the refusal is the move's
+    g = np.random.default_rng(seed)
+    u = haar_random_unitary(n, g)
+    theta = 2 * np.pi * g.integers(0, d, n) / d
+    eig_unitary((u * np.exp(1j * theta)) @ dagger(u), d)
+    theta[g.integers(n)] += sign * (1e-6 + fraction * (np.pi / d - 1e-6))
+    with pytest.raises(NotOrderDError):
+        eig_unitary((u * np.exp(1j * theta)) @ dagger(u), d)
+
+
 def test_partial_trace_maximally_mixed():
     # Tr_B |phi_d+><phi_d+| = I/d: with psi the state as a (d, d) matrix,
     # the reduced state of A is psi psi^dag
@@ -262,19 +348,43 @@ def test_assert_unitary_rejects_nan_entry():
         assert_unitary(m)
 
 
-def test_eig_unitary_snap_gate_rejects_nan_eigenvalue(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[0], np.nan + 0j))
-    with pytest.raises(NotOrderDError, match="nearest d-th root"):
-        eig_unitary(z_observable(3), 3)
+def _eigh_with_labels(labels):
+    """``np.linalg.eigh`` with the eigenvalues it returns edited by ``labels(values)``."""
+    eigh = np.linalg.eigh
+
+    def patched(h):
+        values, vectors = eigh(h)
+        return labels(values.copy()), vectors
+
+    return patched
 
 
-@pytest.mark.parametrize("position", [0, 2])
-def test_eig_unitary_snap_gate_rejects_one_nan_eigenvalue(position, monkeypatch):
-    roots = np.array([omega(3, j) for j in range(3)])
-    roots[position] = np.nan
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: roots)
-    with pytest.raises(NotOrderDError, match="nearest d-th root"):
-        eig_unitary(z_observable(3), 3)
+def _set(index, value):
+    def edit(values):
+        values[index] = value
+        return values
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        lambda v: np.full_like(v, np.nan),
+        _set(0, np.nan),
+        _set(-1, np.nan),
+        _set(0, -0.6),
+        _set(-1, 2.6),
+    ],
+    ids=["all", "first", "last", "below", "above"],
+)
+def test_eig_unitary_label_gate_rejects_nan_or_out_of_range_labels(labels, monkeypatch):
+    # such labels must stop at the label gate, never reach bincount (a
+    # ValueError that is no NotOrderDError) or index the columns
+    z = z_observable(3)
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_with_labels(labels))
+    with pytest.raises(NotOrderDError, match=r"eigenvalue labels .* leave 0\.\.2"):
+        eig_unitary(z, 3)
 
 
 def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
@@ -283,8 +393,9 @@ def test_eig_unitary_reconstruction_gate_rejects_nan_error(monkeypatch):
         eig_unitary(z_observable(3), 3)
 
 
-# Negative controls for the certificate: each input passes the snap gate,
-# so only ``_certified``'s unitarity or reconstruction gate can refuse it.
+# Negative controls for the certificate: each input is unitary to
+# ``TOL_SCREEN`` and its labels round into 0..d-1, so only ``_certified``'s
+# unitarity or reconstruction gate can refuse it.
 
 
 def _clock_off_its_roots(d, seed):

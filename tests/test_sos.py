@@ -216,16 +216,21 @@ def test_power_stack_checks_match_loop_oracles(d, monkeypatch):
 def test_power_stack_checks_fail_closed_off_order_d(d):
     # e^{i eps} (Z, T) satisfies the commutation relation exactly, but
     # B^d = e^{i d eps} I, so no power may be read mod d.  The checks read
-    # powers off a decomposition, and the gates that build one refuse the
-    # pair: eig_unitary at the snap gate (eps = 1e-3) or at the
-    # reconstruction gate (eps = 1e-8), decomposition_from_basis with the
-    # closed-form bases at its reconstruction gate
+    # powers off a decomposition, and the certificate that ends both
+    # constructors refuses the pair: eig_unitary at its reconstruction gate,
+    # or for T at eps = 1e-3 at its basis-unitarity gate (the projectors of
+    # a unitary that is not order d are not orthogonal, nor is the
+    # polished basis), decomposition_from_basis with the closed-form bases
+    # at its reconstruction gate
     bases = (np.eye(d, dtype=complex), t_eigenbasis(d))
-    for eps, gate in ((1e-3, "nearest d-th root"), (1e-8, "reconstruction error")):
+    for eps, gates in (
+        (1e-3, ("reconstruction error", "not unitary")),
+        (1e-8, ("reconstruction error", "reconstruction error")),
+    ):
         phase = np.exp(1j * eps)
         pair = (phase * z_observable(d), phase * t_observable(d))
         assert _oracles.commutation_relation(*pair, d) < 1e-9
-        for b, basis in zip(pair, bases):
+        for b, basis, gate in zip(pair, bases, gates):
             with pytest.raises(NotOrderDError, match=gate):
                 eig_unitary(b, d)
             with pytest.raises(NotOrderDError, match="reconstruction error"):
