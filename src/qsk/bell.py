@@ -116,10 +116,17 @@ class Realization:
         """(A1, A2, B1, B2) decomposed at most once: a supplied basis through
         :func:`decomposition_from_basis`, any other observable through
         :func:`eig_unitary`."""
-        observables = (*self.observables_a, *self.observables_b)
+        return (*self._decompose(self.observables_a, self._bases[:2]), *self.decompositions_b)
+
+    @cached_property
+    def decompositions_b(self) -> tuple[EigenDecomposition, ...]:
+        """(B1, B2) of :attr:`decompositions`, decomposed without Alice's pair."""
+        return self._decompose(self.observables_b, self._bases[2:])
+
+    def _decompose(self, observables, bases) -> tuple[EigenDecomposition, ...]:
         return tuple(
             eig_unitary(o, self.d) if v is None else decomposition_from_basis(o, v, self.d)
-            for o, v in zip(observables, self._bases, strict=True)
+            for o, v in zip(observables, bases, strict=True)
         )
 
     @cached_property

@@ -55,26 +55,8 @@ def _complex_from_json(entries, ndim: int, what: str) -> np.ndarray:
     return values.view(complex)[..., 0]
 
 
-class _ArrayValue(Exception):
-    """An ndarray reached the stdlib encoder; :func:`canonical_dumps` writes it."""
-
-
-def _json_default(o):
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        raise _ArrayValue
-    raise TypeError(f"not JSON serializable: {type(o)!r}")
-
-
-# what json.dumps(obj, sort_keys=True, separators=(",", ":"), ...) builds per call
-_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False, default=_json_default
-)
+# what json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) builds per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _float_array_json(a: np.ndarray) -> str:
@@ -100,32 +82,25 @@ def _float_array_json(a: np.ndarray) -> str:
     return nest(cells)
 
 
-def _canonical(obj) -> str:
-    try:
-        return _ENCODER.encode(obj)
-    except _ArrayValue:
-        pass
-    # an ndarray sits in obj, so obj is the array or a container json descends into
-    if isinstance(obj, np.ndarray):
-        return _float_array_json(obj)
-    if isinstance(obj, dict):
-        # {k: 0} encodes to {KEY:0}: json's own key conversion
-        items = (
-            f"{_ENCODER.encode({k: 0})[1:-3]}:{_canonical(v)}" for k, v in sorted(obj.items())
-        )
-        return "{" + ",".join(items) + "}"
-    return "[" + ",".join(map(_canonical, obj)) + "]"
-
-
 def canonical_dumps(obj) -> str:
     """Canonical JSON: ``json.dumps`` with sorted keys and no spaces, plus a newline.
 
-    Float64 ndarray values are written as nested lists by distinct value
-    (:func:`_float_array_json`), byte-identical to encoding ``.tolist()``;
-    a payload without arrays is one stdlib call.  NaN and infinities raise
-    ``ValueError`` in either form.
+    A float64 ndarray may be the value of a top-level key; it is written
+    as a nested list by distinct value (:func:`_float_array_json`),
+    byte-identical to encoding ``.tolist()``.  Any other ndarray or numpy
+    scalar that is not a float is refused with ``TypeError``, as
+    ``json.dumps`` refuses it.  NaN and infinities raise ``ValueError``.
     """
-    return _canonical(obj) + "\n"
+    if not (isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values())):
+        return _ENCODER.encode(obj) + "\n"
+    items = (
+        # {k: 0} encodes to {KEY:0}: json's own key conversion
+        _ENCODER.encode({k: 0})[1:-3]
+        + ":"
+        + (_float_array_json(v) if isinstance(v, np.ndarray) else _ENCODER.encode(v))
+        for k, v in sorted(obj.items())
+    )
+    return "{" + ",".join(items) + "}\n"
 
 
 def realization_to_json(r: bell.Realization, metadata: dict | None = None) -> dict:
@@ -180,7 +155,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)
 
     def to_json(self) -> dict:
         return {
@@ -306,7 +281,7 @@ def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
 
 def _traces_group(report: VerificationReport, ideal: bell.Realization) -> None:
     d, checks = ideal.d, report.checks
-    z, t = ideal.decompositions[2:]
+    z, t = ideal.decompositions_b
     traces = worst(*(v for dec in (z, t) for _, v in sos.check_trace_conditions(dec).entries))
     checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
     checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t), 1e-8))

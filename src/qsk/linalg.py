@@ -181,7 +181,8 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
     Raises ``ValueError`` when ``a`` is not unitary to ``TOL_SCREEN`` (a
     NaN or inf entry included), and :class:`NotOrderDError` when a label
     is NaN or outside 0..d-1 or the basis fails :func:`_certified`, the
-    gate that puts each eigenvalue within about ``TOL_EIG`` of its root.
+    gate that puts each eigenvalue within about ``TOL_EIG`` of its root;
+    that refusal leads with the input's own order defect ``|U^d - I|``.
     """
     assert_unitary(a, tol=TOL_SCREEN, what="observable")
     projs = spectral_projectors(a, d)
@@ -200,7 +201,12 @@ def eig_unitary(a: np.ndarray, d: int) -> EigenDecomposition:
         stack = projs if len(ks) == d else projs[ks]
         blocks = vectors[:, cols].transpose(1, 0, 2)
         vectors[:, cols] = np.linalg.qr(stack @ blocks)[0].transpose(1, 0, 2)
-    return _certified(a, vectors, tuple(mult.tolist()), d)
+    try:
+        return _certified(a, vectors, tuple(mult.tolist()), d)
+    except NotOrderDError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.linalg.norm(np.linalg.matrix_power(a, d) - np.eye(len(a)))
+        raise NotOrderDError(f"|U^{d} - I| = {defect:.3e} ({exc})") from exc
 
 
 def decomposition_from_basis(a: np.ndarray, vectors: np.ndarray, d: int) -> EigenDecomposition:

@@ -24,6 +24,7 @@ from qsk.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
+    CheckResult,
     build_parser,
     build_verification_report,
     canonical_dumps,
@@ -326,7 +327,10 @@ def test_verify_file_relabelled_to_another_d_names_the_observable(group, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("error: observable A1 is not an order-2 observable: ")
+    # |U^2 - I| of U = G (Z (x) 1_2) G^dag is that of Z (x) 1_2: sqrt(2 (0 + 3 + 3))
+    assert line.startswith(
+        "error: observable A1 is not an order-2 observable: |U^2 - I| = 3.464e+00 ("
+    )
 
 
 def test_verify_file_that_does_not_exist_is_an_input_error(tmp_path, capsys):
@@ -454,12 +458,37 @@ REPR_EDGES = (
     )
 )
 def test_array_values_are_written_as_the_stdlib_writes_their_lists(a):
-    expected = json.dumps(a.tolist(), separators=(",", ":")) + "\n"
-    assert canonical_dumps(a) == expected
-    assert canonical_dumps(a.T) == json.dumps(a.T.tolist(), separators=(",", ":")) + "\n"
-    nested = {"z": [1, {"b": a, "a": -0.0}], "a": (a, "s"), "m": None}
-    listed = {"z": [1, {"b": a.tolist(), "a": -0.0}], "a": (a.tolist(), "s"), "m": None}
-    assert canonical_dumps(nested) == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+    # arrays as top-level values whose keys sort before, between and after
+    # the scalar keys
+    payload = {"m": a, "a": a.T, "z": a[..., ::-1], "f": -0.0, "s": [1, {"b": "x"}], "t": None}
+    listed = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    expected = json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+    assert canonical_dumps(payload) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.zeros(2),
+        [np.zeros(2)],
+        {"a": {"b": np.zeros(2)}},
+        {"n": np.int64(3)},
+        {"p": np.bool_(True)},
+        {"a": np.zeros(2), "n": np.int64(3)},
+    ],
+    ids=["bare-array", "array-in-list", "array-in-nested-dict", "int64", "bool_", "int64-beside-array"],
+)
+def test_canonical_dumps_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload)
+    with pytest.raises(TypeError):
+        canonical_dumps(payload)
+
+
+def test_check_result_passed_is_a_python_bool():
+    # a numpy float64 residual compares to a numpy.bool_, which json refuses
+    assert CheckResult("x", np.float64(0.0), 1e-9).passed is True
+    assert CheckResult("x", np.float64(1.0), 1e-9).passed is False
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -545,15 +574,17 @@ KERNELS = ("correlators_from_realization", "born_probabilities", "eig_unitary")
         (["verify", "--file", "{scrambled}", "--extract"], (2, 0, 8)),
         (["verify", "--d", "6", "--all"], (3, 2, 6)),
         (["simulate", "--d", "40", "--shots", "1000"], (0, 1, 2)),
+        (["verify", "--d", "8", "--traces"], (0, 0, 0)),
     ],
-    ids=["certify", "extract-file", "all", "simulate"],
+    ids=["certify", "extract-file", "all", "simulate", "traces"],
 )
 def test_each_command_computes_each_realizations_statistics_once(
     argv, counts, tmp_path, monkeypatch, capsys
 ):
     # one correlator tensor and one Born tensor per realization that needs it,
     # one eigendecomposition per validated observable and per Born-rule
-    # observable without a closed-form basis (the ideal Alice pair)
+    # observable without a closed-form basis (the ideal Alice pair); the
+    # trace checks read only Bob's pair, whose bases are closed-form
     scrambled = tmp_path / "scrambled.json"
     assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
     calls = dict.fromkeys(KERNELS, 0)
