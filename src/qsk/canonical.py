@@ -1,6 +1,6 @@
 """Reference constructions: the canonical observable pair, the maximally
-entangled state, the CGLMP measurements, and the structural unitaries
-relating them.
+entangled state, the CGLMP measurements, and the basis changes relating
+them.
 
 The canonical pair is ``Z`` (the qudit clock, diag(1, w, ..., w^(d-1)))
 and its partner ``T``: unitary, symmetric, order d, simple spectrum.
@@ -78,28 +78,12 @@ def cglmp_eigenbasis(d: int, party: str, setting: int) -> np.ndarray:
     return v / np.sqrt(d)
 
 
-def structural_unitaries(d: int) -> tuple[np.ndarray, ...]:
-    """The building blocks (F, Y, S, M1, M2) of the basis-change unitaries.
-
-    F is the standard discrete Fourier matrix (1/sqrt(d)) sum w**(ij) |i><j|;
-    Y = diag((-1)**(1-delta_j0) w**((d-j)/2)), M1 = diag(w**(j/4)) and
-    M2 = diag(w**(j/2)) are phase matrices, S the index reflection
-    |j> <-> |d-1-j>.
-    """
-    j = np.arange(d)
-    f = roots_of_unity(d, np.outer(j, j)) / np.sqrt(d)
-    y = np.diag(np.where(j == 0, 1, -1) * roots_of_unity(2 * d, d - j))
-    s = np.eye(d, dtype=complex)[::-1]
-    m1 = np.diag(roots_of_unity(4 * d, j))
-    m2 = np.diag(roots_of_unity(2 * d, j))
-    return f, y, s, m1, m2
-
-
 def w1_w2(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis changes mapping (Z, T) to the CGLMP observables.
 
     W1 (Z, T) W1^dag = (A1', A2') and W2 (Z, T) W2^dag = (B1', B2'), with
-    W1 = -M1^dag F Y^dag and W2 = -S M2^dag F Y^dag.  Entrywise,
+    W1 = -M1^dag F Y^dag and W2 = -S M2^dag F Y^dag (F the Fourier matrix,
+    Y, M1, M2 phases, S the index reflection).  Both are built entrywise,
 
         W1[i,j] = (-1)**(1-delta_j0) w**(-i/4 + ij + j/2) / sqrt(d)
         W2[d-1-i,j] = (-1)**(1-delta_j0) w**(-i/2 + ij + j/2) / sqrt(d)
@@ -107,9 +91,12 @@ def w1_w2(d: int) -> tuple[np.ndarray, np.ndarray]:
     and the global sign -1 is the one that makes the eigenvector phase
     identities hold.
     """
-    f, y, s, m1, m2 = structural_unitaries(d)
-    fy = f @ dagger(y)
-    return -dagger(m1) @ fy, -s @ dagger(m2) @ fy
+    i, j = np.ogrid[:d, :d]
+    sign = np.where(j == 0, 1.0, -1.0) / np.sqrt(d)
+    w1 = sign * roots_of_unity(4 * d, -i + 4 * i * j + 2 * j)
+    i = d - 1 - i  # row d-1-i of W2 carries the exponents of row i
+    w2 = sign * roots_of_unity(2 * d, -i + 2 * i * j + j)
+    return w1, w2
 
 
 def w_alice(d: int) -> np.ndarray:

@@ -471,7 +471,7 @@ def cmd_simulate(args) -> int:
             p = tensor.probabilities[x, y]
             w = weights[x, y]
             mean = float(np.sum(w * p))
-            variance += (float(np.sum(w**2 * p)) - mean**2) / n
+            variance += float(np.sum(p * (w - mean) ** 2)) / n
     se = float(np.sqrt(variance))
     payload = {
         "d": args.d,

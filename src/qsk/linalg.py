@@ -59,9 +59,12 @@ def kron_sum_norm(ls: np.ndarray, rs: np.ndarray) -> float:
     floor.  The stacks may be real or complex; a real pair takes a real QR.
     A non-finite entry makes the result NaN.
     """
-    t = len(ls)
-    r1 = np.linalg.qr(ls.reshape(t, -1).T, mode="r")
-    return float(np.linalg.norm(r1 @ rs.reshape(t, -1)))
+    return float(np.linalg.norm(kron_sum_r_factor(ls) @ rs.reshape(len(ls), -1)))
+
+
+def kron_sum_r_factor(ls: np.ndarray) -> np.ndarray:
+    """``kron_sum_norm``'s R1; a caller holding it alone has dropped ``ls``."""
+    return np.linalg.qr(ls.reshape(len(ls), -1).T, mode="r")
 
 
 def _unitarity_error(a: np.ndarray) -> float:

@@ -87,6 +87,39 @@ def check_multiplicities(decomp: EigenDecomposition) -> int:
     return m
 
 
+def _align(second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition) -> np.ndarray:
+    """Unitary V carrying a maximally violating pair to (Z, T) (x) I.
+
+    The first observable's eigenvectors, ordered by w**j, carry it to
+    Z (x) I; in that frame the second observable's first block row F_0i
+    fixes the bases within the eigenspaces: block row i of V is corrected
+    by (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag =
+    (4/d^2) I, a consequence of maximal violation.  The d - 1 corrections
+    are one batched expression behind one batched unitarity gate.
+    """
+    d = dec1.d
+    m, m_2 = check_multiplicities(dec1), check_multiplicities(dec2)
+    if m != m_2:
+        raise ExtractionError(
+            "multiplicities", f"observables disagree on aux dimension: {m} vs {m_2}"
+        )
+    v = dagger(dec1.vectors)
+    first_row = extract_blocks(v @ second @ dagger(v), d, m)[0, 1:]
+    half = roots_of_unity(2 * d, np.arange(1, d + 1)).conj()  # w**(-(i+1)/2)
+    corrections = (d / 2) * half[1:, None, None] * first_row
+    errs = np.linalg.norm(corrections @ dagger(corrections) - np.eye(m), axis=(1, 2))
+    passing = errs <= TOL_BLOCK_UNITARY
+    if not passing.all():
+        i = int(np.argmin(passing))  # the first failing block, (0, i + 1)
+        raise ExtractionError(
+            "block-alignment",
+            f"realization does not maximally violate: block (0,{i + 1}) of the "
+            f"second observable fails F F^dag = (4/d^2) I by {errs[i]:.3e}",
+        )
+    rows = v.reshape(d, m, -1)
+    return np.concatenate([rows[:1], corrections @ rows[1:]]).reshape(v.shape)
+
+
 def extract_bob(
     b1: np.ndarray,
     b2: np.ndarray,
@@ -98,38 +131,10 @@ def extract_bob(
 
     ``dec1`` and ``dec2`` are the decompositions of ``b1`` and ``b2``, and
     (Z, T) are read from the Bob pair of the canonical realization ``ideal``.
-    After aligning B1, the first block row F_0i of the rotated B2 supplies
-    the intra-eigenspace corrections: block i of the fixing unitary is
-    (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag = (4/d^2) I,
-    which is a consequence of maximal violation.  Returns U_B together
-    with the two conjugation residuals it verified.
+    Returns U_B together with the two conjugation residuals it verified.
     """
-    d = dec1.d
-    m = check_multiplicities(dec1)
-    # V B1 V^dag = Z (x) I with eigenspaces ordered by w**j; the bases within
-    # them are arbitrary until the second observable's block alignment
-    v = dagger(dec1.vectors)
-    m_b2 = check_multiplicities(dec2)
-    if m != m_b2:
-        raise ExtractionError(
-            "multiplicities", f"observables disagree on aux dimension: {m} vs {m_b2}"
-        )
-    blocks = extract_blocks(v @ b2 @ dagger(v), d, m)
-    fixing = np.zeros((d * m, d * m), dtype=complex)
-    fixing[:m, :m] = np.eye(m)
-    half = roots_of_unity(2 * d, np.arange(1, d + 1)).conj().tolist()  # w**(-(i+1)/2)
-    for i in range(1, d):
-        u_i = (d / 2) * half[i] * blocks[0, i]
-        err = np.linalg.norm(u_i @ dagger(u_i) - np.eye(m))
-        if not err <= TOL_BLOCK_UNITARY:
-            raise ExtractionError(
-                "block-alignment",
-                f"realization does not maximally violate: block (0,{i}) of the "
-                f"second observable fails F F^dag = (4/d^2) I by {err:.3e}",
-            )
-        fixing[i * m : (i + 1) * m, i * m : (i + 1) * m] = u_i
-    u_b = fixing @ v
-    return u_b, _verify_conjugation(u_b, (b1, b2), ideal.observables_b, m)
+    u_b = _align(b2, dec1, dec2)
+    return u_b, _verify_conjugation(u_b, (b1, b2), ideal.observables_b, len(u_b) // dec1.d)
 
 
 def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
@@ -156,15 +161,15 @@ def extract_alice(
 
     A maximally violating Alice pair obeys exactly the same operator
     relations as Bob's (the two one-party combination families coincide up
-    to phases), so the Bob pipeline aligns it to (Z, T) (x) I; composing
-    with the qudit-side rotation w_alice lands on the ideal pair.  Returns
-    U_A together with the two conjugation residuals it verified.
+    to phases), so Bob's alignment carries it to (Z, T) (x) I; the
+    qudit-side rotation W_A (x) I, applied to the aligned block rows, lands
+    on the ideal pair.  Returns U_A together with the two conjugation
+    residuals it verified.
     """
     d = dec1.d
-    v, _ = extract_bob(a1, a2, dec1, dec2, ideal)
-    m = a1.shape[0] // d
-    u_a = np.kron(canonical.w_alice(d), np.eye(m)) @ v
-    return u_a, _verify_conjugation(u_a, (a1, a2), ideal.observables_a, m)
+    v = _align(a2, dec1, dec2)
+    u_a = (canonical.w_alice(d) @ v.reshape(d, -1)).reshape(v.shape)
+    return u_a, _verify_conjugation(u_a, (a1, a2), ideal.observables_a, len(v) // d)
 
 
 def canonicalize_state(

@@ -27,7 +27,8 @@ import numpy as np
 
 from .bell import Realization, membership
 from .cyclotomic import proper_divisors
-from .linalg import EigenDecomposition, dagger, kron_sum_norm, roots_of_unity, worst
+from .linalg import EigenDecomposition, dagger, kron_sum_norm, kron_sum_r_factor
+from .linalg import roots_of_unity, worst
 from .satwap import BellFunctional, bell_operator, quantum_bound
 
 TOL_TRACE = 1e-8
@@ -108,7 +109,8 @@ def _sos_residual(r: Realization, terms: tuple[np.ndarray, np.ndarray]) -> float
     """
     ls, rs = terms
     da, db = r.dims
-    k = kron_sum_norm(_embedded_parts(ls), _embedded_parts(rs, swap=True))
+    r1 = kron_sum_r_factor(_embedded_parts(ls))  # K's left stack is freed before its right one
+    k = float(np.linalg.norm(r1 @ _embedded_parts(rs, swap=True).reshape(r1.shape[1], -1)))
     scale = quantum_bound(r.d) - 0.5 * len(ls)
     left = np.concatenate([-0.5 * _embedded_gram(ls), scale * np.eye(da)[None]])
     right = np.concatenate([_embedded_gram(rs), np.eye(db)[None]])

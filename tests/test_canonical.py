@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from _oracles import structural_unitaries
 from _helpers import frobenius_distance, omega
 
 import qsk
@@ -11,7 +12,6 @@ from qsk.canonical import (
     cglmp_realization,
     ideal_realization,
     maximally_entangled,
-    structural_unitaries,
     t_eigenbasis,
     t_observable,
     w1_w2,
@@ -245,7 +245,6 @@ def test_closed_forms_match_their_loop_oracles(d):
         (t_observable(d), _oracles.t_observable(d)),
         (w_alice(d), _oracles.w_alice(d)),
         *zip((*cglmp.observables_a, *cglmp.observables_b), _oracles.cglmp_observables(d)),
-        *zip(structural_unitaries(d), _oracles.structural_unitaries(d)),
         *zip(w1_w2(d), _oracles.w1_w2(d)),
     ]
     for r in range(d):

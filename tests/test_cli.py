@@ -152,13 +152,27 @@ def test_simulate_deterministic_and_calibrated(tmp_path, capsys):
     assert abs(payload["estimate"] - 4.0) <= 5 * payload["standard_error"]
 
 
-def test_simulate_small_shot_count_well_formed(capsys):
-    code = main(["simulate", "--d", "2", "--shots", "10", "--seed", "3", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK
-    # plug-in standard error from 10 shots is wide
-    assert payload["standard_error"] > 0.1
-    assert np.array(payload["frequencies"]).shape == (2, 2, 2, 2)
+@pytest.mark.parametrize("fmt", ["json", "summary"])
+@pytest.mark.parametrize(
+    "d,shots,seed,se_floor",
+    [(2, 10, 3, 0.1), (3, 4, 1, 0.0), (3, 5, 30, 0.0), (4, 5, 1, 0.0), (5, 2, 28, 0.0)],
+    ids=["d2-shots10-seed3", "d3-shots4-seed1", "d3-shots5-seed30", "d4-shots5-seed1", "d5-shots2-seed28"],
+)
+def test_simulate_small_shot_count_well_formed(d, shots, seed, se_floor, fmt, tmp_path, capsys):
+    # the plug-in standard error from 10 shots is wide; in the other four
+    # runs every sampled setting's shots land on cells of one weight, so
+    # each per-setting variance is zero, which E[w^2] - E[w]^2 rounded a few
+    # ulps below zero: sqrt warned, and the NaN made the JSON writer refuse
+    # the payload in both formats
+    out = tmp_path / "simulate.json"
+    argv = ["simulate", "--d", str(d), "--shots", str(shots), "--seed", str(seed)]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    if fmt == "json":
+        assert capsys.readouterr().out == out.read_text()
+    assert np.isfinite(payload["standard_error"])
+    assert payload["standard_error"] >= se_floor
+    assert np.array(payload["frequencies"]).shape == (2, 2, d, d)
     assert np.isfinite(payload["estimate"])
 
 
@@ -601,6 +615,27 @@ def test_each_command_computes_each_realizations_statistics_once(
     argv = [a.format(scrambled=scrambled) for a in argv]
     assert main([*argv, "--format", "json"]) == EXIT_OK
     assert tuple(calls.values()) == counts
+
+
+def test_verify_file_extract_verifies_each_party_once(tmp_path, monkeypatch, capsys):
+    # one alignment per party, verified once against that party's own ideal
+    # pair: Bob's against (Z, T) (x) I, Alice's against the ideal Alice pair,
+    # four conjugation residuals in all
+    scrambled = tmp_path / "scrambled.json"
+    assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
+    targets = []
+    original = qsk.selftest._verify_conjugation
+
+    def counted(u, sources, pair, m):
+        targets.append(pair)
+        return original(u, sources, pair, m)
+
+    monkeypatch.setattr(qsk.selftest, "_verify_conjugation", counted)
+    assert main(["verify", "--file", str(scrambled), "--extract", "--format", "json"]) == EXIT_OK
+    ideal = qsk.canonical.ideal_realization(6)
+    assert len(targets) == 2
+    for pair, expected in zip(targets, (ideal.observables_b, ideal.observables_a)):
+        assert all(np.array_equal(t, e) for t, e in zip(pair, expected, strict=True))
 
 
 def test_verify_sos_builds_each_grouping_once(monkeypatch):

@@ -8,6 +8,7 @@ residual kernels are compared on a value that is not near zero.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -292,24 +293,36 @@ def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux
     # (L_re (x) R_im and L_im (x) R_re, two terms per square) and the
     # Hermitian part (L^dag L (x) R^dag R per square, and the identity); the
     # squares are read off one grouping of the Bell operator, and every
-    # factor acts on one party only, so no (da db x da db) operator is passed
+    # factor acts on one party only, so no (da db x da db) operator is passed.
+    # The anti-Hermitian left stack is gone before its right stack is built
     r = _realization(d, aux, seed=90 + d)
     da, db = r.dims
     bell_calls = _counting(monkeypatch, qsk.sos, "bell_operator")
-    stacks = []
-    original = qsk.sos.kron_sum_norm
+    stacks, built, held = [], [], []
+    embedded, original = qsk.sos._embedded_parts, qsk.sos.kron_sum_norm
+
+    def recorded_parts(m, swap=False):
+        held.extend(ref() is not None for ref in built)
+        out = embedded(m, swap)
+        built.append(weakref.ref(out))
+        stacks.append((out.dtype, out.shape))
+        return out
 
     def recorded(ls, rs):
-        stacks.append((ls.dtype, ls.shape, rs.dtype, rs.shape))
+        stacks.extend([(ls.dtype, ls.shape), (rs.dtype, rs.shape)])
         return original(ls, rs)
 
+    monkeypatch.setattr(qsk.sos, "_embedded_parts", recorded_parts)
     monkeypatch.setattr(qsk.sos, "kron_sum_norm", recorded)
     residual(r)
     f8 = np.dtype(np.float64)
     assert stacks == [
-        (f8, (4 * (d - 1), da, da), f8, (4 * (d - 1), db, db)),
-        (f8, (2 * (d - 1) + 1, da, da), f8, (2 * (d - 1) + 1, db, db)),
+        (f8, (4 * (d - 1), da, da)),
+        (f8, (4 * (d - 1), db, db)),
+        (f8, (2 * (d - 1) + 1, da, da)),
+        (f8, (2 * (d - 1) + 1, db, db)),
     ]
+    assert held == [False]
     assert len(bell_calls) == 1
 
 

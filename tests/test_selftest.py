@@ -398,6 +398,21 @@ def test_block_alignment_gate_rejects_nan_block():
         extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d), ideal_realization(d))
 
 
+def test_block_alignment_gate_names_the_first_failing_block():
+    # blocks (0,2) and (0,3) both fail F F^dag = (4/d^2) I, block (0,3) by
+    # more: the gate names (0,2) with its own defect, |(2 F)(2 F)^dag - I| = 3
+    d = 4
+    z, t = z_observable(d), t_observable(d)
+    b2 = t.copy()
+    b2[0, 2] *= 2
+    b2[0, 3] *= 3
+    with pytest.raises(ExtractionError) as err:
+        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d), ideal_realization(d))
+    assert err.value.stage == "block-alignment"
+    assert "block (0,2) of the second observable" in err.value.diagnostic
+    assert err.value.diagnostic.endswith("by 3.000e+00")
+
+
 def test_conjugation_gate_rejects_nan_unitary():
     z, t = z_observable(3), t_observable(3)
     with pytest.raises(ExtractionError, match="misses its canonical form"):
