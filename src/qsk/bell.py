@@ -23,34 +23,8 @@ from .linalg import (
 )
 
 TOL_NORM = 1e-9
+TOL_BORN = 1e-7  # how far a Born table may sit below 0 or a setting's sum from 1
 BRUTE_FORCE_CAP = 12  # largest d for the d^4 enumeration of local strategies
-
-
-@dataclass(frozen=True)
-class CorrelationTensor:
-    """Conditional probabilities p(a,b|x,y), a (2, 2, d, d) array indexed (x, y, a, b).
-
-    ``setting_counts`` records per-setting shot counts for empirical
-    tensors; settings that were never sampled hold an all-zero slice and
-    are exempt from the normalization invariant.
-    """
-
-    probabilities: np.ndarray
-    setting_counts: np.ndarray | None = None
-
-    def validate(self, tol: float = TOL_NORM) -> None:
-        shape = self.probabilities.shape
-        if len(shape) != 4 or shape[:2] != (2, 2) or shape[2] != shape[3]:
-            raise ValueError(f"probability tensor has shape {shape}")
-        if not self.probabilities.min() >= -tol:
-            raise ValueError(f"negative probability {self.probabilities.min():.3e}")
-        sums = self.probabilities.sum(axis=(2, 3))
-        for x in range(2):
-            for y in range(2):
-                if self.setting_counts is not None and self.setting_counts[x, y] == 0:
-                    continue
-                if not abs(sums[x, y] - 1.0) <= tol:
-                    raise ValueError(f"setting ({x},{y}) sums to {sums[x, y]!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +58,8 @@ class Realization:
     def validate(self) -> tuple[EigenDecomposition, ...]:
         """Check shapes, finiteness, normalization and the order-d property.
 
-        Returns the decompositions of (A1, A2, B1, B2) computed on the way;
-        a failing observable is named in its :class:`NotOrderDError`.
+        Returns the decompositions of (A1, A2, B1, B2), made afresh by
+        :meth:`_decompose`, which names a failing observable.
         """
         da, db = self.dims
         if self.state.shape != (da * db,):
@@ -96,38 +70,41 @@ class Realization:
             norm = np.linalg.norm(self.state)
         if not abs(norm - 1.0) <= TOL_NORM:
             raise ValueError("state is not normalized")
-        decomps = []
         for side, obs, dim in (("A", self.observables_a, da), ("B", self.observables_b, db)):
             for i, o in enumerate(obs):
                 if o.shape != (dim, dim):
                     raise ValueError(f"observable {side}{i + 1} has shape {o.shape}")
                 if not np.isfinite(o).all():
                     raise ValueError(f"observable {side}{i + 1} has non-finite entries")
-                try:
-                    decomps.append(eig_unitary(o, self.d))
-                except ValueError as exc:
-                    raise NotOrderDError(
-                        f"observable {side}{i + 1} is not an order-{self.d} observable: {exc}"
-                    ) from exc
-        return tuple(decomps)
+        return (*self._decompose("A"), *self._decompose("B"))
 
     @cached_property
     def decompositions(self) -> tuple[EigenDecomposition, ...]:
         """(A1, A2, B1, B2) decomposed at most once: a supplied basis through
         :func:`decomposition_from_basis`, any other observable through
         :func:`eig_unitary`."""
-        return (*self._decompose(self.observables_a, self._bases[:2]), *self.decompositions_b)
+        return (*self._decompose("A"), *self.decompositions_b)
 
     @cached_property
     def decompositions_b(self) -> tuple[EigenDecomposition, ...]:
         """(B1, B2) of :attr:`decompositions`, decomposed without Alice's pair."""
-        return self._decompose(self.observables_b, self._bases[2:])
+        return self._decompose("B")
 
-    def _decompose(self, observables, bases) -> tuple[EigenDecomposition, ...]:
-        return tuple(
-            eig_unitary(o, self.d) if v is None else decomposition_from_basis(o, v, self.d)
-            for o, v in zip(observables, bases, strict=True)
-        )
+    def _decompose(self, side: str) -> tuple[EigenDecomposition, ...]:
+        """The pair of party ``side`` ("A" or "B"), each observable certified in
+        its supplied basis or decomposed by :func:`eig_unitary`; a failure
+        raises :class:`NotOrderDError` naming the observable, e.g. B2."""
+        d, decs = self.d, []
+        pair = self.observables_a if side == "A" else self.observables_b
+        bases = self._bases[:2] if side == "A" else self._bases[2:]
+        for i, (o, v) in enumerate(zip(pair, bases, strict=True), 1):
+            try:
+                decs.append(eig_unitary(o, d) if v is None else decomposition_from_basis(o, v, d))
+            except ValueError as exc:
+                raise NotOrderDError(
+                    f"observable {side}{i} is not an order-{d} observable: {exc}"
+                ) from exc
+        return tuple(decs)
 
     @cached_property
     def correlators(self) -> np.ndarray:
@@ -135,18 +112,20 @@ class Realization:
         return correlators_from_realization(self)
 
     @cached_property
-    def born(self) -> CorrelationTensor:
+    def born(self) -> np.ndarray:
         """:func:`born_probabilities`, computed at most once."""
         return born_probabilities(self)
 
 
-def born_probabilities(r: Realization) -> CorrelationTensor:
+def born_probabilities(r: Realization) -> np.ndarray:
     """p(a,b|x,y) = <psi| P_x^(a) (x) Q_y^(b) |psi> from the eigenbases.
 
     With ``Phi = V_x^dag Psi conj(W_y)`` in the eigenbases V_x of A_x and
     W_y of B_y (:attr:`Realization.decompositions`), ``p[x, y, a, b]``
     sums ``|Phi|^2`` over the columns of eigenvalue group a and the rows
     of group b: ``M |Phi|^2 M^T`` with the 0/1 group-membership matrices M.
+    Returned only if no entry lies below ``-TOL_BORN`` and each setting
+    sums to 1 within ``TOL_BORN``; a NaN fails both.
     """
     d = r.d
     psi = r.state.reshape(r.dims)
@@ -158,9 +137,12 @@ def born_probabilities(r: Realization) -> CorrelationTensor:
         for y in range(2):
             weights = np.abs(left @ dec_b[y].vectors.conj()) ** 2
             p[x, y] = membership(dec_a[x]) @ weights @ membership(dec_b[y]).T
-    tensor = CorrelationTensor(p)
-    tensor.validate(tol=1e-7)
-    return tensor
+    if not p.min() >= -TOL_BORN:
+        raise ValueError(f"negative probability {p.min():.3e}")
+    for (x, y), total in np.ndenumerate(p.sum(axis=(2, 3))):
+        if not abs(total - 1.0) <= TOL_BORN:
+            raise ValueError(f"setting ({x},{y}) sums to {total!r}")
+    return p
 
 
 def membership(decomp: EigenDecomposition) -> np.ndarray:
@@ -173,10 +155,10 @@ def _fourier_matrix(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / d)
 
 
-def correlators_from_probabilities(t: CorrelationTensor) -> np.ndarray:
+def correlators_from_probabilities(p: np.ndarray) -> np.ndarray:
     """Two-dimensional discrete Fourier transform of p(a,b|x,y): ``W p W^T``."""
-    w = _fourier_matrix(t.probabilities.shape[-1])
-    return w @ t.probabilities @ w.T
+    w = _fourier_matrix(p.shape[-1])
+    return w @ p @ w.T
 
 
 def expectation(ops_a: np.ndarray, ops_b: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -226,12 +208,14 @@ def local_bound_bruteforce(functional) -> float:
     return float(total.max())
 
 
-def sample_statistics(r: Realization, shots: int, seed: int) -> CorrelationTensor:
+def sample_statistics(r: Realization, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical frequencies from i.i.d. sampling with uniform random settings.
 
-    Seeded with the counter-based Philox generator: a fixed seed reproduces
-    the tensor exactly, and the generator family supports non-overlapping
-    jumps if callers partition shots across workers.
+    Returns the (2, 2, d, d) frequencies and the (2, 2) shot count of each
+    setting; a setting that drew no shot holds an all-zero slice.  Seeded
+    with the counter-based Philox generator: a fixed seed reproduces both
+    exactly, and the generator family supports non-overlapping jumps if
+    callers partition shots across workers.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -245,7 +229,7 @@ def sample_statistics(r: Realization, shots: int, seed: int) -> CorrelationTenso
             n = int(setting_counts[x, y])
             if n == 0:
                 continue
-            cell = np.clip(exact.probabilities[x, y].reshape(-1), 0.0, None)
+            cell = np.clip(exact[x, y].reshape(-1), 0.0, None)
             cell = cell / cell.sum()
             freqs[x, y] = rng.multinomial(n, cell).reshape(d, d) / n
-    return CorrelationTensor(freqs, setting_counts=setting_counts)
+    return freqs, setting_counts

@@ -282,12 +282,13 @@ def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
 def _traces_group(report: VerificationReport, ideal: bell.Realization) -> None:
     d, checks = ideal.d, report.checks
     z, t = ideal.decompositions_b
-    traces = worst(*(v for dec in (z, t) for _, v in sos.check_trace_conditions(dec).entries))
+    traces = worst(*sos.check_trace_conditions(z).values(), *sos.check_trace_conditions(t).values())
     checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
     checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t), 1e-8))
-    identities = sos.check_intermediate_identities(z, t).max_residual
+    identities = worst(*sos.check_intermediate_identities(z, t).values())
     checks.append(CheckResult("trace-identities", identities, 1e-8))
-    checks.append(CheckResult("root-identities", sos.check_root_identities(d).max_residual, 1e-8))
+    roots = worst(*sos.check_root_identities(d).values())
+    checks.append(CheckResult("root-identities", roots, 1e-8))
 
 
 def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> None:
@@ -310,7 +311,7 @@ def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> None:
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
     )
     checks.append(CheckResult("alice-rotation", fact2, 1e-8))
-    drift = np.abs(cglmp.born.probabilities - ideal.born.probabilities).max()
+    drift = np.abs(cglmp.born - ideal.born).max()
     checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8))
 
 
@@ -458,21 +459,16 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     r = canonical.ideal_realization(args.d)
-    tensor = bell.sample_statistics(r, args.shots, args.seed)
+    freqs, counts = bell.sample_statistics(r, args.shots, args.seed)
+    if not counts.all():  # an all-zero slice would add 0 to the estimate, nothing to its error
+        x, y = np.argwhere(counts == 0)[0]
+        raise ValueError(f"setting ({x},{y}) drew none of the {args.shots} shots; use more --shots")
     f = satwap.BellFunctional.satwap(args.d)
-    estimate = satwap.evaluate(f, bell.correlators_from_probabilities(tensor))
-    weights = satwap.probability_form(f)
-    variance = 0.0
-    for x in range(2):
-        for y in range(2):
-            n = int(tensor.setting_counts[x, y])
-            if n == 0:
-                continue
-            p = tensor.probabilities[x, y]
-            w = weights[x, y]
-            mean = float(np.sum(w * p))
-            variance += float(np.sum(p * (w - mean) ** 2)) / n
-    se = float(np.sqrt(variance))
+    estimate = satwap.evaluate(f, bell.correlators_from_probabilities(freqs))
+    # per setting, the plug-in variance sum p (w - mean)^2 over its own shots
+    p, w = freqs.reshape(4, -1), satwap.probability_form(f).reshape(4, -1)
+    mean = np.sum(w * p, axis=1, keepdims=True)
+    se = float(np.sqrt(np.sum(np.sum(p * (w - mean) ** 2, axis=1) / counts.reshape(-1))))
     payload = {
         "d": args.d,
         "shots": args.shots,
@@ -480,8 +476,8 @@ def cmd_simulate(args) -> int:
         "estimate": estimate,
         "standard_error": se,
         "quantum_bound": satwap.quantum_bound(args.d),
-        "setting_counts": tensor.setting_counts.tolist(),
-        "frequencies": tensor.probabilities,
+        "setting_counts": counts.tolist(),
+        "frequencies": freqs,
     }
     text = canonical_dumps(payload)
     if args.out:

@@ -23,7 +23,7 @@ def outcome_distribution(r: Realization, party: str, setting: int) -> np.ndarray
     Computed from the Born probabilities; no-signaling makes it independent
     of the other party's setting, which is asserted.
     """
-    probs = r.born.probabilities
+    probs = r.born
     if party.upper() == "A":
         marg = probs.sum(axis=3)[setting - 1]  # (other setting, a)
     elif party.upper() == "B":

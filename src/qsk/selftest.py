@@ -26,7 +26,7 @@ from .bell import correlators_from_realization  # noqa: F401  kept bound here fo
 from .linalg import EigenDecomposition, dagger, haar_random_unitary, roots_of_unity
 from .linalg import eig_unitary  # noqa: F401  kept bound here for perfbench's span wrappers
 from .satwap import BellFunctional, evaluate, quantum_bound
-from .sos import check_trace_conditions, extract_blocks
+from .sos import TOL_TRACE, check_trace_conditions
 
 TOL_EXTRACT = 1e-7
 TOL_BLOCK_UNITARY = 1e-6
@@ -104,7 +104,8 @@ def _align(second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecompositio
             "multiplicities", f"observables disagree on aux dimension: {m} vs {m_2}"
         )
     v = dagger(dec1.vectors)
-    first_row = extract_blocks(v @ second @ dagger(v), d, m)[0, 1:]
+    # block (0, i) of v second v^dag, for i >= 1: only the first m rows are formed
+    first_row = (v[:m] @ second @ dagger(v)).reshape(m, d, m).swapaxes(0, 1)[1:]
     half = roots_of_unity(2 * d, np.arange(1, d + 1)).conj()  # w**(-(i+1)/2)
     corrections = (d / 2) * half[1:, None, None] * first_row
     errs = np.linalg.norm(corrections @ dagger(corrections) - np.eye(m), axis=(1, 2))
@@ -233,9 +234,9 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
         )
 
     for name, dec in zip(("A1", "A2", "B1", "B2"), (dec_a1, dec_a2, dec_b1, dec_b2)):
-        report = check_trace_conditions(dec)
-        if not report.passed:
-            n = report.witness
+        # the first divisor whose trace does not vanish; a NaN trace fails too
+        n = next((n for n, v in check_trace_conditions(dec).items() if not v <= TOL_TRACE), None)
+        if n is not None:
             raise ExtractionError(
                 "trace-conditions",
                 f"Tr({name}^{n}) does not vanish for proper divisor n={n}: "

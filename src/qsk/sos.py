@@ -14,14 +14,13 @@ real matrices, so both norms are taken in real arithmetic.
 
 Also houses the algebraic consequence suite used by the extraction:
 the twisted commutation relation, the vanishing-trace conditions over
-proper divisors, intermediate trace identities, root-of-unity sum
-identities, and the block grid of an operator on C^d (x) aux.  The trace
-and commutation checks read every power off an ``EigenDecomposition``.
+proper divisors, intermediate trace identities and root-of-unity sum
+identities.  The trace and commutation checks read every power off an
+``EigenDecomposition``; each check with several residuals returns them as
+a dict keyed by name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,57 +173,29 @@ def check_commutation_relation(dec1: EigenDecomposition, dec2: EigenDecompositio
     return residual
 
 
-@dataclass(frozen=True)
-class TraceConditionReport:
-    """|Tr(B^n)| over every proper divisor n of d."""
-
-    d: int
-    entries: tuple[tuple[int, float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= TOL_TRACE for _, v in self.entries)
-
-    @property
-    def witness(self) -> int | None:
-        """A divisor with nonvanishing trace, if any."""
-        for n, v in self.entries:
-            if not v <= TOL_TRACE:
-                return n
-        return None
-
-
-def check_trace_conditions(dec: EigenDecomposition) -> TraceConditionReport:
-    """Vanishing of Tr(B^n) = sum_j m_j w^(jn) for every proper divisor n of d.
+def check_trace_conditions(dec: EigenDecomposition) -> dict[int, float]:
+    """{n: |Tr(B^n)|} over every proper divisor n of d, Tr(B^n) = sum_j m_j w^(jn).
 
     The m_j are the eigenvalue multiplicities.  Equal multiplicities imply
-    all these traces vanish; a witness divisor certifies unequal ones.
+    all these traces vanish; a divisor whose trace does not vanish
+    certifies unequal ones.
     """
     d = dec.d
     divisors = proper_divisors(d)
     traces = roots_of_unity(d, np.outer(divisors, np.arange(d))) @ np.asarray(dec.multiplicities)
-    return TraceConditionReport(d=d, entries=tuple(zip(divisors, np.abs(traces).tolist())))
-
-
-@dataclass(frozen=True)
-class TraceIdentityReport:
-    """Max residuals of the intermediate trace identities on a pair (B1, B2)."""
-
-    d: int
-    ladder_first: float      # Tr(B1^x) = w^(sx) Tr(B1^((2s+1)x) B2^(-2sx))
-    ladder_second: float     # Tr(B2^y) = w^(sy) Tr(B1^(2sy) B2^((-2s+1)y))
-    half_phase: float        # Tr(B1^x) = w^(-x/2) Tr(B2^x), x <= floor(d/2)
-    doubled_power: float     # Tr(B1^-x B2^(2x)) = w^x Tr(B1^x)
-
-    @property
-    def max_residual(self) -> float:
-        return worst(self.ladder_first, self.ladder_second, self.half_phase, self.doubled_power)
+    return dict(zip(divisors, np.abs(traces).tolist()))
 
 
 def check_intermediate_identities(
     dec1: EigenDecomposition, dec2: EigenDecomposition
-) -> TraceIdentityReport:
-    """Trace identities that follow from the twisted commutation relation.
+) -> dict[str, float]:
+    """Max residuals of the trace identities that follow from the twisted
+    commutation relation, by name:
+
+        ladder_first    Tr(B1^x) = w^(sx) Tr(B1^((2s+1)x) B2^(-2sx))
+        ladder_second   Tr(B2^y) = w^(sy) Tr(B1^(2sy) B2^((-2s+1)y))
+        half_phase      Tr(B1^x) = w^(-x/2) Tr(B2^x), x <= floor(d/2)
+        doubled_power   Tr(B1^-x B2^(2x)) = w^x Tr(B1^x)
 
     Every trace is an entry of the table ``tr[a, b] = Tr(B1^a B2^b)`` over
     a, b in Z_d, which in the eigenbases V of B1 and W of B2 is ``F C F^T``
@@ -250,24 +221,19 @@ def check_intermediate_identities(
     r3 = np.abs(tr[h, 0] - np.exp(-1j * np.pi * h / d) * tr[0, h]).max()
     k = np.arange(1, d)
     r4 = np.abs(tr[-k % d, 2 * k % d] - roots[k] * tr[k, 0]).max()
-    return TraceIdentityReport(d, float(r1), float(r2), float(r3), float(r4))
+    return {
+        "ladder_first": float(r1),
+        "ladder_second": float(r2),
+        "half_phase": float(r3),
+        "doubled_power": float(r4),
+    }
 
 
-@dataclass(frozen=True)
-class RootIdentityReport:
-    """Residuals of the closing root-of-unity identities."""
+def check_root_identities(d: int) -> dict[str, float]:
+    """Max residuals of the two root-of-unity sum identities over all valid indices:
 
-    d: int
-    ratio_sum: float      # sum_{j != i} (1 - w^(k(j-i))) / (1 - w^(i-j)) = k
-    weighted_sum: float   # sum_k k w^(kn) = d / (w^n - 1)
-
-    @property
-    def max_residual(self) -> float:
-        return worst(self.ratio_sum, self.weighted_sum)
-
-
-def check_root_identities(d: int) -> RootIdentityReport:
-    """Verify the two root-of-unity sum identities over all valid indices.
+        ratio_sum      sum_{j != i} (1 - w^(k(j-i))) / (1 - w^(i-j)) = k
+        weighted_sum   sum_k k w^(kn) = d / (w^n - 1)
 
     The ratio sum depends on i and j only through m = j - i, so one row of
     m in [1, d) covers every i: the table [k, m] holds (1 - w^(km)) /
@@ -282,13 +248,5 @@ def check_root_identities(d: int) -> RootIdentityReport:
     r1 = float(np.abs(total - ks[1:]).max())
     weighted = roots[k * ks % d] @ ks
     r2 = float(np.abs(weighted - d / (roots[1:] - 1)).max())
-    return RootIdentityReport(d=d, ratio_sum=r1, weighted_sum=r2)
-
-
-def extract_blocks(b2: np.ndarray, d: int, aux_dim: int) -> np.ndarray:
-    """The (d, d) grid of aux_dim x aux_dim blocks of an operator on C^d (x) aux."""
-    n = d * aux_dim
-    if b2.shape != (n, n):
-        raise ValueError(f"operator has shape {b2.shape}, expected ({n}, {n})")
-    return b2.reshape(d, aux_dim, d, aux_dim).transpose(0, 2, 1, 3)
+    return {"ratio_sum": r1, "weighted_sum": r2}
 

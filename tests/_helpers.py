@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsk.bell import CorrelationTensor, Realization
+from qsk.bell import Realization
 from qsk.linalg import EigenDecomposition, dagger, haar_random_unitary
 
 
@@ -74,13 +74,13 @@ def random_probability_tensor(d: int, rng: np.random.Generator) -> np.ndarray:
     return p / p.sum(axis=(2, 3), keepdims=True)
 
 
-def strategy_probabilities(s: DeterministicStrategy, d: int) -> CorrelationTensor:
+def strategy_probabilities(s: DeterministicStrategy, d: int) -> np.ndarray:
     """The 0/1 tensor of a deterministic strategy: p(a,b|x,y) = 1 at its outputs."""
     p = np.zeros((2, 2, d, d))
     for x in range(2):
         for y in range(2):
             p[x, y, s.outputs_a[x], s.outputs_b[y]] = 1.0
-    return CorrelationTensor(p)
+    return p
 
 
 def check_correlators(c: np.ndarray, tol: float = 1e-9) -> None:

@@ -559,9 +559,17 @@ def w_alice(d: int) -> np.ndarray:
     return w2.T @ w1
 
 
+def extract_blocks(b2: np.ndarray, d: int, aux_dim: int) -> np.ndarray:
+    """The (d, d) grid of aux_dim x aux_dim blocks of an operator on C^d (x) aux."""
+    n = d * aux_dim
+    if b2.shape != (n, n):
+        raise ValueError(f"operator has shape {b2.shape}, expected ({n}, {n})")
+    return b2.reshape(d, aux_dim, d, aux_dim).transpose(0, 2, 1, 3)
+
+
 def fij_structure(b2: np.ndarray, d: int, aux_dim: int) -> tuple[float, ...]:
     """(diagonal, transpose_pairing, block_unitarity, first_row, off_diagonal), block by block."""
-    blocks = b2.reshape(d, aux_dim, d, aux_dim).transpose(0, 2, 1, 3)
+    blocks = extract_blocks(b2, d, aux_dim)
     eye = np.eye(aux_dim)
     r_diag = max(
         float(np.linalg.norm(blocks[i, i] - ((d - 2) / d) * omega(d, i + 0.5) * eye))

@@ -11,7 +11,6 @@ from _helpers import (
 )
 
 from qsk.bell import (
-    CorrelationTensor,
     Realization,
     born_probabilities,
     correlators_from_probabilities,
@@ -47,14 +46,15 @@ def test_born_product_state_deterministic():
     v[0] = 1.0
     z = z_observable(2)
     r = Realization(d=2, dims=(2, 2), state=v, observables_a=(z, z), observables_b=(z, z))
-    p = born_probabilities(r).probabilities
+    p = born_probabilities(r)
     assert np.abs(p[:, :, 0, 0] - 1.0).max() < 1e-12
 
 
 def test_born_normalization_random():
     r = random_realization(3, rng, dim_a=6, dim_b=3)
     p = born_probabilities(r)
-    p.validate(tol=1e-9)
+    assert p.min() >= -1e-9
+    assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() <= 1e-9
 
 
 def test_born_rejects_non_order_d_observable():
@@ -92,7 +92,7 @@ def test_validate_names_the_observable_that_is_not_order_d(index):
 
 def test_correlators_flat_distribution_vanish():
     d = 4
-    flat = CorrelationTensor(np.full((2, 2, d, d), 1 / d**2))
+    flat = np.full((2, 2, d, d), 1 / d**2)
     c = correlators_from_probabilities(flat)
     assert np.abs(c[:, :, 0, 0] - 1.0).max() < 1e-12
     mask = np.ones((d, d), dtype=bool)
@@ -102,7 +102,7 @@ def test_correlators_flat_distribution_vanish():
 
 def test_binary_correlator_matches_parity_expectation():
     p = random_probability_tensor(2, rng)
-    c = correlators_from_probabilities(CorrelationTensor(p))
+    c = correlators_from_probabilities(p)
     for x in range(2):
         for y in range(2):
             e = sum((-1) ** (a + b) * p[x, y, a, b] for a in range(2) for b in range(2))
@@ -112,13 +112,13 @@ def test_binary_correlator_matches_parity_expectation():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_fourier_round_trip(d):
     p = random_probability_tensor(d, rng)
-    c = correlators_from_probabilities(CorrelationTensor(p))
+    c = correlators_from_probabilities(p)
     back = _oracles.probabilities_from_correlators(c)
     assert np.abs(back - p).max() < 1e-12
 
 
 def test_correlator_tensor_validation():
-    c = correlators_from_probabilities(CorrelationTensor(random_probability_tensor(3, rng)))
+    c = correlators_from_probabilities(random_probability_tensor(3, rng))
     check_correlators(c)
     with pytest.raises(ValueError):
         check_correlators(c + 0.1j)
@@ -197,17 +197,17 @@ def test_sampling_reproducible():
     r = ideal_realization(2)
     a = sample_statistics(r, shots=500, seed=99)
     b = sample_statistics(r, shots=500, seed=99)
-    assert np.array_equal(a.probabilities, b.probabilities)
-    assert np.array_equal(a.setting_counts, b.setting_counts)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_sampling_single_shot():
     r = ideal_realization(3)
-    t = sample_statistics(r, shots=1, seed=7)
-    assert t.setting_counts.sum() == 1
-    x, y = np.argwhere(t.setting_counts == 1)[0]
-    assert np.count_nonzero(t.probabilities[x, y]) == 1
-    assert t.probabilities.sum() == 1.0
+    freqs, counts = sample_statistics(r, shots=1, seed=7)
+    assert counts.sum() == 1
+    x, y = np.argwhere(counts == 1)[0]
+    assert np.count_nonzero(freqs[x, y]) == 1
+    assert freqs.sum() == 1.0
 
 
 def test_sampling_rejects_nonpositive_shots():
@@ -218,20 +218,20 @@ def test_sampling_rejects_nonpositive_shots():
 def test_sampling_law_of_large_numbers():
     r = ideal_realization(2)
     shots = 10**6
-    t = sample_statistics(r, shots=shots, seed=3)
-    exact = born_probabilities(r).probabilities
+    freqs, counts = sample_statistics(r, shots=shots, seed=3)
+    exact = born_probabilities(r)
     for x in range(2):
         for y in range(2):
-            n = t.setting_counts[x, y]
+            n = counts[x, y]
             se = np.sqrt(np.clip(exact[x, y] * (1 - exact[x, y]), 1e-12, None) / n)
-            assert np.all(np.abs(t.probabilities[x, y] - exact[x, y]) <= 5 * se)
+            assert np.all(np.abs(freqs[x, y] - exact[x, y]) <= 5 * se)
 
 
 def test_deterministic_strategy_tensor():
     p = strategy_probabilities(DeterministicStrategy((1, 0), (2, 2)), 3)
-    p.validate()
-    assert p.probabilities[0, 0, 1, 2] == 1.0
-    assert p.probabilities[1, 1, 0, 2] == 1.0
+    assert p.min() == 0.0 and np.array_equal(p.sum(axis=(2, 3)), np.ones((2, 2)))
+    assert p[0, 0, 1, 2] == 1.0
+    assert p[1, 1, 0, 2] == 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -256,10 +256,12 @@ def test_realization_validate_returns_the_four_decompositions():
         assert decomp.reconstruction_error(o) < 1e-9
 
 
-def test_correlation_tensor_validate_rejects_all_nan():
-    t = CorrelationTensor(np.full((2, 2, 3, 3), np.nan))
-    with pytest.raises(ValueError):
-        t.validate()
+def test_born_probabilities_refuses_a_nan_state():
+    # the table is all NaN, which no entry bound and no setting sum passes
+    r = ideal_realization(3)
+    nan = Realization(3, r.dims, np.full_like(r.state, np.nan), r.observables_a, r.observables_b)
+    with pytest.raises(ValueError, match="negative probability nan"):
+        born_probabilities(nan)
 
 
 def test_correlator_tensor_validate_rejects_nan_at_the_origin():

@@ -213,15 +213,15 @@ def test_ideal_realization_attains_bound(d):
 
 def test_ideal_realization_bob_marginals_uniform():
     d = 5
-    p = born_probabilities(ideal_realization(d)).probabilities
+    p = born_probabilities(ideal_realization(d))
     marg_b = p.sum(axis=2)
     assert np.abs(marg_b - 1 / d).max() < 1e-9
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)))
 def test_cglmp_and_canonical_statistics_identical(d):
-    pa = born_probabilities(cglmp_realization(d)).probabilities
-    pb = born_probabilities(ideal_realization(d)).probabilities
+    pa = born_probabilities(cglmp_realization(d))
+    pb = born_probabilities(ideal_realization(d))
     assert np.abs(pa - pb).max() < 1e-8
 
 

@@ -152,21 +152,50 @@ def test_simulate_deterministic_and_calibrated(tmp_path, capsys):
     assert abs(payload["estimate"] - 4.0) <= 5 * payload["standard_error"]
 
 
+# id -> (d, shots, seed, standard-error floor, the first setting that drew
+# no shot or None); the first five runs sample every setting
+SMALL_SHOT_RUNS = {
+    "d2-shots10-seed4": (2, 10, 4, 0.1, None),
+    "d3-shots7-seed21": (3, 7, 21, 0.0, None),
+    "d2-shots14-seed92": (2, 14, 92, 0.0, None),
+    "d3-shots5-seed108": (3, 5, 108, 0.0, None),
+    "d3-shots8-seed5": (3, 8, 5, 0.0, None),
+    "d2-shots10-seed3": (2, 10, 3, None, "(0,0)"),
+    "d3-shots4-seed1": (3, 4, 1, None, "(0,0)"),
+    "d3-shots5-seed30": (3, 5, 30, None, "(1,1)"),
+    "d4-shots5-seed1": (4, 5, 1, None, "(0,0)"),
+    "d5-shots2-seed28": (5, 2, 28, None, "(0,0)"),
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "summary"])
 @pytest.mark.parametrize(
-    "d,shots,seed,se_floor",
-    [(2, 10, 3, 0.1), (3, 4, 1, 0.0), (3, 5, 30, 0.0), (4, 5, 1, 0.0), (5, 2, 28, 0.0)],
-    ids=["d2-shots10-seed3", "d3-shots4-seed1", "d3-shots5-seed30", "d4-shots5-seed1", "d5-shots2-seed28"],
+    "d,shots,seed,se_floor,unsampled", list(SMALL_SHOT_RUNS.values()), ids=list(SMALL_SHOT_RUNS)
 )
-def test_simulate_small_shot_count_well_formed(d, shots, seed, se_floor, fmt, tmp_path, capsys):
-    # the plug-in standard error from 10 shots is wide; in the other four
-    # runs every sampled setting's shots land on cells of one weight, so
-    # each per-setting variance is zero, which E[w^2] - E[w]^2 rounded a few
-    # ulps below zero: sqrt warned, and the NaN made the JSON writer refuse
-    # the payload in both formats
+def test_simulate_small_shot_count_well_formed(
+    d, shots, seed, se_floor, unsampled, fmt, tmp_path, capsys
+):
+    # A run with a setting that drew no shot is refused: that setting's
+    # all-zero slice would add 0 to the estimate, not (d - 1)/2, and nothing
+    # to its standard error (d = 3, 4 shots, seed 1 reported 1.366 +- 5.6e-17
+    # against a bound of 4).  Every other run exits 0.  The plug-in standard
+    # error from 10 shots is wide; in the other four runs each setting's
+    # shots land on cells of one weight, so each per-setting variance is
+    # zero, which E[w^2] - E[w]^2 rounded a few ulps below zero (-7.4e-17
+    # at d = 3, 7 shots, seed 21): sqrt warned, and the NaN made the JSON
+    # writer refuse the payload in both formats
     out = tmp_path / "simulate.json"
     argv = ["simulate", "--d", str(d), "--shots", str(shots), "--seed", str(seed)]
-    assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    code = main([*argv, "--format", fmt, "--out", str(out)])
+    if unsampled is not None:
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            f"error: setting {unsampled} drew none of the {shots} shots; use more --shots"
+        ]
+        return
+    assert code == EXIT_OK
     payload = json.loads(out.read_text())
     if fmt == "json":
         assert capsys.readouterr().out == out.read_text()
@@ -359,7 +388,8 @@ def test_verify_file_that_does_not_exist_is_an_input_error(tmp_path, capsys):
     "argv",
     [
         ["scramble", "--d", "3"],
-        ["simulate", "--d", "2", "--shots", "10"],
+        # every setting draws a shot, so the run fails on the path, not the sample
+        ["simulate", "--d", "2", "--shots", "1000"],
     ],
     ids=["scramble", "simulate"],
 )
@@ -527,9 +557,9 @@ def test_simulate_json_is_the_stdlib_encoding_of_its_listed_payload(d, tmp_path,
     assert main([*argv, "--out", str(path)]) == EXIT_OK
     text = capsys.readouterr().out
     payload = json.loads(text)
-    tensor = sample_statistics(ideal_realization(d), 100000, 5)
-    payload["setting_counts"] = tensor.setting_counts.tolist()
-    payload["frequencies"] = tensor.probabilities.tolist()
+    freqs, counts = sample_statistics(ideal_realization(d), 100000, 5)
+    payload["setting_counts"] = counts.tolist()
+    payload["frequencies"] = freqs.tolist()
     assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_text() == text
 
@@ -708,10 +738,7 @@ def _poison_last(result):
     nan = float("nan")
     if isinstance(result, float):
         return nan
-    if isinstance(result, dict):
-        return {**result, list(result)[-1]: nan}
-    *head, (n, _) = result.entries
-    return dataclasses.replace(result, entries=(*head, (n, nan)))
+    return {**result, list(result)[-1]: nan}
 
 
 @pytest.mark.parametrize(
@@ -723,6 +750,8 @@ def _poison_last(result):
         ("stabilizer_residuals", 1, "sos-stabilizers-canonical"),
         ("check_trace_conditions", 0, "trace-conditions-canonical"),
         ("check_trace_conditions", 1, "trace-conditions-canonical"),
+        ("check_intermediate_identities", 0, "trace-identities"),
+        ("check_root_identities", 0, "root-identities"),
     ],
 )
 def test_a_nan_residual_fails_the_check_that_aggregates_it(fn, call, check, monkeypatch):

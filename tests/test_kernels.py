@@ -20,7 +20,6 @@ import qsk.bell
 import qsk.selftest
 import qsk.sos
 from qsk.bell import (
-    CorrelationTensor,
     Realization,
     born_probabilities,
     correlators_from_probabilities,
@@ -99,7 +98,7 @@ def test_correlators_match_entrywise_oracle(d, aux):
 @pytest.mark.parametrize("d,aux", CASES)
 def test_born_probabilities_match_nested_trace_oracle(d, aux):
     r = _realization(d, aux, seed=30 * d + aux[0])
-    p = born_probabilities(r).probabilities
+    p = born_probabilities(r)
     assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
 
 
@@ -175,7 +174,7 @@ def test_stabilizer_residuals_match_kron_oracle(d, aux, side):
 def test_fourier_transforms_match_einsum_oracles(d):
     rng = np.random.default_rng(70 + d)
     p = random_probability_tensor(d, rng)
-    c = correlators_from_probabilities(CorrelationTensor(p))
+    c = correlators_from_probabilities(p)
     assert np.abs(c - _oracles.correlators_from_probabilities(p)).max() <= 1e-12
     assert np.abs(_oracles.probabilities_from_correlators(c) - p).max() <= 1e-12
     f = BellFunctional.satwap(d)
@@ -222,7 +221,7 @@ def test_born_probabilities_decompose_each_observable_once(monkeypatch):
 @pytest.mark.parametrize("build", [ideal_realization, cglmp_realization])
 def test_canonical_born_tables_from_supplied_bases_match_oracle(d, build):
     r = build(d)
-    p = born_probabilities(r).probabilities
+    p = born_probabilities(r)
     assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
 
 
@@ -248,7 +247,7 @@ def test_replaced_observables_do_not_inherit_supplied_bases(monkeypatch):
         decomposition_from_basis(g @ t @ dagger(g), t_eigenbasis(d), d)
     r = dataclasses.replace(ideal, observables_b=(g @ z @ dagger(g), g @ t @ dagger(g)))
     counted = _counting(monkeypatch, qsk.bell, "eig_unitary")
-    p = born_probabilities(r).probabilities
+    p = born_probabilities(r)
     assert len(counted) == 4
     assert np.abs(p - _oracles.born_probabilities(r)).max() <= 1e-12
 
@@ -263,6 +262,24 @@ def test_file_reader_and_scramble_carry_no_supplied_bases(monkeypatch):
     for r in copies:
         r.decompositions
     assert len(counted) == 8
+
+
+def test_validate_certifies_a_supplied_basis_instead_of_decomposing_it(monkeypatch):
+    # the ideal realization's Bob pair carries closed-form bases, which
+    # validate certifies as .decompositions does; only Alice's pair is solved
+    counted = _counting(monkeypatch, qsk.bell, "eig_unitary")
+    ideal_realization(5).validate()
+    assert len(counted) == 2
+
+
+def test_a_supplied_basis_that_fails_is_named_like_a_validated_observable():
+    # the identity is not an eigenbasis of T: the one decomposition path
+    # names the observable as validate always has
+    r = ideal_realization(3)
+    eye = np.eye(3, dtype=complex)
+    wrong = Realization(3, r.dims, r.state, r.observables_a, r.observables_b, (None, None, eye, eye))
+    with pytest.raises(NotOrderDError, match=r"^observable B2 is not an order-3 observable: "):
+        wrong.decompositions_b
 
 
 def test_realization_needs_one_basis_slot_per_observable():

@@ -7,7 +7,6 @@ from _helpers import random_probability_tensor, random_realization, strategy_pro
 from _oracles import best_deterministic_strategy, kron_sum
 
 from qsk.bell import (
-    CorrelationTensor,
     born_probabilities,
     correlators_from_probabilities,
     correlators_from_realization,
@@ -75,7 +74,7 @@ def test_evaluate_best_deterministic_d2():
 
 def test_evaluate_flat_distribution_is_zero():
     d = 5
-    flat = CorrelationTensor(np.full((2, 2, d, d), 1 / d**2))
+    flat = np.full((2, 2, d, d), 1 / d**2)
     assert abs(evaluate(BellFunctional.satwap(d), correlators_from_probabilities(flat))) < 1e-12
 
 
@@ -141,16 +140,16 @@ def test_probability_form_real_and_consistent():
     assert t.dtype == float
     r = ideal_realization(d)
     p = born_probabilities(r)
-    assert abs(float(np.sum(t * p.probabilities)) - evaluate(f, correlators_from_realization(r))) < 1e-9
+    assert abs(float(np.sum(t * p)) - evaluate(f, correlators_from_realization(r))) < 1e-9
 
 
 def test_probability_form_agrees_on_random_tensors():
     d = 3
     f = BellFunctional.satwap(d)
     for _ in range(100):
-        p = CorrelationTensor(random_probability_tensor(d, rng))
+        p = random_probability_tensor(d, rng)
         via_corr = evaluate(f, correlators_from_probabilities(p))
-        via_prob = float(np.sum(probability_form(f) * p.probabilities))
+        via_prob = float(np.sum(probability_form(f) * p))
         assert abs(via_corr - via_prob) < 1e-9
 
 
@@ -160,9 +159,9 @@ def test_probability_form_stays_real_at_large_d(d):
     # residue crossed the 1e-12 gate at d = 56 and at every d >= 80
     f = BellFunctional.satwap(d)
     t = probability_form(f)
-    p = CorrelationTensor(random_probability_tensor(d, np.random.default_rng(d)))
+    p = random_probability_tensor(d, np.random.default_rng(d))
     via_corr = evaluate(f, correlators_from_probabilities(p))
-    assert abs(float(np.sum(t * p.probabilities)) - via_corr) < 1e-9
+    assert abs(float(np.sum(t * p)) - via_corr) < 1e-9
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

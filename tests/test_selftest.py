@@ -364,6 +364,18 @@ def test_extract_decomposes_each_observable_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_nan_trace_stops_the_extraction_and_is_named(monkeypatch):
+    # a NaN must fail the trace gate, not slip through as "not above tolerance"
+    r = scramble(ideal_realization(6), 2, 2, seed=4)
+    monkeypatch.setattr(
+        qsk.selftest, "check_trace_conditions", lambda dec: {1: 0.0, 2: float("nan"), 3: 0.0}
+    )
+    with pytest.raises(ExtractionError) as err:
+        extract(r)
+    assert err.value.stage == "trace-conditions"
+    assert err.value.diagnostic.startswith("Tr(A1^2) does not vanish for proper divisor n=2")
+
+
 def test_extract_rejects_nan_state_at_input_validation():
     r = ideal_realization(3)
     state = r.state.copy()

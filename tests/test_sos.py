@@ -27,14 +27,10 @@ from qsk.linalg import (
 from qsk.selftest import scramble
 from qsk.satwap import BellFunctional, bell_operator
 from qsk.sos import (
-    RootIdentityReport,
-    TraceConditionReport,
-    TraceIdentityReport,
     check_commutation_relation,
     check_intermediate_identities,
     check_root_identities,
     check_trace_conditions,
-    extract_blocks,
     sos_residual_alice,
     sos_residual_bob,
     sos_terms,
@@ -149,29 +145,28 @@ def test_commutation_relation_periodic_in_k():
 
 
 def test_trace_conditions_z6():
-    report = check_trace_conditions(eig_unitary(z_observable(6), 6))
-    assert report.passed
-    assert [n for n, _ in report.entries] == [1, 2, 3]
-    assert all(v < 1e-12 for _, v in report.entries)
+    traces = check_trace_conditions(eig_unitary(z_observable(6), 6))
+    assert list(traces) == [1, 2, 3]
+    assert all(v < 1e-12 for v in traces.values())
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)))
 def test_trace_conditions_canonical_pair(d):
-    assert all(check_trace_conditions(dec).passed for dec in _canonical_decompositions(d))
+    for dec in _canonical_decompositions(d):
+        assert worst(*check_trace_conditions(dec).values()) <= 1e-8
 
 
 def test_trace_conditions_unequal_multiplicities():
     w = omega(4, 1)
     bad = np.diag([1.0, 1.0, w**2, w**3])
-    report = check_trace_conditions(eig_unitary(bad, 4))
-    assert not report.passed
-    assert report.witness == 1
+    traces = check_trace_conditions(eig_unitary(bad, 4))
+    assert [n for n, v in traces.items() if not v <= 1e-8] == [1, 2]
 
 
 @pytest.mark.parametrize("d", list(range(2, 11)))
 def test_intermediate_identities_canonical(d):
     report = check_intermediate_identities(*_canonical_decompositions(d))
-    assert report.max_residual < 1e-8
+    assert worst(*report.values()) < 1e-8
 
 
 def _order_d_pairs(d):
@@ -197,8 +192,9 @@ def test_power_stack_checks_match_loop_oracles(d, monkeypatch):
     for name, b1, b2 in _order_d_pairs(d):
         dec1, dec2 = eig_unitary(b1, d), eig_unitary(b2, d)
         report = check_intermediate_identities(dec1, dec2)
-        fast = (report.ladder_first, report.ladder_second, report.half_phase, report.doubled_power)
-        for got, want in zip(fast, _oracles.intermediate_identities(b1, b2, d)):
+        names = ("ladder_first", "ladder_second", "half_phase", "doubled_power")
+        assert tuple(report) == names
+        for got, want in zip(report.values(), _oracles.intermediate_identities(b1, b2, d)):
             assert abs(got - want) <= 1e-12, name
         want = _oracles.commutation_relation(b1, b2, d)
         # one block of every k, then blocks of two k, as at large n
@@ -208,7 +204,7 @@ def test_power_stack_checks_match_loop_oracles(d, monkeypatch):
             assert abs(check_commutation_relation(dec1, dec2) - want) <= 1e-12, name
         monkeypatch.undo()
         for b, dec in ((b1, dec1), (b2, dec2)):
-            for n, got in check_trace_conditions(dec).entries:
+            for n, got in check_trace_conditions(dec).items():
                 assert abs(got - abs(np.trace(np.linalg.matrix_power(b, n)))) <= 1e-12, name
 
 
@@ -269,17 +265,18 @@ def test_root_identities_frozen_small_cases():
 
 @pytest.mark.parametrize("d", list(range(2, 25)))
 def test_root_identities_sweep(d):
-    assert check_root_identities(d).max_residual < 1e-8
+    assert worst(*check_root_identities(d).values()) < 1e-8
 
 
 @pytest.mark.parametrize("d", [2, 3, 7, 16, 31])
 def test_root_identities_match_loop_oracle(d):
     report = check_root_identities(d)
     ratio, weighted = _oracles.root_identities(d)
-    assert abs(report.ratio_sum - ratio) <= 1e-12
-    assert abs(report.weighted_sum - weighted) <= 1e-12
+    assert tuple(report) == ("ratio_sum", "weighted_sum")
+    assert abs(report["ratio_sum"] - ratio) <= 1e-12
+    assert abs(report["weighted_sum"] - weighted) <= 1e-12
     if d == 16:
-        assert report.max_residual <= 1e-13
+        assert worst(*report.values()) <= 1e-13
 
 
 def test_root_identities_memory_is_quadratic_in_d():
@@ -295,12 +292,6 @@ def test_root_identities_memory_is_quadratic_in_d():
     assert peak <= 8 * 2**20
 
 
-def test_trace_condition_witness_names_a_nan_entry():
-    report = TraceConditionReport(d=6, entries=((1, 0.0), (2, float("nan")), (3, 0.0)))
-    assert not report.passed
-    assert report.witness == 2
-
-
 def test_fij_structure_canonical_with_aux():
     d, m = 4, 3
     b2 = np.kron(t_observable(d), np.eye(m))
@@ -310,7 +301,7 @@ def test_fij_structure_canonical_with_aux():
 
 def test_fij_structure_d2_blocks_frozen():
     t2 = t_observable(2)
-    blocks = extract_blocks(t2, 2, 1)
+    blocks = _oracles.extract_blocks(t2, 2, 1)
     assert abs(blocks[0, 0][0, 0]) < 1e-12          # (d-2)/d vanishes at d=2
     assert abs(blocks[0, 1][0, 0] - (-1)) < 1e-12
     diagonal, _, block_unitarity, _, _ = _oracles.fij_structure(t2, 2, 1)
@@ -334,7 +325,7 @@ def test_fij_structure_detects_intra_eigenspace_rotation():
 
 def test_fij_structure_dimension_check():
     with pytest.raises(ValueError):
-        extract_blocks(t_observable(4), 4, 2)
+        _oracles.extract_blocks(t_observable(4), 4, 2)
 
 
 def test_sos_per_term_stabilization_written_out():
@@ -441,32 +432,4 @@ def test_sos_residuals_fail_closed_on_a_non_finite_entry(bad, which):
 def test_stabilizer_residuals_rejects_unknown_side():
     with pytest.raises(ValueError, match="side must be"):
         stabilizer_residuals(ideal_realization(2), "carol")
-
-
-CLEAN_TRACE = TraceIdentityReport(
-    d=3, ladder_first=1e-14, ladder_second=1e-14, half_phase=0.0, doubled_power=0.0
-)
-CLEAN_ROOT = RootIdentityReport(d=3, ratio_sum=1e-15, weighted_sum=0.0)
-AGGREGATES = [
-    (
-        CLEAN_TRACE,
-        "max_residual",
-        ("ladder_first", "ladder_second", "half_phase", "doubled_power"),
-    ),
-    (CLEAN_ROOT, "max_residual", ("ratio_sum", "weighted_sum")),
-]
-
-
-@pytest.mark.parametrize(
-    "report,aggregate,component",
-    [
-        pytest.param(r, agg, c, id=f"{type(r).__name__}-{c}")
-        for r, agg, components in AGGREGATES
-        for c in components
-    ],
-)
-def test_nan_in_any_report_component_makes_its_aggregate_nan(report, aggregate, component):
-    value = getattr(dataclasses.replace(report, **{component: float("nan")}), aggregate)
-    assert np.isnan(value)
-    assert not value <= 1e-8
 
