@@ -124,8 +124,8 @@ def born_probabilities(r: Realization) -> np.ndarray:
     W_y of B_y (:attr:`Realization.decompositions`), ``p[x, y, a, b]``
     sums ``|Phi|^2`` over the columns of eigenvalue group a and the rows
     of group b: ``M |Phi|^2 M^T`` with the 0/1 group-membership matrices M.
-    Returned only if no entry lies below ``-TOL_BORN`` and each setting
-    sums to 1 within ``TOL_BORN``; a NaN fails both.
+    Returned only if every entry is finite, no entry lies below
+    ``-TOL_BORN`` and each setting sums to 1 within ``TOL_BORN``.
     """
     d = r.d
     psi = r.state.reshape(r.dims)
@@ -137,6 +137,8 @@ def born_probabilities(r: Realization) -> np.ndarray:
         for y in range(2):
             weights = np.abs(left @ dec_b[y].vectors.conj()) ** 2
             p[x, y] = membership(dec_a[x]) @ weights @ membership(dec_b[y]).T
+    if not np.isfinite(p).all():
+        raise ValueError("probability table has non-finite entries")
     if not p.min() >= -TOL_BORN:
         raise ValueError(f"negative probability {p.min():.3e}")
     for (x, y), total in np.ndenumerate(p.sum(axis=(2, 3))):

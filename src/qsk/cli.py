@@ -339,11 +339,10 @@ def _cyclotomic_group(report: VerificationReport, ideal: bell.Realization | None
     d, checks = report.d, report.checks
     ok = cyclotomic.check_product_identity(d)
     checks.append(CheckResult("cyclotomic-product-identity", 0.0 if ok else 1.0, 0.5))
-    equal = cyclotomic.lemma2_conclude(cyclotomic.all_ones_poly(d).scale(3), d)
+    equal = cyclotomic.lemma2_conclude(cyclotomic.IntegerPolynomial((3,) * d), d)
     accept_ok = equal.equal and equal.constant == 3
-    unequal_coeffs = [1] + [0] * (d - 2) + [2] if d > 2 else [1, 2]
     unequal = cyclotomic.lemma2_conclude(
-        cyclotomic.RationalPolynomial.from_list(unequal_coeffs), d
+        cyclotomic.IntegerPolynomial((1,) + (0,) * (d - 2) + (2,)), d
     )
     reject_ok = not unequal.equal
     checks.append(
@@ -497,7 +496,7 @@ def cmd_cyclotomic(args) -> int:
     d = args.d
     poly = cyclotomic.cyclotomic_poly(d)
     product_ok = cyclotomic.check_product_identity(d)
-    demo_accept = cyclotomic.lemma2_conclude(cyclotomic.all_ones_poly(d).scale(5), d)
+    demo_accept = cyclotomic.lemma2_conclude(cyclotomic.IntegerPolynomial((5,) * d), d)
     payload = {
         "d": d,
         "cyclotomic_coefficients": [str(c) for c in poly.coefficients],

@@ -28,8 +28,7 @@ from qsk.canonical import (
     z_observable,
 )
 from qsk.cyclotomic import (
-    RationalPolynomial,
-    all_ones_poly,
+    IntegerPolynomial,
     check_product_identity,
     lemma2_conclude,
     proper_divisors,
@@ -248,10 +247,10 @@ def test_criterion_7_exact_cyclotomic_suite():
             if rng.random() < 0.5:
                 coeffs = [coeffs[0]] * d  # equal-coefficient instance
             expected = len(set(coeffs)) == 1
-            verdict = lemma2_conclude(RationalPolynomial.from_list(coeffs), d)
+            verdict = lemma2_conclude(IntegerPolynomial(tuple(coeffs)), d)
             assert verdict.equal == expected, (d, coeffs, verdict)
             cases += 1
-    assert lemma2_conclude(all_ones_poly(30).scale(7), 30).constant == 7
+    assert lemma2_conclude(IntegerPolynomial((7,) * 30), 30).constant == 7
     _report(
         7,
         f"product identity exact for d<=100; classifier exact on {cases} randomized "

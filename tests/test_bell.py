@@ -257,10 +257,10 @@ def test_realization_validate_returns_the_four_decompositions():
 
 
 def test_born_probabilities_refuses_a_nan_state():
-    # the table is all NaN, which no entry bound and no setting sum passes
+    # the table is all NaN: refused for what it is, before the sign and sum gates
     r = ideal_realization(3)
     nan = Realization(3, r.dims, np.full_like(r.state, np.nan), r.observables_a, r.observables_b)
-    with pytest.raises(ValueError, match="negative probability nan"):
+    with pytest.raises(ValueError, match="probability table has non-finite entries"):
         born_probabilities(nan)
 
 

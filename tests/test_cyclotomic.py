@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 
 import _oracles
 
+import qsk
 from qsk.cyclotomic import (
-    RationalPolynomial,
+    IntegerPolynomial,
     all_ones_poly,
     check_product_identity,
     cyclotomic_poly,
@@ -19,7 +23,11 @@ from qsk.cyclotomic import (
     proper_divisors,
 )
 
-P = RationalPolynomial.from_list
+P = IntegerPolynomial
+
+
+def _sum(a: IntegerPolynomial, b: IntegerPolynomial) -> IntegerPolynomial:
+    return P([x + y for x, y in zip_longest(a.coefficients, b.coefficients, fillvalue=0)])
 
 
 def test_poly_divmod_exact_cases():
@@ -27,7 +35,7 @@ def test_poly_divmod_exact_cases():
     assert q == P([1, 1]) and r.is_zero()
     q, r = poly_divmod(P([1, 1, 1, 1]), P([1, 0, 1]))      # (x^3+x^2+x+1)/(x^2+1)
     assert q == P([1, 1]) and r.is_zero()
-    f = P([2, -3, 0, 5])
+    f = P([2, -3, 0, 1])
     q, r = poly_divmod(f, f)
     assert q == P([1]) and r.is_zero()
 
@@ -36,22 +44,23 @@ def test_poly_divmod_remainder():
     f = P([1, 2, 0, 1])
     g = P([1, 1])
     q, r = poly_divmod(f, g)
-    assert (q * g + r) == f
+    assert _sum(q * g, r) == f
     assert r.degree < g.degree
 
 
 def test_poly_divmod_rejects_zero_divisor():
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(P([1, 1]), RationalPolynomial.zero())
+        poly_divmod(P([1, 1]), P())
 
 
 def test_poly_arithmetic_is_exact():
-    # no floats anywhere: coefficients stay Fractions
-    f = P([Fraction(1, 3), Fraction(2, 7)])
-    g = P([Fraction(5, 11), 1])
-    h = f * g
-    assert all(isinstance(c, Fraction) for c in h.coefficients)
-    assert h.coefficients[0] == Fraction(5, 33)
+    # no floats anywhere: coefficients stay ints, far past 2**53
+    big = 10**30
+    h = P([big, 1]) * P([-big, 1])          # x^2 - 10**60
+    assert h == P([-(big**2), 0, 1])
+    assert all(type(c) is int for c in h.coefficients)
+    q, r = poly_divmod(h, P([big, 1]))
+    assert q == P([-big, 1]) and r.is_zero()
 
 
 def test_cyclotomic_small_cases_frozen():
@@ -71,7 +80,7 @@ def test_cyclotomic_primes_are_all_ones():
 def test_cyclotomic_integer_coefficients():
     for n in (8, 15, 30, 105):
         for c in cyclotomic_poly(n).coefficients:
-            assert c.denominator == 1
+            assert type(c) is int
 
 
 def test_proper_divisors():
@@ -105,13 +114,13 @@ def test_lemma2_rejects_with_witness():
 
 
 def test_lemma2_accepts_scaled_cyclotomic_product():
-    w = (cyclotomic_poly(2) * cyclotomic_poly(4)).scale(5)
+    w = cyclotomic_poly(2) * cyclotomic_poly(4) * P([5])
     verdict = lemma2_conclude(w, 4)
     assert verdict.equal and verdict.constant == 5
 
 
 def test_lemma2_zero_polynomial():
-    verdict = lemma2_conclude(RationalPolynomial.zero(), 6)
+    verdict = lemma2_conclude(P(), 6)
     assert verdict.equal and verdict.constant == 0
 
 
@@ -127,7 +136,7 @@ def test_lemma2_agrees_with_numerical_root_evaluation():
     rng = np.random.default_rng(99)
     d = 12
     for _ in range(100):
-        coeffs = list(rng.integers(-9, 10, size=d))
+        coeffs = [int(c) for c in rng.integers(-9, 10, size=d)]
         w = P(coeffs)
         verdict = lemma2_conclude(w, d)
         # w at the root w**n, by numpy's own polynomial evaluation (highest degree first)
@@ -142,30 +151,32 @@ def test_lemma2_agrees_with_numerical_root_evaluation():
 
 def test_polynomial_string_rendering():
     assert str(cyclotomic_poly(12)) == "1 - x^2 + x^4"
-    assert str(RationalPolynomial.zero()) == "0"
-    assert str(P([Fraction(1, 2), -1])) == "1/2 - x"
+    assert str(P()) == "0"
+    assert str(P([-2, 0, 1])) == "-2 + x^2"
+    assert str(P([0, -3, 0, 7])) == "-3*x + 7*x^3"
 
 
-def _random_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+def _random_integer(rng: random.Random, nonzero: bool = False) -> int:
     if not nonzero and rng.random() < 0.3:
-        return Fraction(0)
-    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+        return 0
+    return rng.choice([-1, 1]) * rng.randint(1, 40)
 
 
-def _random_coefficients(rng: random.Random, degree: int) -> tuple[Fraction, ...]:
+def _random_coefficients(rng: random.Random, degree: int, monic: bool = False) -> tuple[int, ...]:
     """Ascending coefficients of exact degree ``degree``; -1 gives zero."""
     if degree < 0:
         return ()
-    return tuple(_random_rational(rng) for _ in range(degree)) + (
-        _random_rational(rng, nonzero=True),
-    )
+    lead = 1 if monic else _random_integer(rng, nonzero=True)
+    return tuple(_random_integer(rng) for _ in range(degree)) + (lead,)
 
 
-def _assert_canonical(p: RationalPolynomial) -> None:
-    assert p.denominator > 0
-    assert gcd(p.denominator, *p.numerators) == 1
-    assert not p.numerators or p.numerators[-1] != 0
-    assert all(type(c) is int for c in p.numerators)
+def _fractions(coeffs: tuple[int, ...]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def _assert_canonical(p: IntegerPolynomial) -> None:
+    assert not p.coefficients or p.coefficients[-1] != 0
+    assert all(type(c) is int for c in p.coefficients)
 
 
 def test_kernels_match_fraction_oracles_on_random_pairs():
@@ -173,80 +184,66 @@ def test_kernels_match_fraction_oracles_on_random_pairs():
     shorter = 0
     for _ in range(1200):
         f = _random_coefficients(rng, rng.randint(-1, 10))
-        g = _random_coefficients(rng, rng.randint(0, 7))
+        g = _random_coefficients(rng, rng.randint(0, 7), monic=True)
         shorter += len(f) < len(g)
         q, r = poly_divmod(P(f), P(g))
-        oq, or_ = _oracles.poly_divmod(f, g)
+        oq, or_ = _oracles.poly_divmod(_fractions(f), _fractions(g))
         assert q.coefficients == oq and r.coefficients == or_
-        prod = P(f) * P(g)
-        assert prod.coefficients == _oracles.poly_mul(f, g)
+        h = _random_coefficients(rng, rng.randint(-1, 7))
+        prod = P(f) * P(h)
+        assert prod.coefficients == _oracles.poly_mul(_fractions(f), _fractions(h))
         for p in (q, r, prod):
             _assert_canonical(p)
     assert shorter > 100  # deg f < deg g is exercised
 
 
-def test_poly_divmod_non_monic_rational_divisor():
-    # (x^2 - 1/4) / (-2/3 x + 1/3): leading 3x/2 is not divisible by -2 numerator-wise
-    f = P([Fraction(-1, 4), 0, 1])
-    g = P([Fraction(1, 3), Fraction(-2, 3)])
-    q, r = poly_divmod(f, g)
-    assert (q.coefficients, r.coefficients) == _oracles.poly_divmod(f.coefficients, g.coefficients)
-    assert q * g + r == f and r.is_zero()
+def test_poly_divmod_refuses_a_non_monic_divisor():
+    # x^2 - 1 = (x + 1)/2 * (2x - 2): the quotient leaves the integers
+    for divisor in ([-2, 2], [1, -1], [0, 0, 3]):
+        with pytest.raises(ValueError, match="not monic"):
+            poly_divmod(P([-1, 0, 1]), P(divisor))
 
 
 def test_cyclotomic_matches_moebius_oracle():
     for n in range(1, 301):
         assert cyclotomic_poly(n).coefficients == _oracles.cyclotomic_poly(n)
-        assert cyclotomic_poly(n).denominator == 1
 
 
 def test_cyclotomic_divisions_match_fraction_oracle_at_large_degree():
-    f = (Fraction(-1),) + (Fraction(0),) * 419 + (Fraction(1),)
+    f = (-1,) + (0,) * 419 + (1,)
     for m in (7, 12, 105, 210):
         q, r = poly_divmod(P(f), cyclotomic_poly(m))
-        oq, or_ = _oracles.poly_divmod(f, cyclotomic_poly(m).coefficients)
+        oq, or_ = _oracles.poly_divmod(_fractions(f), _fractions(cyclotomic_poly(m).coefficients))
         assert q.coefficients == oq and r.coefficients == or_ == ()
 
 
-_FRACTION_OPERATORS = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
-    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
-    "__neg__", "__pos__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__",
-    "__ge__", "__bool__",
-)
+def test_exact_path_makes_no_fraction_arithmetic():
+    # a fresh interpreter (this one loads fractions for the oracles) runs
+    # both cyclotomic commands at d = 420 without ever loading the module,
+    # so no Fraction operation can happen on the exact path
+    script = (
+        "import sys\n"
+        "from qsk.cli import main\n"
+        "codes = [main(['cyclotomic', '--d', '420']), main(['verify', '--d', '420', '--cyclotomic'])]\n"
+        "sys.exit(codes != [0, 0] or 'fractions' in sys.modules)\n"
+    )
+    env = {"PYTHONPATH": str(Path(qsk.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Phi_420(x) = 1 - x^2 + x^4 + x^10")
+    accept = lemma2_conclude(P((3,) * 420), 420)
+    reject = lemma2_conclude(P([1, 2] + [0] * 417 + [5]), 420)
+    assert accept.equal and accept.constant == 3
+    assert not reject.equal
 
 
-def test_exact_path_makes_no_fraction_arithmetic(monkeypatch):
-    accept = all_ones_poly(420).scale(3)
-    reject = P([1, 2] + [0] * 417 + [5])
-    calls = []
-    for name in _FRACTION_OPERATORS:
-        def counted(*args, _original=getattr(Fraction, name), _name=name):
-            calls.append(_name)
-            return _original(*args)
-        monkeypatch.setattr(Fraction, name, counted)
-    cyclotomic_poly.cache_clear()
-    phi = cyclotomic_poly(420)
-    product_ok = check_product_identity(420)
-    verdicts = (lemma2_conclude(accept, 420), lemma2_conclude(reject, 420))
-    text = str(phi)
-    assert calls == []
-    monkeypatch.undo()
-    assert product_ok and text.startswith("1 - x^2 + x^4 + x^10")
-    assert verdicts[0].equal and verdicts[0].constant == 3
-    assert not verdicts[1].equal
-
-
-_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+_integers = st.integers(min_value=-30, max_value=30)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_rationals, max_size=10), st.lists(_rationals, min_size=1, max_size=6))
+@given(st.lists(_integers, max_size=10), st.lists(_integers, max_size=5))
 def test_poly_divmod_property(f_coeffs, g_coeffs):
-    f, g = P(f_coeffs), P(g_coeffs)
-    if g.is_zero():
-        return
+    f, g = P(f_coeffs), P(g_coeffs + [1])  # monic
     q, r = poly_divmod(f, g)
-    assert q * g + r == f
+    assert _sum(q * g, r) == f
     assert r.degree < g.degree
