@@ -229,8 +229,7 @@ def _extraction(
         *(result.residuals[f"{party}_observable_{i}"] for party in ("bob", "alice") for i in (1, 2))
     )
     checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
-    canon = selftest.canonicalized_realization(r, result)
-    drift = np.abs(canon.correlators - r.correlators).max()
+    drift = np.abs(result.canonical.correlators - r.correlators).max()
     checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
     report.summary["extraction"] = {
         "fidelity": result.fidelity,
@@ -467,7 +466,15 @@ def cmd_simulate(args) -> int:
     # per setting, the plug-in variance sum p (w - mean)^2 over its own shots
     p, w = freqs.reshape(4, -1), satwap.probability_form(f).reshape(4, -1)
     mean = np.sum(w * p, axis=1, keepdims=True)
-    se = float(np.sqrt(np.sum(np.sum(p * (w - mean) ** 2, axis=1) / counts.reshape(-1))))
+    var = np.sum(p * (w - mean) ** 2, axis=1)
+    # each setting's true variance is (d^2 - 1)/12 > 0; shots that all fell on
+    # cells of one weight read zero up to rounding, and the error would too
+    if (var <= np.finfo(float).eps * np.max(w**2, axis=1)).all():
+        raise ValueError(
+            f"every setting drew its shots from cells of one weight: zero sample "
+            f"variance from {args.shots} shots; use more --shots"
+        )
+    se = float(np.sqrt(np.sum(var / counts.reshape(-1))))
     payload = {
         "d": args.d,
         "shots": args.shots,

@@ -216,11 +216,10 @@ def decomposition_from_basis(a: np.ndarray, vectors: np.ndarray, d: int) -> Eige
     """The decomposition of a simple-spectrum ``a`` in a basis known in closed form.
 
     Column r of the (d, d) ``vectors`` carries the eigenvalue ``w**r``.
-    The basis is gated, not trusted: any other shape, or a basis that
-    fails :func:`_certified`, raises :class:`NotOrderDError`.
+    The basis is gated, not trusted: a basis that fails :func:`_certified`
+    raises :class:`NotOrderDError`, and so does any other shape, since d
+    multiplicities of 1 admit only n = d.
     """
-    if vectors.shape != (d, d) or a.shape != (d, d):
-        raise NotOrderDError(f"basis of shape {vectors.shape} for a {a.shape} observable at d={d}")
     return _certified(a, vectors, (1,) * d, d)
 
 

@@ -7,9 +7,12 @@ recovers local unitaries U_A, U_B such that
     U_A A1 U_A^dag = A1_ideal (x) I,   U_A A2 U_A^dag = A2_ideal (x) I,
     (U_A (x) U_B) |psi> = |phi_d+> (x) |aux>.
 
-Stages: violation gate, vanishing-trace diagnostics, eigenspace alignment
-of the first observable, block alignment of the second from its first
-block row, and the qudit-side rotation for Alice.  The pipeline demands
+Stages: violation gate, vanishing-trace diagnostics, then the alignment
+of each party (eigenspaces of the first observable, blocks of the second
+from its first block row, and for Alice the qudit-side rotation).  The
+realization is rotated once by the two unitaries, and both verifications
+read that one rotated realization: the four observables against the ideal
+ones (x) I, and the state against |phi_d+> (x) |aux>.  The pipeline demands
 (numerically) exact maximal violation; noisy inputs are rejected at the
 gate rather than extracted approximately.
 """
@@ -47,24 +50,12 @@ class ExtractionError(Exception):
 
 
 @dataclass(frozen=True)
-class StateCanonicalization:
-    """Outcome of rewriting (U_A (x) U_B)|psi> over the qudit pair and aux.
-
-    ``fidelity`` is the overlap with |phi_d+> (x) aux where aux is the
-    normalized first diagonal block; the two residuals quantify the
-    block-diagonal product structure that maximal violation forces.
-    """
-
-    fidelity: float
-    aux_state: np.ndarray
-    off_diagonal_residual: float
-    diagonal_mismatch: float
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
+    """The extracted unitaries and ``canonical``, the realization they rotate."""
+
     u_a: np.ndarray
     u_b: np.ndarray
+    canonical: Realization
     aux_dims: tuple[int, int]
     aux_state: np.ndarray
     fidelity: float
@@ -87,14 +78,16 @@ def check_multiplicities(decomp: EigenDecomposition) -> int:
     return m
 
 
-def _align(second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition) -> np.ndarray:
+def extract_bob(
+    second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+) -> np.ndarray:
     """Unitary V carrying a maximally violating pair to (Z, T) (x) I.
 
-    The first observable's eigenvectors, ordered by w**j, carry it to
-    Z (x) I; in that frame the second observable's first block row F_0i
-    fixes the bases within the eigenspaces: block row i of V is corrected
-    by (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag =
-    (4/d^2) I, a consequence of maximal violation.  The d - 1 corrections
+    The first observable's eigenvectors (``dec1``), ordered by w**j, carry
+    it to Z (x) I; in that frame the second observable's first block row
+    F_0i fixes the bases within the eigenspaces: block row i of V is
+    corrected by (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag
+    = (4/d^2) I, a consequence of maximal violation.  The d - 1 corrections
     are one batched expression behind one batched unitarity gate.
     """
     d = dec1.d
@@ -121,62 +114,42 @@ def _align(second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecompositio
     return np.concatenate([rows[:1], corrections @ rows[1:]]).reshape(v.shape)
 
 
-def extract_bob(
-    b1: np.ndarray,
-    b2: np.ndarray,
-    dec1: EigenDecomposition,
-    dec2: EigenDecomposition,
-    ideal: Realization,
-) -> tuple[np.ndarray, tuple[float, float]]:
-    """Unitary U_B with U_B B1 U_B^dag = Z (x) I and U_B B2 U_B^dag = T (x) I.
-
-    ``dec1`` and ``dec2`` are the decompositions of ``b1`` and ``b2``, and
-    (Z, T) are read from the Bob pair of the canonical realization ``ideal``.
-    Returns U_B together with the two conjugation residuals it verified.
-    """
-    u_b = _align(b2, dec1, dec2)
-    return u_b, _verify_conjugation(u_b, (b1, b2), ideal.observables_b, len(u_b) // dec1.d)
-
-
-def _verify_conjugation(u, sources, targets, m: int) -> tuple[float, float]:
-    """Residuals |u S u^dag - T (x) I_m| of the first and second observable."""
-    residuals = []
-    for which, source, target in zip(("first", "second"), sources, targets):
-        res = float(np.linalg.norm(u @ source @ dagger(u) - np.kron(target, np.eye(m))))
-        if not res <= TOL_EXTRACT:
-            raise ExtractionError(
-                "block-alignment", f"{which} observable misses its canonical form by {res:.3e}"
-            )
-        residuals.append(res)
-    return residuals[0], residuals[1]
-
-
 def extract_alice(
-    a1: np.ndarray,
-    a2: np.ndarray,
-    dec1: EigenDecomposition,
-    dec2: EigenDecomposition,
-    ideal: Realization,
-) -> tuple[np.ndarray, tuple[float, float]]:
-    """Unitary U_A carrying (A1, A2) to the Alice pair of ``ideal`` (x) I.
+    second: np.ndarray, dec1: EigenDecomposition, dec2: EigenDecomposition
+) -> np.ndarray:
+    """Unitary U_A carrying a maximally violating Alice pair to the ideal one (x) I.
 
     A maximally violating Alice pair obeys exactly the same operator
     relations as Bob's (the two one-party combination families coincide up
     to phases), so Bob's alignment carries it to (Z, T) (x) I; the
     qudit-side rotation W_A (x) I, applied to the aligned block rows, lands
-    on the ideal pair.  Returns U_A together with the two conjugation
-    residuals it verified.
+    on the ideal pair.
     """
     d = dec1.d
-    v = _align(a2, dec1, dec2)
-    u_a = (canonical.w_alice(d) @ v.reshape(d, -1)).reshape(v.shape)
-    return u_a, _verify_conjugation(u_a, (a1, a2), ideal.observables_a, len(v) // d)
+    v = extract_bob(second, dec1, dec2)
+    return (canonical.w_alice(d) @ v.reshape(d, -1)).reshape(v.shape)
 
 
-def canonicalize_state(
-    r: Realization, u_a: np.ndarray, u_b: np.ndarray
-) -> StateCanonicalization:
-    """Rotate the state and decompose it over the two qudits and the aux pair.
+def _verify_conjugation(canon: Realization, ideal: Realization) -> dict[str, float]:
+    """Residuals |X - X_ideal (x) I| of the four rotated observables, Bob's pair first."""
+    residuals = {}
+    for party, pair, targets, dim in (
+        ("bob", canon.observables_b, ideal.observables_b, canon.dims[1]),
+        ("alice", canon.observables_a, ideal.observables_a, canon.dims[0]),
+    ):
+        eye = np.eye(dim // canon.d)
+        for i, (which, o, target) in enumerate(zip(("first", "second"), pair, targets), 1):
+            res = float(np.linalg.norm(o - np.kron(target, eye)))
+            if not res <= TOL_EXTRACT:
+                raise ExtractionError(
+                    "block-alignment", f"{which} observable misses its canonical form by {res:.3e}"
+                )
+            residuals[f"{party}_observable_{i}"] = res
+    return residuals
+
+
+def canonicalize_state(canon: Realization) -> tuple[float, np.ndarray, dict[str, float]]:
+    """Decompose the rotated state over the two qudits and the aux pair.
 
     Writing (U_A (x) U_B)|psi> = sum_ij |ij> |psi_ij>, maximal violation
     forces psi_ij = 0 for i != j and all psi_ii equal.  The residuals are
@@ -184,13 +157,13 @@ def canonicalize_state(
     from one reduction over all d^2 block norms and one broadcast difference.
     The fidelity is |<phi_d+ (x) aux | rotated psi>| with aux the normalized
     psi_00 (falling back to the largest diagonal block when psi_00
-    vanishes).  Failure is reported through the numbers, never raised.
+    vanishes).  Returns the fidelity, aux and the two named residuals;
+    failure is reported through the numbers, never raised.
     """
-    d = r.d
-    da, db = r.dims
+    d = canon.d
+    da, db = canon.dims
     ma, mb = da // d, db // d
-    rotated = u_a @ r.state.reshape(da, db) @ u_b.T
-    grid = rotated.reshape(d, ma, d, mb).transpose(0, 2, 1, 3)  # block [i, j] is psi_ij
+    grid = canon.state.reshape(d, ma, d, mb).transpose(0, 2, 1, 3)  # block [i, j] is psi_ij
     norms = np.linalg.norm(grid, axis=(2, 3))
     off = float(np.max(norms[~np.eye(d, dtype=bool)]))
     diagonal = grid[np.arange(d), np.arange(d)].reshape(d, -1)
@@ -203,20 +176,15 @@ def canonicalize_state(
         with np.errstate(invalid="ignore"):  # a NaN block gives a NaN fidelity, not a warning
             aux = diagonal[a] / np.linalg.norm(diagonal[a])
         fidelity = float(abs(sum(np.vdot(aux, v) for v in diagonal)) / np.sqrt(d))
-    return StateCanonicalization(
-        fidelity=fidelity,
-        aux_state=aux,
-        off_diagonal_residual=off,
-        diagonal_mismatch=mismatch,
-    )
+    return fidelity, aux, {"state_off_diagonal": off, "state_diagonal_mismatch": mismatch}
 
 
 def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResult:
-    """Full pipeline: gate, trace diagnostics, both extractions, state form.
+    """Full pipeline: gate, trace diagnostics, both alignments, one rotation.
 
-    The observables are extracted onto those of the canonical realization
-    ``ideal`` (built here when not given), so a report that already holds
-    it hands it in.
+    The rotated observables are verified against those of the canonical
+    realization ``ideal`` (built here when not given), so a report that
+    already holds it hands it in.
     """
     d = r.d
     try:
@@ -243,38 +211,32 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
                 f"unequal eigenvalue multiplicities",
             )
 
+    u_b = extract_bob(r.observables_b[1], dec_b1, dec_b2)
+    u_a = extract_alice(r.observables_a[1], dec_a1, dec_a2)
+    canon = canonicalized_realization(r, u_a, u_b)
     ideal = ideal if ideal is not None else canonical.ideal_realization(d)
-    u_b, (res_b1, res_b2) = extract_bob(*r.observables_b, dec_b1, dec_b2, ideal)
-    u_a, (res_a1, res_a2) = extract_alice(*r.observables_a, dec_a1, dec_a2, ideal)
-    state = canonicalize_state(r, u_a, u_b)
+    observables = _verify_conjugation(canon, ideal)
+    fidelity, aux, state = canonicalize_state(canon)
     return ExtractionResult(
         u_a=u_a,
         u_b=u_b,
+        canonical=canon,
         aux_dims=(r.dims[0] // d, r.dims[1] // d),
-        aux_state=state.aux_state,
-        fidelity=state.fidelity,
-        residuals={
-            "violation_gap": gap,
-            "bob_observable_1": res_b1,
-            "bob_observable_2": res_b2,
-            "alice_observable_1": res_a1,
-            "alice_observable_2": res_a2,
-            "state_off_diagonal": state.off_diagonal_residual,
-            "state_diagonal_mismatch": state.diagonal_mismatch,
-        },
+        aux_state=aux,
+        fidelity=fidelity,
+        residuals={"violation_gap": gap, **observables, **state},
     )
 
 
-def canonicalized_realization(r: Realization, result: ExtractionResult) -> Realization:
-    """Apply the extracted local unitaries to the whole realization."""
+def canonicalized_realization(r: Realization, u_a: np.ndarray, u_b: np.ndarray) -> Realization:
+    """The realization rotated by the local unitaries ``u_a`` and ``u_b``."""
     da, db = r.dims
-    state = (result.u_a @ r.state.reshape(da, db) @ result.u_b.T).reshape(-1)
     return Realization(
         d=r.d,
         dims=r.dims,
-        state=state,
-        observables_a=tuple(result.u_a @ o @ dagger(result.u_a) for o in r.observables_a),
-        observables_b=tuple(result.u_b @ o @ dagger(result.u_b) for o in r.observables_b),
+        state=(u_a @ r.state.reshape(da, db) @ u_b.T).reshape(-1),
+        observables_a=tuple(u_a @ o @ dagger(u_a) for o in r.observables_a),
+        observables_b=tuple(u_b @ o @ dagger(u_b) for o in r.observables_b),
     )
 
 
@@ -292,23 +254,16 @@ def scramble(r: Realization, aux_a: int, aux_b: int, seed: int) -> Realization:
     da, db = r.dims
     aux = rng.standard_normal(aux_a * aux_b) + 1j * rng.standard_normal(aux_a * aux_b)
     aux /= np.linalg.norm(aux)
-    embedded = np.einsum(
-        "ab,st->asbt", r.state.reshape(da, db), aux.reshape(aux_a, aux_b)
-    ).reshape(-1)
-    g_a = haar_random_unitary(da * aux_a, rng)
-    g_b = haar_random_unitary(db * aux_b, rng)
-    state = (g_a @ embedded.reshape(da * aux_a, db * aux_b) @ g_b.T).reshape(-1)
-    scrambled = Realization(
+    embedded = Realization(
         d=r.d,
         dims=(da * aux_a, db * aux_b),
-        state=state,
-        observables_a=tuple(
-            g_a @ np.kron(o, np.eye(aux_a)) @ dagger(g_a) for o in r.observables_a
-        ),
-        observables_b=tuple(
-            g_b @ np.kron(o, np.eye(aux_b)) @ dagger(g_b) for o in r.observables_b
-        ),
+        state=np.einsum("ab,st->asbt", r.state.reshape(da, db), aux.reshape(aux_a, aux_b)).ravel(),
+        observables_a=tuple(np.kron(o, np.eye(aux_a)) for o in r.observables_a),
+        observables_b=tuple(np.kron(o, np.eye(aux_b)) for o in r.observables_b),
     )
+    g_a = haar_random_unitary(da * aux_a, rng)
+    g_b = haar_random_unitary(db * aux_b, rng)
+    scrambled = canonicalized_realization(embedded, g_a, g_b)
     drift = np.abs(scrambled.correlators - r.correlators).max()
     if not drift <= 1e-9:
         raise ValueError(f"scrambling changed the correlations by {drift:.3e}")

@@ -34,7 +34,6 @@ from qsk.linalg import (
     worst,
 )
 from qsk.satwap import BellFunctional, coefficient_a, quantum_bound
-from qsk.selftest import StateCanonicalization
 
 
 def expectation(op_a: np.ndarray, op_b: np.ndarray, psi: np.ndarray) -> complex:
@@ -402,8 +401,15 @@ def root_identities(d: int) -> tuple[float, float]:
     return r1, r2
 
 
-def canonicalize_state(r: Realization, u_a: np.ndarray, u_b: np.ndarray) -> StateCanonicalization:
-    """The state canonicalization block by block: one ``norm`` per block pair."""
+def canonicalize_state(
+    r: Realization, u_a: np.ndarray, u_b: np.ndarray
+) -> tuple[float, np.ndarray, dict[str, float]]:
+    """The state canonicalization block by block: one ``norm`` per block pair.
+
+    Rotates the state of ``r`` itself and returns what
+    :func:`qsk.selftest.canonicalize_state` returns for the rotated
+    realization: the fidelity, the aux state and the two named residuals.
+    """
     d = r.d
     da, db = r.dims
     ma, mb = da // d, db // d
@@ -427,12 +433,7 @@ def canonicalize_state(r: Realization, u_a: np.ndarray, u_b: np.ndarray) -> Stat
     else:
         aux = anchor / np.linalg.norm(anchor)
         fidelity = float(abs(sum(np.vdot(aux, v) for v in diagonal)) / np.sqrt(d))
-    return StateCanonicalization(
-        fidelity=fidelity,
-        aux_state=aux,
-        off_diagonal_residual=off,
-        diagonal_mismatch=mismatch,
-    )
+    return fidelity, aux, {"state_off_diagonal": off, "state_diagonal_mismatch": mismatch}
 
 
 def unitary_power(a: np.ndarray, k: int) -> np.ndarray:

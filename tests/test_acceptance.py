@@ -38,7 +38,6 @@ from qsk.randomness import certified_bits, ideal_guessing_probability, outcome_d
 from qsk.satwap import BellFunctional, classical_bound, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
-    canonicalized_realization,
     check_multiplicities,
     extract,
     scramble,
@@ -214,11 +213,10 @@ def test_criterion_6_extraction_round_trip():
                     )
                 ),
             )
-            canon = canonicalized_realization(scrambled, result)
             worst_stats = max(
                 worst_stats,
                 np.abs(
-                    correlators_from_realization(canon)
+                    correlators_from_realization(result.canonical)
                     - correlators_from_realization(scrambled)
                 ).max(),
             )

@@ -152,47 +152,48 @@ def test_simulate_deterministic_and_calibrated(tmp_path, capsys):
     assert abs(payload["estimate"] - 4.0) <= 5 * payload["standard_error"]
 
 
-# id -> (d, shots, seed, standard-error floor, the first setting that drew
-# no shot or None); the first five runs sample every setting
+# id -> (d, shots, seed, standard-error floor or None when the run is
+# refused, the refusal's reason); the first five runs sample every setting
+ONE_WEIGHT = "every setting drew its shots from cells of one weight: zero sample variance from"
 SMALL_SHOT_RUNS = {
     "d2-shots10-seed4": (2, 10, 4, 0.1, None),
-    "d3-shots7-seed21": (3, 7, 21, 0.0, None),
-    "d2-shots14-seed92": (2, 14, 92, 0.0, None),
-    "d3-shots5-seed108": (3, 5, 108, 0.0, None),
-    "d3-shots8-seed5": (3, 8, 5, 0.0, None),
-    "d2-shots10-seed3": (2, 10, 3, None, "(0,0)"),
-    "d3-shots4-seed1": (3, 4, 1, None, "(0,0)"),
-    "d3-shots5-seed30": (3, 5, 30, None, "(1,1)"),
-    "d4-shots5-seed1": (4, 5, 1, None, "(0,0)"),
-    "d5-shots2-seed28": (5, 2, 28, None, "(0,0)"),
+    "d3-shots7-seed21": (3, 7, 21, None, ONE_WEIGHT),
+    "d2-shots14-seed92": (2, 14, 92, None, ONE_WEIGHT),
+    "d3-shots5-seed108": (3, 5, 108, None, ONE_WEIGHT),
+    "d3-shots8-seed5": (3, 8, 5, None, ONE_WEIGHT),
+    "d2-shots10-seed3": (2, 10, 3, None, "setting (0,0) drew none of the"),
+    "d3-shots4-seed1": (3, 4, 1, None, "setting (0,0) drew none of the"),
+    "d3-shots5-seed30": (3, 5, 30, None, "setting (1,1) drew none of the"),
+    "d4-shots5-seed1": (4, 5, 1, None, "setting (0,0) drew none of the"),
+    "d5-shots2-seed28": (5, 2, 28, None, "setting (0,0) drew none of the"),
 }
 
 
 @pytest.mark.parametrize("fmt", ["json", "summary"])
 @pytest.mark.parametrize(
-    "d,shots,seed,se_floor,unsampled", list(SMALL_SHOT_RUNS.values()), ids=list(SMALL_SHOT_RUNS)
+    "d,shots,seed,se_floor,refusal", list(SMALL_SHOT_RUNS.values()), ids=list(SMALL_SHOT_RUNS)
 )
 def test_simulate_small_shot_count_well_formed(
-    d, shots, seed, se_floor, unsampled, fmt, tmp_path, capsys
+    d, shots, seed, se_floor, refusal, fmt, tmp_path, capsys
 ):
-    # A run with a setting that drew no shot is refused: that setting's
-    # all-zero slice would add 0 to the estimate, not (d - 1)/2, and nothing
-    # to its standard error (d = 3, 4 shots, seed 1 reported 1.366 +- 5.6e-17
-    # against a bound of 4).  Every other run exits 0.  The plug-in standard
-    # error from 10 shots is wide; in the other four runs each setting's
-    # shots land on cells of one weight, so each per-setting variance is
-    # zero, which E[w^2] - E[w]^2 rounded a few ulps below zero (-7.4e-17
-    # at d = 3, 7 shots, seed 21): sqrt warned, and the NaN made the JSON
-    # writer refuse the payload in both formats
+    # A run whose estimate or error the sample cannot carry is refused:
+    # a setting that drew no shot would add 0 to the estimate, not
+    # (d - 1)/2, and nothing to its standard error (d = 3, 4 shots, seed 1
+    # reported 1.366 +- 5.6e-17 against a bound of 4); and when every
+    # setting's shots land on cells of one weight, each per-setting
+    # variance is zero although the true one is (d^2 - 1)/12, so the error
+    # would read 0 (d = 3, 7 shots, seed 21 reported 5.464102 +- 0.000000
+    # against a bound of 4).  The run that is kept has a wide plug-in
+    # standard error from 10 shots
     out = tmp_path / "simulate.json"
     argv = ["simulate", "--d", str(d), "--shots", str(shots), "--seed", str(seed)]
     code = main([*argv, "--format", fmt, "--out", str(out)])
-    if unsampled is not None:
+    if refusal is not None:
         assert code == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines() == [
-            f"error: setting {unsampled} drew none of the {shots} shots; use more --shots"
+            f"error: {refusal} {shots} shots; use more --shots"
         ]
         return
     assert code == EXIT_OK
@@ -648,24 +649,47 @@ def test_each_command_computes_each_realizations_statistics_once(
 
 
 def test_verify_file_extract_verifies_each_party_once(tmp_path, monkeypatch, capsys):
-    # one alignment per party, verified once against that party's own ideal
-    # pair: Bob's against (Z, T) (x) I, Alice's against the ideal Alice pair,
-    # four conjugation residuals in all
+    # one rotated realization per extraction, read by both verifications:
+    # the four conjugation residuals come from one call against the ideal
+    # pairs, Bob's first, and the report's statistics check reads the same
+    # object.  verify --d 6 --extract rotates twice, once in scramble; cli
+    # binds no rotation of its own
     scrambled = tmp_path / "scrambled.json"
     assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
-    targets = []
-    original = qsk.selftest._verify_conjugation
+    capsys.readouterr()
+    assert not hasattr(qsk.cli, "canonicalized_realization")
+    rotate, verify = qsk.selftest.canonicalized_realization, qsk.selftest._verify_conjugation
+    expected = qsk.canonical.ideal_realization(6)
+    for argv, rotations in (
+        (["verify", "--file", str(scrambled), "--extract"], 1),
+        (["verify", "--d", "6", "--extract"], 2),
+    ):
+        rotated, verified = [], []
 
-    def counted(u, sources, pair, m):
-        targets.append(pair)
-        return original(u, sources, pair, m)
+        def counted_rotate(r, u_a, u_b):
+            rotated.append(rotate(r, u_a, u_b))
+            return rotated[-1]
 
-    monkeypatch.setattr(qsk.selftest, "_verify_conjugation", counted)
-    assert main(["verify", "--file", str(scrambled), "--extract", "--format", "json"]) == EXIT_OK
-    ideal = qsk.canonical.ideal_realization(6)
-    assert len(targets) == 2
-    for pair, expected in zip(targets, (ideal.observables_b, ideal.observables_a)):
-        assert all(np.array_equal(t, e) for t, e in zip(pair, expected, strict=True))
+        def counted_verify(canon, ideal):
+            verified.append((canon, ideal, verify(canon, ideal)))
+            return verified[-1][2]
+
+        monkeypatch.setattr(qsk.selftest, "canonicalized_realization", counted_rotate)
+        monkeypatch.setattr(qsk.selftest, "_verify_conjugation", counted_verify)
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        assert len(rotated) == rotations and len(verified) == 1
+        ((canon, ideal, residuals),) = verified
+        assert canon is rotated[-1]
+        for got, want in zip(
+            (*ideal.observables_b, *ideal.observables_a),
+            (*expected.observables_b, *expected.observables_a),
+        ):
+            assert np.array_equal(got, want)
+        assert list(residuals) == [
+            "bob_observable_1", "bob_observable_2", "alice_observable_1", "alice_observable_2"
+        ]
+        report = json.loads(capsys.readouterr().out)
+        assert all(report["extraction"]["residuals"][k] == v for k, v in residuals.items())
 
 
 def test_verify_sos_builds_each_grouping_once(monkeypatch):

@@ -33,8 +33,8 @@ rng = np.random.default_rng(2718281)
 
 
 def _stage(fn, o1, o2, d):
-    """Run an extraction stage on a pair with freshly computed decompositions."""
-    return fn(o1, o2, eig_unitary(o1, d), eig_unitary(o2, d), ideal_realization(d))
+    """Run an alignment stage on a pair with freshly computed decompositions."""
+    return fn(o2, eig_unitary(o1, d), eig_unitary(o2, d))
 
 
 def test_check_multiplicities():
@@ -79,13 +79,9 @@ def test_extract_bob_round_trip(d, m):
     g = haar_random_unitary(d * m, rng)
     b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
     b2 = g @ np.kron(t_observable(d), np.eye(m)) @ dagger(g)
-    u, residuals = _stage(extract_bob, b1, b2, d)
+    u = _stage(extract_bob, b1, b2, d)
     assert frobenius_distance(u @ b1 @ dagger(u), np.kron(z_observable(d), np.eye(m))) < 1e-7
     assert frobenius_distance(u @ b2 @ dagger(u), np.kron(t_observable(d), np.eye(m))) < 1e-7
-    assert residuals == (
-        frobenius_distance(u @ b1 @ dagger(u), np.kron(z_observable(d), np.eye(m))),
-        frobenius_distance(u @ b2 @ dagger(u), np.kron(t_observable(d), np.eye(m))),
-    )
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -97,13 +93,13 @@ def test_extracted_second_observable_satisfies_the_fij_block_equations(d, m):
     g = haar_random_unitary(d * m, np.random.default_rng(100 * d + m))  # own data
     b1 = g @ np.kron(z_observable(d), np.eye(m)) @ dagger(g)
     b2 = g @ np.kron(t_observable(d), np.eye(m)) @ dagger(g)
-    u, _ = _stage(extract_bob, b1, b2, d)
+    u = _stage(extract_bob, b1, b2, d)
     assert max(_oracles.fij_structure(u @ b2 @ dagger(u), d, m)) < 1e-9
 
 
 def test_extract_bob_unscrambled():
     d = 5
-    u, _ = _stage(extract_bob, z_observable(d), t_observable(d), d)
+    u = _stage(extract_bob, z_observable(d), t_observable(d), d)
     assert frobenius_distance(u @ z_observable(d) @ dagger(u), z_observable(d)) < 1e-9
     assert frobenius_distance(u @ t_observable(d) @ dagger(u), t_observable(d)) < 1e-9
 
@@ -122,19 +118,15 @@ def test_extract_alice_round_trip(d, m):
     g = haar_random_unitary(d * m, rng)
     a1 = g @ np.kron(ia1, np.eye(m)) @ dagger(g)
     a2 = g @ np.kron(ia2, np.eye(m)) @ dagger(g)
-    u, residuals = _stage(extract_alice, a1, a2, d)
+    u = _stage(extract_alice, a1, a2, d)
     assert frobenius_distance(u @ a1 @ dagger(u), np.kron(ia1, np.eye(m))) < 1e-7
     assert frobenius_distance(u @ a2 @ dagger(u), np.kron(ia2, np.eye(m))) < 1e-7
-    assert residuals == (
-        frobenius_distance(u @ a1 @ dagger(u), np.kron(ia1, np.eye(m))),
-        frobenius_distance(u @ a2 @ dagger(u), np.kron(ia2, np.eye(m))),
-    )
 
 
 def test_extract_alice_unscrambled():
     d = 4
     ia1, ia2 = ideal_realization(d).observables_a
-    u, _ = _stage(extract_alice, ia1, ia2, d)
+    u = _stage(extract_alice, ia1, ia2, d)
     assert frobenius_distance(u @ ia1 @ dagger(u), ia1) < 1e-9
     assert frobenius_distance(u @ ia2 @ dagger(u), ia2) < 1e-9
 
@@ -146,13 +138,11 @@ def test_extract_alice_rejects_unrelated_observables():
 
 
 def test_canonicalize_state_ideal():
-    d = 3
-    r = ideal_realization(d)
-    result = canonicalize_state(r, np.eye(d, dtype=complex), np.eye(d, dtype=complex))
-    assert abs(result.fidelity - 1.0) < 1e-9
-    assert result.aux_state.shape == (1,)
-    assert result.off_diagonal_residual < 1e-12
-    assert result.diagonal_mismatch < 1e-12
+    fidelity, aux, residuals = canonicalize_state(ideal_realization(3))
+    assert abs(fidelity - 1.0) < 1e-9
+    assert aux.shape == (1,)
+    assert residuals["state_off_diagonal"] < 1e-12
+    assert residuals["state_diagonal_mismatch"] < 1e-12
 
 
 def test_canonicalize_state_product_state_reports_low_fidelity():
@@ -166,22 +156,21 @@ def test_canonicalize_state_product_state_reports_low_fidelity():
         observables_a=ideal_realization(d).observables_a,
         observables_b=(z_observable(d), t_observable(d)),
     )
-    result = canonicalize_state(r, np.eye(d, dtype=complex), np.eye(d, dtype=complex))
-    assert abs(result.fidelity - 1 / np.sqrt(d)) < 1e-9
-    assert result.diagonal_mismatch > 0.5
+    fidelity, _, residuals = canonicalize_state(r)
+    assert abs(fidelity - 1 / np.sqrt(d)) < 1e-9
+    assert residuals["state_diagonal_mismatch"] > 0.5
 
 
 def _assert_matches_block_oracle(r, u_a, u_b):
-    fast, slow = canonicalize_state(r, u_a, u_b), _oracles.canonicalize_state(r, u_a, u_b)
-    # same anchor, same normalization, same d-term sum: bit for bit
-    assert fast.fidelity == slow.fidelity
-    assert np.array_equal(fast.aux_state, slow.aux_state)
+    fast = canonicalize_state(canonicalized_realization(r, u_a, u_b))
+    slow = _oracles.canonicalize_state(r, u_a, u_b)
+    # same rotation, same anchor, same normalization, same d-term sum: bit for bit
+    assert fast[0] == slow[0]
+    assert np.array_equal(fast[1], slow[1])
     # block norms by reduction against one norm per block: rounding level
-    for a, b in [
-        (fast.off_diagonal_residual, slow.off_diagonal_residual),
-        (fast.diagonal_mismatch, slow.diagonal_mismatch),
-    ]:
-        assert abs(a - b) <= 1e-15 + 1e-12 * b
+    assert fast[2].keys() == slow[2].keys() == {"state_off_diagonal", "state_diagonal_mismatch"}
+    for name, b in slow[2].items():
+        assert abs(fast[2][name] - b) <= 1e-15 + 1e-12 * b
     return fast
 
 
@@ -190,12 +179,12 @@ def _assert_matches_block_oracle(r, u_a, u_b):
 def test_canonicalize_state_matches_block_oracle_on_scrambled_violators(d, aux):
     r = scramble(ideal_realization(d), *aux, seed=10 * d + aux[0])
     result = extract(r)
-    state = _assert_matches_block_oracle(r, result.u_a, result.u_b)
-    assert abs(state.fidelity - 1.0) <= 1e-9
+    fidelity, _, _ = _assert_matches_block_oracle(r, result.u_a, result.u_b)
+    assert abs(fidelity - 1.0) <= 1e-9
     # unextracted, the scrambled state has nonzero blocks everywhere
     eye_a, eye_b = np.eye(r.dims[0], dtype=complex), np.eye(r.dims[1], dtype=complex)
-    state = _assert_matches_block_oracle(r, eye_a, eye_b)
-    assert state.off_diagonal_residual > 1e-3
+    _, _, residuals = _assert_matches_block_oracle(r, eye_a, eye_b)
+    assert residuals["state_off_diagonal"] > 1e-3
 
 
 def test_canonicalize_state_matches_block_oracle_on_haar_random_state():
@@ -211,11 +200,12 @@ def test_canonicalize_state_anchors_on_largest_diagonal_block_when_psi_00_vanish
     state = np.zeros(d * d, dtype=complex)
     state[3] = 1.0  # |11>: psi_00 = 0, psi_11 = 1
     eye = np.eye(d, dtype=complex)
-    result = _assert_matches_block_oracle(dataclasses.replace(r, state=state), eye, eye)
-    assert abs(result.fidelity - 1 / np.sqrt(2)) <= 1e-15
-    assert result.aux_state.tolist() == [1.0]
-    assert result.off_diagonal_residual == 0.0
-    assert result.diagonal_mismatch == 1.0
+    fidelity, aux, residuals = _assert_matches_block_oracle(
+        dataclasses.replace(r, state=state), eye, eye
+    )
+    assert abs(fidelity - 1 / np.sqrt(2)) <= 1e-15
+    assert aux.tolist() == [1.0]
+    assert residuals == {"state_off_diagonal": 0.0, "state_diagonal_mismatch": 1.0}
 
 
 def test_canonicalize_state_nan_entry_gives_nan_fidelity_and_residuals():
@@ -224,10 +214,11 @@ def test_canonicalize_state_nan_entry_gives_nan_fidelity_and_residuals():
     result = extract(r)
     state = r.state.copy()
     state[5] = np.nan
-    out = canonicalize_state(dataclasses.replace(r, state=state), result.u_a, result.u_b)
-    assert np.isnan(out.fidelity)
-    assert np.isnan(out.off_diagonal_residual)
-    assert np.isnan(out.diagonal_mismatch)
+    canon = canonicalized_realization(dataclasses.replace(r, state=state), result.u_a, result.u_b)
+    fidelity, _, residuals = canonicalize_state(canon)
+    assert np.isnan(fidelity)
+    assert np.isnan(residuals["state_off_diagonal"])
+    assert np.isnan(residuals["state_diagonal_mismatch"])
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -241,12 +232,35 @@ def test_extract_round_trip_with_aux(d):
     # extracted unitaries are unitary
     for u in (result.u_a, result.u_b):
         assert frobenius_distance(dagger(u) @ u, np.eye(u.shape[0])) < 1e-10
+    # the result carries the realization rotated by its own unitaries
+    canon = canonicalized_realization(r, result.u_a, result.u_b)
+    assert np.array_equal(result.canonical.state, canon.state)
+    for got, expected in zip(
+        (*result.canonical.observables_a, *result.canonical.observables_b),
+        (*canon.observables_a, *canon.observables_b),
+    ):
+        assert np.array_equal(got, expected)
     # physics unchanged by canonicalization
-    canon = canonicalized_realization(r, result)
     drift = np.abs(
-        correlators_from_realization(canon) - correlators_from_realization(r)
+        correlators_from_realization(result.canonical) - correlators_from_realization(r)
     ).max()
     assert drift < 1e-8
+
+
+@pytest.mark.parametrize("d,aux", [(2, (1, 1)), (3, (2, 3)), (5, (3, 1))], ids=str)
+def test_extract_residuals_are_the_rotated_observables_distances_to_ideal(d, aux):
+    # each of the four conjugation residuals is |U X U^dag - X_ideal (x) I|,
+    # read off the rotated realization the result carries
+    r = scramble(ideal_realization(d), *aux, seed=7 * d)
+    result = extract(r)
+    ideal = ideal_realization(d)
+    for party, u, pair, targets, m in (
+        ("bob", result.u_b, r.observables_b, ideal.observables_b, aux[1]),
+        ("alice", result.u_a, r.observables_a, ideal.observables_a, aux[0]),
+    ):
+        for i, (o, target) in enumerate(zip(pair, targets), 1):
+            expected = frobenius_distance(u @ o @ dagger(u), np.kron(target, np.eye(m)))
+            assert result.residuals[f"{party}_observable_{i}"] == expected
 
 
 def test_extract_recovers_aux_schmidt_spectrum():
@@ -407,7 +421,7 @@ def test_block_alignment_gate_rejects_nan_block():
     b2 = t.copy()
     b2[0, 1] = np.nan
     with pytest.raises(ExtractionError, match=r"F F\^dag"):
-        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d), ideal_realization(d))
+        extract_bob(b2, eig_unitary(z, d), eig_unitary(t, d))
 
 
 def test_block_alignment_gate_names_the_first_failing_block():
@@ -419,13 +433,14 @@ def test_block_alignment_gate_names_the_first_failing_block():
     b2[0, 2] *= 2
     b2[0, 3] *= 3
     with pytest.raises(ExtractionError) as err:
-        extract_bob(z, b2, eig_unitary(z, d), eig_unitary(t, d), ideal_realization(d))
+        extract_bob(b2, eig_unitary(z, d), eig_unitary(t, d))
     assert err.value.stage == "block-alignment"
     assert "block (0,2) of the second observable" in err.value.diagnostic
     assert err.value.diagnostic.endswith("by 3.000e+00")
 
 
 def test_conjugation_gate_rejects_nan_unitary():
-    z, t = z_observable(3), t_observable(3)
+    ideal = ideal_realization(3)
+    nan = np.full((3, 3), np.nan)
     with pytest.raises(ExtractionError, match="misses its canonical form"):
-        qsk.selftest._verify_conjugation(np.full((3, 3), np.nan), (z, t), (z, t), 1)
+        qsk.selftest._verify_conjugation(canonicalized_realization(ideal, nan, nan), ideal)
