@@ -140,7 +140,11 @@ def realization_from_json(data: dict) -> bell.Realization:
 
 def load_realization(path: str) -> bell.Realization:
     with open(path, encoding="utf-8") as fh:
-        return realization_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # the decoder recurses once per level of nesting
+            raise ValueError(f"{path}: JSON nested too deeply to decode") from exc
+    return realization_from_json(data)
 
 
 # ---------------------------------------------------------------------------

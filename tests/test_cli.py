@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -609,29 +610,37 @@ def test_each_command_builds_each_canonical_object_once(argv, counts, tmp_path, 
     assert tuple(calls[name] for name in BUILDERS) == counts
 
 
-KERNELS = ("correlators_from_realization", "born_probabilities", "eig_unitary")
+KERNELS = ("correlators_from_realization", "born_probabilities")
 
 
+# Eigensolves are bounded by matrix size through numpy's own entry points
+# (the ``cost`` fixture), at most one per observable that carries no
+# closed-form basis.  The scrambled file holds Alice's pair at n = 24 and
+# Bob's at n = 12.  --bounds on a file spends only the load gate's four,
+# since the Bell value reads no decomposition; --extract decomposes both
+# pairs again inside extract (FOUND 32), and ROADMAP 3b, validate filling
+# the cache that extract reads, tightens that row from 8 to 4.
 @pytest.mark.parametrize(
-    "argv,counts",
+    "argv,counts,eigensolves",
     [
-        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 2, 2)),
-        (["verify", "--file", "{scrambled}", "--extract"], (2, 0, 8)),
-        (["verify", "--d", "6", "--all"], (3, 2, 6)),
-        (["simulate", "--d", "40", "--shots", "1000"], (0, 1, 2)),
-        (["verify", "--d", "8", "--traces"], (0, 0, 0)),
+        (["verify", "--d", "16", *CERTIFY_ARGV], (1, 2), {16: 2}),
+        (["verify", "--file", "{scrambled}", "--extract"], (2, 0), {24: 4, 12: 4}),
+        (["verify", "--file", "{scrambled}", "--bounds"], (1, 0), {24: 2, 12: 2}),
+        (["verify", "--d", "6", "--all"], (3, 2), {6: 2, 12: 4}),
+        (["simulate", "--d", "40", "--shots", "1000"], (0, 1), {40: 2}),
+        (["verify", "--d", "8", "--traces"], (0, 0), {}),
     ],
-    ids=["certify", "extract-file", "all", "simulate", "traces"],
+    ids=["certify", "extract-file", "bounds-file", "all", "simulate", "traces"],
 )
 def test_each_command_computes_each_realizations_statistics_once(
-    argv, counts, tmp_path, monkeypatch, capsys
+    argv, counts, eigensolves, tmp_path, monkeypatch, cost, capsys
 ):
-    # one correlator tensor and one Born tensor per realization that needs it,
-    # one eigendecomposition per validated observable and per Born-rule
-    # observable without a closed-form basis (the ideal Alice pair); the
-    # trace checks read only Bob's pair, whose bases are closed-form
+    # one correlator tensor and one Born tensor per realization that needs
+    # it; the canonical realizations supply Bob's bases, so only the ideal
+    # Alice pair is solved, and the trace checks read only Bob's pair
     scrambled = tmp_path / "scrambled.json"
     assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
+    cost.clear()
     calls = dict.fromkeys(KERNELS, 0)
     for name in KERNELS:
         original = getattr(qsk.bell, name)
@@ -646,6 +655,7 @@ def test_each_command_computes_each_realizations_statistics_once(
     argv = [a.format(scrambled=scrambled) for a in argv]
     assert main([*argv, "--format", "json"]) == EXIT_OK
     assert tuple(calls.values()) == counts
+    assert cost.sizes() <= Counter(eigensolves)
 
 
 def test_verify_file_extract_verifies_each_party_once(tmp_path, monkeypatch, capsys):

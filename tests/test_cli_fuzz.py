@@ -8,7 +8,7 @@ out-of-range value.  ``verify --file
 --extract`` must answer with an exit code in {0, 1, 2} and an error line,
 never an uncaught exception, and no file carrying a non-finite number may
 exit 0.  Command lines whose arrays could not fit in memory exit 2 the same
-way.
+way, and so does a file nested deeper than the JSON decoder can recurse.
 """
 
 import contextlib
@@ -181,3 +181,18 @@ def test_input_too_large_for_memory_exits_2(argv, message):
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith(message)
     assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("prefix", ["", '{"d": 2, "state": '], ids=["top-level", "inside-state"])
+def test_json_nested_beyond_the_decoder_exits_2(workdir, prefix):
+    # 100 000 open brackets exhaust the decoder's recursion, which must be an
+    # input error with one error line, never a traceback and exit 1
+    path = workdir / "deep.json"
+    path.write_text(prefix + "[" * 100_000)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--file", str(path), "--bounds"])
+    lines = err.getvalue().splitlines()
+    assert code == 2
+    assert lines == [f"error: {path}: JSON nested too deeply to decode"]
+    assert out.getvalue() == ""
