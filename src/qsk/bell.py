@@ -187,8 +187,8 @@ def local_bound_bruteforce(functional) -> float:
     """Exact local bound by enumerating all d^4 deterministic strategies.
 
     ``functional`` must expose ``d`` and a complex coefficient array
-    ``coefficients`` of shape (2, 2, d, d) over correlator indices
-    (x, y, k, l).
+    ``coefficients`` of shape (2, 2, d): entry (x, y, k) multiplies
+    ``<A_x^k B_y^(d-k)>``.
     """
     d = functional.d
     if d > BRUTE_FORCE_CAP:
@@ -196,8 +196,8 @@ def local_bound_bruteforce(functional) -> float:
     coeff = functional.coefficients
     # V[x,y,a,b] = value contributed by setting pair (x,y) when the
     # strategy outputs (a, b) there.
-    w = _fourier_matrix(d)
-    v = np.einsum("xykl,ka,lb->xyab", coeff, w, w)
+    w, k = _fourier_matrix(d), np.arange(d)
+    v = np.einsum("xyk,ka,kb->xyab", coeff, w, w[-k % d])
     if not np.abs(v.imag).max() <= 1e-9:
         raise ValueError("functional is not real on deterministic strategies")
     v = v.real

@@ -2,7 +2,10 @@
 
 Each function here is the direct transcription of a definition: one
 ``einsum`` per correlator entry, one trace per Born probability, one dense
-``kron`` per Bell-operator or sum-of-squares term, ``Fraction`` arithmetic
+``kron`` per Bell-operator or sum-of-squares term, the Bell operator's
+grouped stacks as one product of the zero-padded (2d, 2d) coefficient
+table (every reader of a functional reads it through the dense (2, 2, d, d)
+table of :func:`dense_coefficients`), ``Fraction`` arithmetic
 term by term for polynomials, an ``einsum`` per Fourier transform, a
 sum of weighted powers per spectral projector, one ``norm`` per block of
 a canonicalized state, and a ``matrix_power`` per operator power
@@ -74,21 +77,49 @@ def born_probabilities(r: Realization) -> np.ndarray:
     return p
 
 
+def dense_coefficients(c: np.ndarray) -> np.ndarray:
+    """The (2, 2, d, d) table over correlator indices (x, y, k, l) that holds
+    c[x, y, k] at l = -k mod d and 0 elsewhere."""
+    d = c.shape[-1]
+    dense = np.zeros((2, 2, d, d), dtype=complex)
+    for k in range(d):
+        dense[:, :, k, -k % d] = c[:, :, k]
+    return dense
+
+
 def bell_operator(f: BellFunctional, r: Realization) -> np.ndarray:
     """Sum of c_{xykl} A_x^k (x) B_y^l, one dense Kronecker product per term."""
     d = f.d
     da, db = r.dims
     pow_a = [unitary_powers(o, d) for o in r.observables_a]
     pow_b = [unitary_powers(o, d) for o in r.observables_b]
+    coefficients = dense_coefficients(f.coefficients)
     op = np.zeros((da * db, da * db), dtype=complex)
     for x in range(2):
         for y in range(2):
             for k in range(d):
                 for l in range(d):
-                    ckl = f.coefficients[x, y, k, l]
+                    ckl = coefficients[x, y, k, l]
                     if ckl != 0:
                         op += ckl * np.kron(pow_a[x][k], pow_b[y][l])
     return op
+
+
+def bell_operator_stacks(f: BellFunctional, r: Realization, side: str) -> tuple[np.ndarray, ...]:
+    """The Bell operator's stacks (L, R) grouped by ``side``, as one dense
+    (2d, 2d) @ (2d, n^2) product of the zero-padded (x, k) x (y, l) table
+    with the other party's whole power stack."""
+    d = f.d
+    dense = dense_coefficients(f.coefficients)
+    if side == "bob":
+        own, other, table = r.observables_a, r.observables_b, dense.transpose(0, 2, 1, 3)
+    else:
+        own, other, table = r.observables_b, r.observables_a, dense.transpose(1, 3, 0, 2)
+    powers = np.stack([unitary_powers(o, d) for o in own])
+    n = other[0].shape[0]
+    other_powers = np.stack([unitary_powers(o, d) for o in other]).reshape(2 * d, n * n)
+    summed = (table.reshape(2 * d, 2 * d) @ other_powers).reshape(2, d, n, n)
+    return (powers, summed) if side == "bob" else (summed, powers)
 
 
 def kron_sum(ls: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -289,9 +320,10 @@ def probabilities_from_correlators(c: np.ndarray) -> np.ndarray:
 
 
 def probability_form(coefficients: np.ndarray) -> np.ndarray:
-    """t[x,y,a,b] = sum_kl c[x,y,k,l] w^(ka) w^(lb) as one einsum."""
+    """t[x,y,a,b] = sum_kl c[x,y,k,l] w^(ka) w^(lb) as one einsum over the
+    dense table of the (2, 2, d) coefficients."""
     w = _fourier_matrix(coefficients.shape[-1])
-    return np.einsum("xykl,ka,lb->xyab", coefficients, w, w)
+    return np.einsum("xykl,ka,lb->xyab", dense_coefficients(coefficients), w, w)
 
 
 def best_deterministic_strategy(functional) -> tuple[float, DeterministicStrategy]:

@@ -134,7 +134,7 @@ def test_correlators_ideal_d3_functional_total():
     # maximal quantum value 2(d-1) = 4 for d = 3
     c = correlators_from_realization(ideal_realization(3))
     f = BellFunctional.satwap(3)
-    total = complex(np.sum(f.coefficients * c))
+    total = complex(np.sum(_oracles.dense_coefficients(f.coefficients) * c))
     assert abs(total - 4.0) < 1e-9
 
 
@@ -153,7 +153,7 @@ def test_local_bound_d2():
     # the loop oracle's best strategy attains the bound
     _, strategy = _oracles.best_deterministic_strategy(f)
     c = correlators_from_probabilities(strategy_probabilities(strategy, 2))
-    assert abs(complex(np.sum(f.coefficients * c)).real - bound) < 1e-9
+    assert abs(complex(np.sum(_oracles.dense_coefficients(f.coefficients) * c)).real - bound) < 1e-9
 
 
 def test_local_bound_d3():
@@ -162,7 +162,7 @@ def test_local_bound_d3():
 
 
 def test_local_bound_zero_functional():
-    f = BellFunctional(d=3, coefficients=np.zeros((2, 2, 3, 3), dtype=complex))
+    f = BellFunctional(d=3, coefficients=np.zeros((2, 2, 3), dtype=complex))
     bound = local_bound_bruteforce(f)
     assert bound == 0.0
 
@@ -179,18 +179,22 @@ def test_local_bound_matches_closed_form(d):
 
 
 def test_local_bound_outcome_relabeling_invariance():
+    # the shift a -> a + s_x, b -> b + s_y relabels every setting's outcomes;
+    # it maps c[x, y, k] to c[x, y, k] w^(k (s_x - s_y)), which shifts the
+    # probability form and leaves the local bound unchanged
     d = 4
     f = BellFunctional.satwap(d)
-    perm_a = rng.permutation(d)
-    perm_b = rng.permutation(d)
-    # push the relabeling through the probability picture and back
-    w = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
-    t = np.einsum("xykl,ka,lb->xyab", f.coefficients, w, w)
-    t_perm = t[:, :, perm_a][:, :, :, perm_b]
-    coeff_perm = np.einsum("xyab,ak,bl->xykl", t_perm, w.conj(), w.conj()) / d**2
-    bound = local_bound_bruteforce(f)
-    bound_perm = local_bound_bruteforce(BellFunctional(d=d, coefficients=coeff_perm))
-    assert abs(bound - bound_perm) < 1e-9
+    s_a, s_b = rng.integers(1, d, size=2), rng.integers(1, d, size=2)
+    k = np.arange(d)
+    phase = np.exp(2j * np.pi * k * (s_a[:, None, None] - s_b[None, :, None]) / d)
+    shifted = BellFunctional(d=d, coefficients=f.coefficients * phase)
+    t = _oracles.probability_form(f.coefficients)
+    t_shifted = _oracles.probability_form(shifted.coefficients)
+    for x in range(2):
+        for y in range(2):
+            relabeled = np.roll(t[x, y], (-s_a[x], -s_b[y]), axis=(0, 1))
+            assert np.abs(t_shifted[x, y] - relabeled).max() < 1e-12
+    assert abs(local_bound_bruteforce(f) - local_bound_bruteforce(shifted)) < 1e-9
 
 
 def test_sampling_reproducible():
@@ -278,6 +282,6 @@ def test_correlator_tensor_validate_rejects_nan_off_the_origin():
 
 
 def test_local_bound_rejects_nan_coefficients():
-    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3), np.nan, dtype=complex))
     with pytest.raises(ValueError, match="not real"):
         local_bound_bruteforce(f)

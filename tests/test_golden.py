@@ -1,12 +1,17 @@
-"""Golden bytes for the exact cyclotomic commands and the extraction path.
+"""Golden bytes for the exact cyclotomic commands, the SOS and trace checks
+and the extraction path.
 
 Each case runs a set of commands through ``cli.main`` in process and hashes,
 command by command, the exit code and every byte written to stdout.  The
 cyclotomic digests were recorded from the rational-coefficient implementation
-of :mod:`qsk.cyclotomic` that the integer one replaced, and the extraction
-digests from the pipeline that verified each party's conjugation before
-rotating the realization a second time, so any change to the arithmetic or
-its rendering that moves one character or one exit code fails here.
+of :mod:`qsk.cyclotomic` that the integer one replaced, the SOS digest from
+the Bell operator grouped by one zero-padded (2d, 2d) coefficient product,
+and the extraction digests from the pipeline that verified each party's
+conjugation before rotating the realization a second time, so any change to
+the arithmetic or its rendering that moves one character or one exit code
+fails here.  Three extraction digests were re-recorded when the functional
+became its (2, 2, d) table: the Bell value is summed over 4d terms instead
+of 4d^2, and moves in its last digit on some scrambles.
 """
 
 import hashlib
@@ -30,6 +35,14 @@ GOLDEN = {
     "verify-cyclotomic-json-2..16": (
         [["verify", "--d", str(n), "--cyclotomic", "--format", "json"] for n in range(2, 17)],
         "4541de3a81bbf4bea85e19e6b0660654b6e15f75ce199f577f6d5bdcde2d5b63",
+    ),
+    # the same at 1 and 2 BLAS threads
+    "verify-sos-traces-json-2..12": (
+        [
+            ["verify", "--d", str(n), "--sos", "--traces", "--seed", "3", "--format", "json"]
+            for n in range(2, 13)
+        ],
+        "d9b4854773ec29b51854b91a00beb7ebf3b04bebbed99b81f491d60a4de32261",
     ),
 }
 
@@ -55,9 +68,9 @@ def test_command_output_matches_its_golden_digest(name, capsys):
 EXTRACT_CASES = [(6, 4, 2), (2, 1, 1), (3, 2, 3), (5, 3, 1), (4, 3, 2), (8, 2, 2)]
 EXTRACT_GOLDEN = {
     "scramble-json": "42299a3fd4982114430fabd8c2e53bfd95e39ee587dc0fb0d8b871a8c7a391dd",
-    "verify-file-extract-json": "775bab371148961b3207bb3f13efcb948371b8680f3244baf909f6f89feb5e0a",
-    "verify-file-extract-table": "415aaabe784b2e9b8154ebc1aab1f4cc6788c5cfa3b12905ad7e04d4f08216d1",
-    "perturbed-json": "47fc1a7e2d1e96e034e07923a2cdd388cd36a252011d9dfe2623cb6ac1da14a0",
+    "verify-file-extract-json": "42b6572d6473e76513bb843b6980ee46855c777de0558fd4e925379f90587cd4",
+    "verify-file-extract-table": "afd695eb145ad0c12ee0d427e4089ce84885e0a15ba576449349606aa188c5f3",
+    "perturbed-json": "2dbd1233ad0febea2eea4364a767da12e290a3732afab3364b3129d690390d84",
     "perturbed-table": "62649d69add28d4a39f1008e683c8d2343f2b59a09009124f533be30719bbe73",
 }
 

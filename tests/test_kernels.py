@@ -115,10 +115,11 @@ def test_bell_operator_matches_kron_loop(d, aux):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_bell_operator_groups_a_generic_coefficient_table(d):
-    # full support, k = 0 and l = 0 included: an index transposition that
-    # SATWAP's (k, d - k) support would hide shows here
+    # every entry of the (2, 2, d) table random, k = 0 (the I (x) I term)
+    # included: a transposition of x and y, or of k and -k mod d, that
+    # SATWAP's empty k = 0 and conjugate-pair structure would hide shows here
     rng = np.random.default_rng(42 + d)
-    coeff = rng.standard_normal((2, 2, d, d)) + 1j * rng.standard_normal((2, 2, d, d))
+    coeff = rng.standard_normal((2, 2, d)) + 1j * rng.standard_normal((2, 2, d))
     f = BellFunctional(d=d, coefficients=coeff)
     r = _generic(d, (2, 3), seed=43 * d)
     expected = _oracles.bell_operator(f, r)
@@ -128,6 +129,21 @@ def test_bell_operator_groups_a_generic_coefficient_table(d):
     assert np.abs(bob - expected).max() <= 1e-12 * scale
     assert np.abs(alice - expected).max() <= 1e-12 * scale
     assert np.abs(bob - alice).max() <= 1e-12 * scale
+
+
+PADDED_CASES = [(2, (2, 3)), (3, (3, 1)), (5, (2, 3)), (16, (1, 2)), (64, (2, 1))]
+
+
+@pytest.mark.parametrize("d,aux", PADDED_CASES)
+def test_bell_operator_stacks_equal_the_dense_padded_product(d, aux):
+    # the d batched (2, 2) @ (2, n^2) products give bit for bit the stacks
+    # of the one (2d, 2d) @ (2d, n^2) product of the zero-padded table
+    f = BellFunctional.satwap(d)
+    r = _realization(d, aux, seed=44 * d + aux[0])
+    for side in ("bob", "alice"):
+        got = bell_operator(f, r, side)
+        want = _oracles.bell_operator_stacks(f, r, side)
+        assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])

@@ -53,7 +53,8 @@ def test_coefficient_range_errors():
 def test_functional_invariants():
     for d in (2, 3, 7):
         f = BellFunctional.satwap(d)
-        a = np.array([f.coefficients[0, 0, k, d - k] for k in range(1, d)])  # a_1 .. a_(d-1)
+        assert f.coefficients.shape == (2, 2, d) and not f.coefficients[:, :, 0].any()
+        a = f.coefficients[0, 0, 1:]  # a_1 .. a_(d-1)
         assert np.abs(np.abs(a) - 1 / np.sqrt(2)).max() < 1e-12
         assert np.abs(a[::-1] - a.conj()).max() < 1e-12  # a_(d-k) = conj(a_k)
 
@@ -186,7 +187,7 @@ def test_evaluate_rejects_nan_correlators():
 
 
 def test_probability_form_rejects_nan_coefficients():
-    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3, 3), np.nan, dtype=complex))
+    f = BellFunctional(d=3, coefficients=np.full((2, 2, 3), np.nan, dtype=complex))
     with pytest.raises(ValueError, match="not real"):
         probability_form(f)
 

@@ -354,15 +354,15 @@ def test_random_quadruples_share_no_special_structure():
 
 
 def _phase_error_on_one_coefficient(monkeypatch):
-    # c[0, 1, 3, 5] of the d = 8 SATWAP table times exp(1e-3 i): the table
-    # is no longer Hermitian, and neither is the Bell operator the squares
-    # sum to
+    # c[0, 1, 3] (the A1^3 B2^5 term) of the d = 8 SATWAP table times
+    # exp(1e-3 i): the table is no longer Hermitian, and neither is the Bell
+    # operator the squares sum to
     satwap = BellFunctional.satwap.__func__
 
     def mutant(cls, d):
         f = satwap(cls, d)
         c = f.coefficients.copy()
-        c[0, 1, 3, 5] *= np.exp(1e-3j)
+        c[0, 1, 3] *= np.exp(1e-3j)
         return dataclasses.replace(f, coefficients=c)
 
     monkeypatch.setattr(BellFunctional, "satwap", classmethod(mutant))
