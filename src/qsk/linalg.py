@@ -95,13 +95,11 @@ def spectral_projectors(a: np.ndarray, d: int) -> np.ndarray:
     eigenspace; this inverts the relation ``a = sum_j w**j P_j`` exactly,
     so it is also how measurement projectors are recovered from an
     observable (outcome ``a`` <-> eigenvalue ``w**a``).  The whole stack
-    is one (d, d) @ (d, n*n) product of the inverse DFT matrix, 1/d
-    included, with the flattened powers.
+    is one FFT along the power axis, 1/d included, written in place over
+    the powers, so that stack is the only (d, n, n) array the call holds.
     """
-    k = np.arange(d)
-    dft = np.exp(-2j * np.pi * (np.outer(k, k) % d) / d) / d
-    n = a.shape[0]
-    return (dft @ unitary_powers(a, d).reshape(d, n * n)).reshape(d, n, n)
+    powers = unitary_powers(a, d)
+    return np.fft.fft(powers, axis=0, out=powers, norm="forward")
 
 
 @dataclass(frozen=True)

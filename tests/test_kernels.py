@@ -199,7 +199,11 @@ def test_fourier_transforms_match_einsum_oracles(d):
     assert np.abs(probability_form(f) - _oracles.probability_form(f.coefficients)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d,dim", [(2, 2), (3, 7), (5, 5), (8, 12)])
+# (97, 97) is a prime length, on which pocketfft leaves its mixed-radix
+# passes for Bluestein's algorithm; (64, 128) a power of two with n = 2d
+@pytest.mark.parametrize(
+    "d,dim", [(2, 2), (3, 7), (5, 5), (8, 12), (7, 7), (13, 20), (97, 97), (64, 128)]
+)
 def test_spectral_projectors_match_weighted_power_sums(d, dim):
     a = random_order_d(dim, d, np.random.default_rng(80 + d))
     projs = spectral_projectors(a, d)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from qsk.linalg import (
     haar_random_unitary,
     kron_sum_norm,
     roots_of_unity,
+    spectral_projectors,
     worst,
 )
 from qsk.canonical import (
@@ -245,6 +247,29 @@ def test_eig_unitary_makes_one_hermitian_eigensolve(kind, d, aux, cost):
         eig_unitary(a, d)
     assert cost.sizes() <= Counter(len(a) for a in observables)
     assert cost.count("eig", "eigvals") == 0, "a non-Hermitian eigensolve"
+
+
+@pytest.mark.parametrize(
+    "d, observable",
+    [
+        (64, lambda: scramble(ideal_realization(64), 2, 2, seed=5).observables_a[0]),
+        (128, lambda: ideal_realization(128).observables_a[0]),
+    ],
+    ids=["scrambled-64-aux-2", "ideal-A1-128"],
+)
+@pytest.mark.parametrize("kernel", [spectral_projectors, eig_unitary], ids=lambda f: f.__name__)
+def test_eigendecomposition_holds_one_power_stack(d, observable, kernel):
+    # the projectors are transformed in place over the power stack, so the
+    # peak is one (d, n, n) complex array; a second stack would double it
+    a = observable()
+    stack = d * len(a) ** 2 * 16
+    tracemalloc.start()
+    try:
+        kernel(a, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stack
 
 
 @settings(max_examples=100, deadline=None)
