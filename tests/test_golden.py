@@ -16,7 +16,10 @@ of 4d^2, and moves in its last digit on some scrambles.  The two
 projectors became an in-place FFT of the power stack: the eigenbases of the
 scrambled observables move at rounding level, and with them the extraction
 residuals and fidelity.  The Bell values come from the powers, not from
-eigenbases, so ``perturbed-*`` and ``scramble-json`` did not move.
+eigenbases, so ``perturbed-*`` and ``scramble-json`` did not move.  The
+two ``verify-all`` digests were recorded before the check groups returned
+their residuals to one table of tolerances: they pin every group's JSON
+and the table layout of the report.
 """
 
 import hashlib
@@ -48,6 +51,15 @@ GOLDEN = {
             for n in range(2, 13)
         ],
         "d9b4854773ec29b51854b91a00beb7ebf3b04bebbed99b81f491d60a4de32261",
+    ),
+    # every check group and the table layout; the same at 1 and 2 BLAS threads
+    "verify-all-json-2..8": (
+        [["verify", "--d", str(n), "--all", "--seed", "3", "--format", "json"] for n in range(2, 9)],
+        "854b602d9807b1d6813708b6506c87287f9cfbc0681b4c4fc5fdac1477404712",
+    ),
+    "verify-all-table-2..8": (
+        [["verify", "--d", str(n), "--all", "--seed", "3"] for n in range(2, 9)],
+        "61a56f60c113f116f1e3502130ef782f3f82575ebdfe0f43dc5fee8454b47084",
     ),
 }
 
