@@ -151,6 +151,43 @@ def load_realization(path: str) -> bell.Realization:
 # verification report
 
 
+# Each check's tolerance, a constant of the check; ``maximal-violation``'s,
+# ``selftest.tol_violation(d)``, is the one that depends on d.  A failed
+# extraction stage reports its sentinel row with residual 1.
+TOLERANCES = {
+    "quantum-bound-attained": 1e-9,
+    "classical-bound-brute-force": 1e-9,
+    "sos-bob-canonical": 1e-8,
+    "sos-alice-canonical": 1e-8,
+    "sos-stabilizers-canonical": 1e-9,
+    "sos-operator-identity-random": 1e-8,
+    "trace-conditions-canonical": 1e-8,
+    "twisted-commutation": 1e-8,
+    "trace-identities": 1e-8,
+    "root-identities": 1e-8,
+    "cglmp-conjugations": 1e-8,
+    "alice-rotation": 1e-8,
+    "cglmp-vs-canonical-statistics": 1e-8,
+    "extraction-fidelity": 1e-7,
+    "extraction-observables": 1e-7,
+    "extraction-preserves-statistics": 1e-8,
+    "uniform-outcomes": 1e-9,
+    "guessing-probability": 1e-9,
+    "cyclotomic-product-identity": 0.5,
+    "equal-coefficients-classifier": 0.5,
+    "extraction-stage-input-validation": 0.0,
+    "extraction-stage-violation-gate": 0.0,
+    "extraction-stage-trace-conditions": 0.0,
+    "extraction-stage-multiplicities": 0.0,
+    "extraction-stage-block-alignment": 0.0,
+}
+
+
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or None (JSON null) when it is NaN or infinite."""
+    return x if np.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -159,12 +196,12 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
+        return bool(np.isfinite(self.residual) and self.residual <= self.tolerance)
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "residual": self.residual,
+            "residual": _finite_or_none(self.residual),
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -205,66 +242,65 @@ class VerificationReport:
         print(f"overall: {'pass' if self.passed else 'FAIL'}", file=stream)
 
 
-def _bell_value(report: VerificationReport, r: bell.Realization, name: str, tol: float) -> None:
-    """Check that ``r`` attains the quantum bound; record its value and both bounds."""
+def _bell_value(report: VerificationReport, r: bell.Realization) -> float:
+    """Record ``r``'s Bell value and both bounds; return its gap to the quantum bound."""
     d = r.d
     value = satwap.evaluate(satwap.BellFunctional.satwap(d), r.correlators)
     beta_q = satwap.quantum_bound(d)
-    report.checks.append(CheckResult(name, abs(value - beta_q), tol))
     report.summary.update(
         bell_value=value, classical_bound=satwap.classical_bound(d), quantum_bound=beta_q
     )
+    return abs(value - beta_q)
 
 
 def _extraction(
     report: VerificationReport, r: bell.Realization, ideal: bell.Realization | None
-) -> None:
+) -> dict[str, float]:
     """Extract the canonical form from ``r``, compared against ``ideal`` (built when None)."""
-    checks = report.checks
     try:
         result = selftest.extract(r, ideal)
     except selftest.ExtractionError as exc:
         # sentinel failing check; the diagnostic itself rides in the summary
-        checks.append(CheckResult(f"extraction-stage-{exc.stage}", 1.0, 0.0))
         report.summary["extraction"] = {"error": str(exc)}
-        return
-    checks.append(CheckResult("extraction-fidelity", 1.0 - result.fidelity, 1e-7))
+        return {f"extraction-stage-{exc.stage}": 1.0}
     worst_obs = worst(
         *(result.residuals[f"{party}_observable_{i}"] for party in ("bob", "alice") for i in (1, 2))
     )
-    checks.append(CheckResult("extraction-observables", worst_obs, 1e-7))
     drift = np.abs(result.canonical.correlators - r.correlators).max()
-    checks.append(CheckResult("extraction-preserves-statistics", float(drift), 1e-8))
     report.summary["extraction"] = {
         "fidelity": result.fidelity,
         "aux_dims": list(result.aux_dims),
-        "residuals": result.residuals,
+        "residuals": {k: _finite_or_none(v) for k, v in result.residuals.items()},
+    }
+    return {
+        "extraction-fidelity": 1.0 - result.fidelity,
+        "extraction-observables": worst_obs,
+        "extraction-preserves-statistics": float(drift),
     }
 
 
-# Each check group appends its checks to the report and writes its own
+# Each check group returns {name: residual} in report order and writes its own
 # summary fields; ``ideal`` is the canonical realization for the report's d.
 
 
-def _bounds_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    _bell_value(report, ideal, "quantum-bound-attained", 1e-9)
+def _bounds_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
+    residuals = {"quantum-bound-attained": _bell_value(report, ideal)}
     if ideal.d <= bell.BRUTE_FORCE_CAP:
         brute = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(ideal.d))
-        residual = abs(brute - satwap.classical_bound(ideal.d))
-        report.checks.append(CheckResult("classical-bound-brute-force", residual, 1e-9))
+        residuals["classical-bound-brute-force"] = abs(brute - satwap.classical_bound(ideal.d))
+    return residuals
 
 
-def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    d, checks = ideal.d, report.checks
-    stab = []
+def _sos_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
+    d, residuals, stab = ideal.d, {}, []
     # one grouping per side, shared by its residual and its stabilizers and
     # dropped before the other side's is built
     for side, residual in (("bob", sos.sos_residual_bob), ("alice", sos.sos_residual_alice)):
         terms = sos.sos_terms(ideal, side)
-        checks.append(CheckResult(f"sos-{side}-canonical", residual(ideal, terms), 1e-8))
+        residuals[f"sos-{side}-canonical"] = residual(ideal, terms)
         stab.extend(sos.stabilizer_residuals(ideal, side, terms).values())
         del terms
-    checks.append(CheckResult("sos-stabilizers-canonical", worst(*stab), 1e-9))
+    residuals["sos-stabilizers-canonical"] = worst(*stab)
     rng = np.random.default_rng(np.random.Philox(report.seed))
     z = ideal.observables_b[0]
     random_obs = []
@@ -278,24 +314,24 @@ def _sos_group(report: VerificationReport, ideal: bell.Realization) -> None:
         observables_a=(random_obs[0], random_obs[1]),
         observables_b=(random_obs[2], random_obs[3]),
     )
-    residual = worst(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
-    checks.append(CheckResult("sos-operator-identity-random", residual, 1e-8))
+    identity = worst(sos.sos_residual_bob(r), sos.sos_residual_alice(r))
+    return {**residuals, "sos-operator-identity-random": identity}
 
 
-def _traces_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    d, checks = ideal.d, report.checks
+def _traces_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
     z, t = ideal.decompositions_b
-    traces = worst(*sos.check_trace_conditions(z).values(), *sos.check_trace_conditions(t).values())
-    checks.append(CheckResult("trace-conditions-canonical", traces, 1e-8))
-    checks.append(CheckResult("twisted-commutation", sos.check_commutation_relation(z, t), 1e-8))
-    identities = worst(*sos.check_intermediate_identities(z, t).values())
-    checks.append(CheckResult("trace-identities", identities, 1e-8))
-    roots = worst(*sos.check_root_identities(d).values())
-    checks.append(CheckResult("root-identities", roots, 1e-8))
+    return {
+        "trace-conditions-canonical": worst(
+            *sos.check_trace_conditions(z).values(), *sos.check_trace_conditions(t).values()
+        ),
+        "twisted-commutation": sos.check_commutation_relation(z, t),
+        "trace-identities": worst(*sos.check_intermediate_identities(z, t).values()),
+        "root-identities": worst(*sos.check_root_identities(ideal.d).values()),
+    }
 
 
-def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    d, checks = ideal.d, report.checks
+def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
+    d = ideal.d
     z, t = ideal.observables_b
     w1, w2 = canonical.w1_w2(d)
     cglmp = canonical.cglmp_realization(d)
@@ -306,28 +342,27 @@ def _cglmp_group(report: VerificationReport, ideal: bell.Realization) -> None:
         float(np.linalg.norm(b1p - w2 @ z @ dagger(w2))),
         float(np.linalg.norm(b2p - w2 @ t @ dagger(w2))),
     )
-    checks.append(CheckResult("cglmp-conjugations", conj, 1e-8))
     wa = w2.T @ w1  # canonical.w_alice, from the pair already built
     ideal1, ideal2 = ideal.observables_a
     fact2 = worst(
         float(np.linalg.norm(wa @ z @ dagger(wa) - ideal1)),
         float(np.linalg.norm(wa @ t @ dagger(wa) - ideal2)),
     )
-    checks.append(CheckResult("alice-rotation", fact2, 1e-8))
-    drift = np.abs(cglmp.born - ideal.born).max()
-    checks.append(CheckResult("cglmp-vs-canonical-statistics", float(drift), 1e-8))
+    return {
+        "cglmp-conjugations": conj,
+        "alice-rotation": fact2,
+        "cglmp-vs-canonical-statistics": float(np.abs(cglmp.born - ideal.born).max()),
+    }
 
 
-def _extract_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    _extraction(report, selftest.scramble(ideal, 2, 2, report.seed), ideal)
+def _extract_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
+    return _extraction(report, selftest.scramble(ideal, 2, 2, report.seed), ideal)
 
 
-def _randomness_group(report: VerificationReport, ideal: bell.Realization) -> None:
-    d, checks = ideal.d, report.checks
+def _randomness_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
+    d = ideal.d
     dist = randomness.outcome_distribution(ideal, "B", 1)
-    checks.append(CheckResult("uniform-outcomes", float(np.abs(dist - 1.0 / d).max()), 1e-9))
     guess = randomness.ideal_guessing_probability(ideal, "B", 1)
-    checks.append(CheckResult("guessing-probability", abs(guess - 1.0 / d), 1e-9))
     # one input bit per round chooses the setting, so the expansion ratio
     # is the certified bits per round
     bits = randomness.certified_bits(d)
@@ -336,25 +371,26 @@ def _randomness_group(report: VerificationReport, ideal: bell.Realization) -> No
         "certified_bits": bits,
         "expansion_ratio": bits,
     }
+    return {
+        "uniform-outcomes": float(np.abs(dist - 1.0 / d).max()),
+        "guessing-probability": abs(guess - 1.0 / d),
+    }
 
 
-def _cyclotomic_group(report: VerificationReport, ideal: bell.Realization | None) -> None:
-    d, checks = report.d, report.checks
+def _cyclotomic_group(
+    report: VerificationReport, ideal: bell.Realization | None
+) -> dict[str, float]:
+    d = report.d
     ok = cyclotomic.check_product_identity(d)
-    checks.append(CheckResult("cyclotomic-product-identity", 0.0 if ok else 1.0, 0.5))
     equal = cyclotomic.lemma2_conclude(cyclotomic.IntegerPolynomial((3,) * d), d)
-    accept_ok = equal.equal and equal.constant == 3
     unequal = cyclotomic.lemma2_conclude(
         cyclotomic.IntegerPolynomial((1,) + (0,) * (d - 2) + (2,)), d
     )
-    reject_ok = not unequal.equal
-    checks.append(
-        CheckResult(
-            "equal-coefficients-classifier",
-            0.0 if (accept_ok and reject_ok) else 1.0,
-            0.5,
-        )
-    )
+    classifier_ok = equal.equal and equal.constant == 3 and not unequal.equal
+    return {
+        "cyclotomic-product-identity": 0.0 if ok else 1.0,
+        "equal-coefficients-classifier": 0.0 if classifier_ok else 1.0,
+    }
 
 
 # selector -> check group, in report order
@@ -384,18 +420,19 @@ def build_verification_report(
     canonical form; no other group applies to it.  Otherwise the selected
     groups run in :data:`CHECK_GROUPS` order on the canonical realization
     for ``d``, built once and only if a selected group reads it (all but
-    cyclotomic).
+    cyclotomic).  Every check reads its tolerance here, from :data:`TOLERANCES`.
     """
     report = VerificationReport(d=d, seed=seed)
     if realization is not None:
-        _bell_value(report, realization, "maximal-violation", selftest.tol_violation(d))
+        residuals = {"maximal-violation": _bell_value(report, realization)}
         if "extract" in selectors:
-            _extraction(report, realization, None)
-        return report
-    ideal = canonical.ideal_realization(d) if set(selectors) - {"cyclotomic"} else None
-    for selector, group in CHECK_GROUPS.items():
-        if selector in selectors:
-            group(report, ideal)
+            residuals.update(_extraction(report, realization, None))
+    else:
+        ideal = canonical.ideal_realization(d) if set(selectors) - {"cyclotomic"} else None
+        groups = [group for selector, group in CHECK_GROUPS.items() if selector in selectors]
+        residuals = {n: r for group in groups for n, r in group(report, ideal).items()}
+    tol = {**TOLERANCES, "maximal-violation": selftest.tol_violation(d)}
+    report.checks = [CheckResult(n, r, tol[n]) for n, r in residuals.items()]
     return report
 
 
@@ -404,12 +441,15 @@ def build_verification_report(
 
 
 def cmd_bounds(args) -> int:
-    rows = []
+    rows, mismatches = [], []
+    tol = TOLERANCES["classical-bound-brute-force"]
     for d in range(args.d_min, args.d_max + 1):
         bf = None
+        beta_c = satwap.classical_bound(d)
         if d <= BOUNDS_BRUTE_FORCE_MAX_D:
             bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
-        beta_c = satwap.classical_bound(d)
+            if not abs(bf - beta_c) <= tol:  # a NaN fails too
+                mismatches.append((d, abs(bf - beta_c)))
         beta_q = satwap.quantum_bound(d)
         rows.append(
             {
@@ -430,7 +470,13 @@ def cmd_bounds(args) -> int:
                 f"{row['d']:>3}  {row['classical_bound']:>12.6f}  {bf:>14}  "
                 f"{row['quantum_bound']:>8.1f}  {row['ratio']:>10.6f}"
             )
-    return EXIT_OK
+    for d, residual in mismatches:
+        print(
+            f"FAIL: d={d}: the brute-force classical bound misses the closed form by "
+            f"{residual:.3e} (tolerance {tol:.1e})",
+            file=sys.stderr,
+        )
+    return EXIT_CHECK_FAILED if mismatches else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -142,6 +142,22 @@ def test_bounds_brute_force_cap_marks_blank(capsys):
     assert lines and "-" in lines[0]
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_bounds_fails_when_the_closed_form_misses_the_enumeration(fmt, monkeypatch, capsys):
+    original = qsk.satwap.classical_bound
+    monkeypatch.setattr(qsk.satwap, "classical_bound", lambda d: original(d) + 1e-6 * (d == 5))
+    assert main(["bounds", "--d-max", "9", "--format", fmt]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "FAIL: d=5: the brute-force classical bound misses the closed form by 1.000e-06 "
+        "(tolerance 1.0e-09)"
+    ]
+    # every row is still written, the failing one as computed
+    assert len(captured.out.splitlines()) == (1 if fmt == "json" else 9)
+    if fmt == "json":
+        assert json.loads(captured.out)[3]["classical_bound"] == original(5) + 1e-6
+
+
 def test_simulate_deterministic_and_calibrated(tmp_path, capsys):
     path1 = tmp_path / "a.json"
     path2 = tmp_path / "b.json"
@@ -775,20 +791,20 @@ def _poison_last(result):
     return {**result, list(result)[-1]: nan}
 
 
-@pytest.mark.parametrize(
-    "fn,call,check",
-    [
-        ("sos_residual_bob", 1, "sos-operator-identity-random"),
-        ("sos_residual_alice", 1, "sos-operator-identity-random"),
-        ("stabilizer_residuals", 0, "sos-stabilizers-canonical"),
-        ("stabilizer_residuals", 1, "sos-stabilizers-canonical"),
-        ("check_trace_conditions", 0, "trace-conditions-canonical"),
-        ("check_trace_conditions", 1, "trace-conditions-canonical"),
-        ("check_intermediate_identities", 0, "trace-identities"),
-        ("check_root_identities", 0, "root-identities"),
-    ],
-)
-def test_a_nan_residual_fails_the_check_that_aggregates_it(fn, call, check, monkeypatch):
+SOS_POISONS = [
+    ("sos_residual_bob", 1, "sos-operator-identity-random"),
+    ("sos_residual_alice", 1, "sos-operator-identity-random"),
+    ("stabilizer_residuals", 0, "sos-stabilizers-canonical"),
+    ("stabilizer_residuals", 1, "sos-stabilizers-canonical"),
+    ("check_trace_conditions", 0, "trace-conditions-canonical"),
+    ("check_trace_conditions", 1, "trace-conditions-canonical"),
+    ("check_intermediate_identities", 0, "trace-identities"),
+    ("check_root_identities", 0, "root-identities"),
+]
+
+
+def _poison_sos(monkeypatch, fn, call):
+    """Make call number ``call`` (from 0) of ``qsk.sos.<fn>`` return a NaN last residual."""
     original = getattr(qsk.sos, fn)
     calls = []
 
@@ -798,14 +814,10 @@ def test_a_nan_residual_fails_the_check_that_aggregates_it(fn, call, check, monk
         return _poison_last(result) if len(calls) == call + 1 else result
 
     monkeypatch.setattr(qsk.sos, fn, poisoned)
-    report = build_verification_report(4, ("sos", "traces"))
-    (result,) = [c for c in report.checks if c.name == check]
-    assert np.isnan(result.residual) and not result.passed
-    assert not report.passed
 
 
-@pytest.mark.parametrize("key", ["bob_observable_1", "alice_observable_2"])
-def test_a_nan_extraction_residual_fails_extraction_observables(key, monkeypatch):
+def _poison_extraction(monkeypatch, key):
+    """Make ``qsk.selftest.extract`` report a NaN for its residual ``key``."""
     original = qsk.selftest.extract
 
     def poisoned(*args):
@@ -813,9 +825,59 @@ def test_a_nan_extraction_residual_fails_extraction_observables(key, monkeypatch
         return dataclasses.replace(result, residuals={**result.residuals, key: float("nan")})
 
     monkeypatch.setattr(qsk.selftest, "extract", poisoned)
+
+
+def _failed_json_report(argv, capsys) -> dict:
+    """Run ``verify`` in JSON; it must exit 1 with stdlib canonical JSON, no NaN token."""
+    assert main(["verify", *argv, "--format", "json"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    assert "NaN" not in out and report["pass"] is False
+    return report
+
+
+@pytest.mark.parametrize("fn,call,check", SOS_POISONS)
+def test_a_nan_residual_fails_the_check_that_aggregates_it(fn, call, check, monkeypatch):
+    _poison_sos(monkeypatch, fn, call)
+    report = build_verification_report(4, ("sos", "traces"))
+    (result,) = [c for c in report.checks if c.name == check]
+    assert np.isnan(result.residual) and not result.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("fn,call,check", SOS_POISONS)
+def test_a_nan_residual_is_a_null_failing_check_in_json(fn, call, check, monkeypatch, capsys):
+    _poison_sos(monkeypatch, fn, call)
+    report = _failed_json_report(["--d", "4", "--sos", "--traces"], capsys)
+    (result,) = [c for c in report["checks"] if c["name"] == check]
+    assert result["residual"] is None and result["pass"] is False
+
+
+@pytest.mark.parametrize("key", ["bob_observable_1", "alice_observable_2"])
+def test_a_nan_extraction_residual_fails_extraction_observables(key, monkeypatch):
+    _poison_extraction(monkeypatch, key)
     report = build_verification_report(3, ("extract",))
     (result,) = [c for c in report.checks if c.name == "extraction-observables"]
     assert np.isnan(result.residual) and not result.passed
+
+
+@pytest.mark.parametrize("key", ["bob_observable_1", "alice_observable_2"])
+def test_a_nan_extraction_residual_is_null_in_json(key, monkeypatch, capsys):
+    _poison_extraction(monkeypatch, key)
+    report = _failed_json_report(["--d", "3", "--extract"], capsys)
+    (result,) = [c for c in report["checks"] if c["name"] == "extraction-observables"]
+    assert result["residual"] is None and result["pass"] is False
+    assert report["extraction"]["residuals"][key] is None
+
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_residual_never_passes(residual):
+    check = CheckResult("root-identities", residual, 1e-8)
+    assert not check.passed
+    assert check.to_json() == {
+        "name": "root-identities", "residual": None, "tolerance": 1e-8, "pass": False
+    }
 
 
 @pytest.mark.parametrize("group", ["sos", "traces", "cglmp", "randomness", "cyclotomic"])

@@ -19,7 +19,8 @@ residuals and fidelity.  The Bell values come from the powers, not from
 eigenbases, so ``perturbed-*`` and ``scramble-json`` did not move.  The
 two ``verify-all`` digests were recorded before the check groups returned
 their residuals to one table of tolerances: they pin every group's JSON
-and the table layout of the report.
+and the table layout of the report.  ``bounds-json-2..64`` was recorded
+before ``bounds`` compared its brute-force column with the closed form.
 """
 
 import hashlib
@@ -51,6 +52,11 @@ GOLDEN = {
             for n in range(2, 13)
         ],
         "d9b4854773ec29b51854b91a00beb7ebf3b04bebbed99b81f491d60a4de32261",
+    ),
+    # the `tables` request of the benchmark: its bytes and its exit code
+    "bounds-json-2..64": (
+        [["bounds", "--d-max", "64", "--format", "json"]],
+        "6dfcd59a7868dc51b19a0b89569867472de6361af15d8ba18d0aa26f9168fe3d",
     ),
     # every check group and the table layout; the same at 1 and 2 BLAS threads
     "verify-all-json-2..8": (
