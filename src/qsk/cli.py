@@ -245,12 +245,12 @@ class VerificationReport:
 def _bell_value(report: VerificationReport, r: bell.Realization) -> float:
     """Record ``r``'s Bell value and both bounds; return its gap to the quantum bound."""
     d = r.d
-    value = satwap.evaluate(satwap.BellFunctional.satwap(d), r.correlators)
+    value, gap = selftest.violation_gap(r)
     beta_q = satwap.quantum_bound(d)
     report.summary.update(
         bell_value=value, classical_bound=satwap.classical_bound(d), quantum_bound=beta_q
     )
-    return abs(value - beta_q)
+    return gap
 
 
 def _extraction(
@@ -517,11 +517,14 @@ def cmd_simulate(args) -> int:
     p, w = freqs.reshape(4, -1), satwap.probability_form(f).reshape(4, -1)
     mean = np.sum(w * p, axis=1, keepdims=True)
     var = np.sum(p * (w - mean) ** 2, axis=1)
-    # each setting's true variance is (d^2 - 1)/12 > 0; shots that all fell on
-    # cells of one weight read zero up to rounding, and the error would too
-    if (var <= np.finfo(float).eps * np.max(w**2, axis=1)).all():
+    # each setting's true variance is (d^2 - 1)/12 > 0; a setting whose shots
+    # all fell on cells of one weight reads zero up to rounding, and the error
+    # would leave its spread out
+    one_weight = var <= np.finfo(float).eps * np.max(w**2, axis=1)
+    if one_weight.any():
+        x, y = divmod(int(np.argmax(one_weight)), 2)
         raise ValueError(
-            f"every setting drew its shots from cells of one weight: zero sample "
+            f"setting ({x},{y}) drew its shots from cells of one weight: zero sample "
             f"variance from {args.shots} shots; use more --shots"
         )
     se = float(np.sqrt(np.sum(var / counts.reshape(-1))))

@@ -13,8 +13,7 @@ import numpy as np
 
 from .bell import Realization
 from .bell import correlators_from_realization  # noqa: F401  kept bound here for perfbench's span wrappers
-from .satwap import BellFunctional, evaluate, quantum_bound
-from .selftest import tol_violation
+from .selftest import tol_violation, violation_gap
 
 
 def outcome_distribution(r: Realization, party: str, setting: int) -> np.ndarray:
@@ -41,8 +40,7 @@ def ideal_guessing_probability(r: Realization, party: str, setting: int) -> floa
     Refuses any realization that does not maximally violate: the uniform
     1/d conclusion only holds where the self-test applies.
     """
-    value = evaluate(BellFunctional.satwap(r.d), r.correlators)
-    gap = abs(value - quantum_bound(r.d))
+    _, gap = violation_gap(r)
     if not gap <= tol_violation(r.d):
         raise ValueError(
             f"realization misses the maximal value by {gap:.3e}; no guessing "

@@ -40,6 +40,12 @@ def tol_violation(d: int) -> float:
     return 1e-6 * d
 
 
+def violation_gap(r: Realization) -> tuple[float, float]:
+    """``r``'s SATWAP value and its gap to the quantum bound 2(d - 1)."""
+    value = evaluate(BellFunctional.satwap(r.d), r.correlators)
+    return value, abs(value - quantum_bound(r.d))
+
+
 class ExtractionError(Exception):
     """A pipeline stage failed; ``stage`` and ``diagnostic`` say where and why."""
 
@@ -65,15 +71,15 @@ class ExtractionResult:
 def check_multiplicities(decomp: EigenDecomposition) -> int:
     """Common eigenvalue multiplicity m of a decomposed order-d observable.
 
-    All d eigenvalues w**j must occur equally often and the dimension must
-    be d*m; unequal multiplicities mean the input cannot maximally violate.
+    All d eigenvalues w**j must occur equally often, m >= 1 times each, so
+    that the dimension is d*m; the alignment needs this on the whole space.
     """
     mults = decomp.multiplicities
     m = mults[0]
     if any(x != m for x in mults) or m == 0:
         raise ExtractionError(
             "multiplicities",
-            f"not a maximal violator: eigenvalue multiplicities {mults} are unequal",
+            f"eigenvalue multiplicities {mults} are not one common m >= 1",
         )
     return m
 
@@ -87,8 +93,10 @@ def extract_bob(
     it to Z (x) I; in that frame the second observable's first block row
     F_0i fixes the bases within the eigenspaces: block row i of V is
     corrected by (d/2) w**(-(i+1)/2) F_0i, unitary exactly when F_0i F_0i^dag
-    = (4/d^2) I, a consequence of maximal violation.  The d - 1 corrections
-    are one batched expression behind one batched unitarity gate.
+    = (4/d^2) I.  Maximal violation forces that relation when the reduced
+    states have full rank; a maximal violator with a smaller support can fail
+    it.  The d - 1 corrections are one batched expression behind one batched
+    unitarity gate.
     """
     d = dec1.d
     m, m_2 = check_multiplicities(dec1), check_multiplicities(dec2)
@@ -107,8 +115,8 @@ def extract_bob(
         i = int(np.argmin(passing))  # the first failing block, (0, i + 1)
         raise ExtractionError(
             "block-alignment",
-            f"realization does not maximally violate: block (0,{i + 1}) of the "
-            f"second observable fails F F^dag = (4/d^2) I by {errs[i]:.3e}",
+            f"block (0,{i + 1}) of the second observable fails F F^dag = (4/d^2) I "
+            f"by {errs[i]:.3e}",
         )
     rows = v.reshape(d, m, -1)
     return np.concatenate([rows[:1], corrections @ rows[1:]]).reshape(v.shape)
@@ -189,10 +197,9 @@ def extract(r: Realization, ideal: Realization | None = None) -> ExtractionResul
     d = r.d
     try:
         dec_a1, dec_a2, dec_b1, dec_b2 = r.validate()
-        value = evaluate(BellFunctional.satwap(d), r.correlators)
+        value, gap = violation_gap(r)
     except ValueError as exc:
         raise ExtractionError("input-validation", str(exc)) from exc
-    gap = abs(value - quantum_bound(d))
     gate = tol_violation(d)
     if not gap <= gate:
         raise ExtractionError(

@@ -7,9 +7,11 @@ generic non-unitary matrices, where the SOS identity fails by O(1), so the
 residual kernels are compared on a value that is not near zero.
 """
 
+import ast
 import dataclasses
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ import pytest
 import _oracles
 from _helpers import random_order_d, random_probability_tensor, random_realization
 
-import qsk.bell
 import qsk.selftest
 import qsk.sos
 from qsk.bell import (
@@ -43,6 +44,7 @@ from qsk.satwap import BellFunctional, bell_operator, probability_form
 from qsk.sos import sos_residual_alice, sos_residual_bob, stabilizer_residuals
 
 CASES = [(d, aux) for d in (2, 3, 5) for aux in ((1, 1), (2, 3), (3, 2))]
+SRC = Path(__file__).resolve().parent.parent / "src" / "qsk"
 
 
 def _realization(d: int, aux: tuple[int, int], seed: int) -> Realization:
@@ -215,22 +217,43 @@ def test_spectral_projectors_match_weighted_power_sums(d, dim):
 # structural guards: the kernels stay batched
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
+def test_correlators_raise_each_observable_to_its_powers_once(cost):
+    # one power stack of d - 1 products per observable, read by every setting
+    # pair: Alice's pair at n = 10, Bob's at n = 15.  expectation takes those
+    # stacks whole (test_expectation_table_matches_entrywise_einsum)
+    r = _realization(5, (2, 3), seed=1)
+    cost.clear()
+    correlators_from_realization(r)
+    assert cost.products <= Counter({10: 8, 15: 8})
 
 
-def test_correlators_make_one_expectation_call_per_setting_pair(monkeypatch):
-    calls = _counting(monkeypatch, qsk.bell, "expectation")
-    correlators_from_realization(_realization(5, (2, 3), seed=1))
-    assert len(calls) == 4
+def _src_callers(name: str) -> list[str]:
+    """``module:qualname`` of each function in ``src/qsk`` that calls ``name``, once per call."""
+    callers = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    callers.append(f"{module}:{scope}")
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return callers
+
+
+def test_each_realization_computes_its_born_table_once():
+    # the Born rule's products are ``@``, which numpy's entry points do not
+    # see, so its once-per-realization cost is held by the cache and by its
+    # one caller: the property that caches it
+    r = ideal_realization(3)
+    assert r.born is r.born
+    assert _src_callers("born_probabilities") == ["bell:Realization.born"]
 
 
 def test_born_probabilities_decompose_each_observable_once(cost):
@@ -329,7 +352,7 @@ def test_operator_kernels_form_no_kronecker_product(monkeypatch):
 
 @pytest.mark.parametrize("d,aux", [(3, (2, 3)), (5, (1, 2))])
 @pytest.mark.parametrize("residual", [sos_residual_bob, sos_residual_alice])
-def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux, residual):
+def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, cost, d, aux, residual):
     # 6(d - 1) + 1 terms split into two real sums: the anti-Hermitian part
     # (L_re (x) R_im and L_im (x) R_re, two terms per square) and the
     # Hermitian part (L^dag L (x) R^dag R per square, and the identity); the
@@ -338,7 +361,7 @@ def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux
     # The anti-Hermitian left stack is gone before its right stack is built
     r = _realization(d, aux, seed=90 + d)
     da, db = r.dims
-    bell_calls = _counting(monkeypatch, qsk.sos, "bell_operator")
+    cost.clear()
     stacks, built, held = [], [], []
     embedded, original = qsk.sos._embedded_parts, qsk.sos.kron_sum_norm
 
@@ -364,7 +387,8 @@ def test_sos_residual_passes_three_terms_per_square_plus_one(monkeypatch, d, aux
         (f8, (2 * (d - 1) + 1, db, db)),
     ]
     assert held == [False]
-    assert len(bell_calls) == 1
+    # one grouping of the Bell operator: d - 1 powers of each observable
+    assert cost.products <= Counter({da: 2 * (d - 1)}) + Counter({db: 2 * (d - 1)})
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -258,18 +257,13 @@ def test_eig_unitary_makes_one_hermitian_eigensolve(kind, d, aux, cost):
     ids=["scrambled-64-aux-2", "ideal-A1-128"],
 )
 @pytest.mark.parametrize("kernel", [spectral_projectors, eig_unitary], ids=lambda f: f.__name__)
-def test_eigendecomposition_holds_one_power_stack(d, observable, kernel):
+def test_eigendecomposition_holds_one_power_stack(d, observable, kernel, cost):
     # the projectors are transformed in place over the power stack, so the
     # peak is one (d, n, n) complex array; a second stack would double it
     a = observable()
-    stack = d * len(a) ** 2 * 16
-    tracemalloc.start()
-    try:
+    with cost.traced():
         kernel(a, d)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * stack
+    assert cost.stacks(d, len(a)) <= 1.25
 
 
 @settings(max_examples=100, deadline=None)

@@ -80,6 +80,7 @@ def test_signaling_gate_rejects_nan_probabilities(monkeypatch):
 
 
 def test_gap_gate_rejects_nan_bell_value(monkeypatch):
-    monkeypatch.setattr(qsk.randomness, "evaluate", lambda f, c: float("nan"))
+    nan = float("nan")
+    monkeypatch.setattr(qsk.randomness, "violation_gap", lambda r: (nan, nan))
     with pytest.raises(ValueError, match="misses the maximal value"):
         ideal_guessing_probability(ideal_realization(3), "B", 1)

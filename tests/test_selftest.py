@@ -8,7 +8,6 @@ import _oracles
 from _helpers import frobenius_distance, omega, random_order_d, random_realization
 from _oracles import kron_sum
 
-import qsk.bell
 import qsk.selftest
 from qsk.bell import Realization, correlators_from_realization
 from qsk.canonical import (
@@ -28,6 +27,7 @@ from qsk.selftest import (
     extract_bob,
     scramble,
     tol_violation,
+    violation_gap,
 )
 
 rng = np.random.default_rng(2718281)
@@ -361,6 +361,16 @@ def test_violation_tolerance_scales_with_d():
     assert tol_violation(10) == pytest.approx(1e-5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_violation_gap_is_the_value_and_its_distance_to_the_quantum_bound(d):
+    ideal = ideal_realization(d)
+    value, gap = violation_gap(ideal)
+    assert value == evaluate(BellFunctional.satwap(d), correlators_from_realization(ideal))
+    assert gap == abs(value - quantum_bound(d)) <= tol_violation(d)
+    swapped = dataclasses.replace(ideal, observables_b=ideal.observables_b[::-1])
+    assert violation_gap(swapped)[1] > tol_violation(d)
+
+
 def test_extract_decomposes_each_observable_once(cost):
     r = scramble(ideal_realization(3), 2, 2, seed=11)
     cost.clear()
@@ -400,8 +410,9 @@ def test_scramble_rejects_nonpositive_aux():
 
 
 def test_scramble_drift_gate_rejects_nan_correlators(monkeypatch):
+    # poisoned where scramble reads them, however the property computes them
     nan = np.full((2, 2, 3, 3), np.nan, dtype=complex)
-    monkeypatch.setattr(qsk.bell, "correlators_from_realization", lambda r: nan)
+    monkeypatch.setattr(Realization, "correlators", property(lambda r: nan))
     with pytest.raises(ValueError, match="changed the correlations"):
         scramble(ideal_realization(3), 2, 1, seed=0)
 
@@ -428,6 +439,27 @@ def test_block_alignment_gate_names_the_first_failing_block():
     assert err.value.stage == "block-alignment"
     assert "block (0,2) of the second observable" in err.value.diagnostic
     assert err.value.diagnostic.endswith("by 3.000e+00")
+
+
+def test_alignment_refusals_name_the_relation_that_failed():
+    # both gates run only after extract's violation gate has passed, so
+    # neither may say that the input does not maximally violate
+    d = 3
+    z, t = z_observable(d), t_observable(d)
+    unequal = np.diag(omega(d) ** np.array([0, 0, 1]))  # multiplicities (2, 1, 0)
+    b2 = t.copy()
+    b2[0, 1] *= 2
+    with pytest.raises(ExtractionError) as multiplicities:
+        check_multiplicities(eig_unitary(unequal, d))
+    with pytest.raises(ExtractionError) as block:
+        extract_bob(b2, eig_unitary(z, d), eig_unitary(t, d))
+    for err, relation in (
+        (multiplicities, "eigenvalue multiplicities (2, 1, 0) are not one common m >= 1"),
+        (block, "fails F F^dag = (4/d^2) I"),
+    ):
+        assert relation in err.value.diagnostic
+        assert "maximally violat" not in str(err.value)
+        assert "maximal violator" not in str(err.value)
 
 
 def test_conjugation_gate_rejects_nan_unitary():

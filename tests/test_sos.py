@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,17 +278,13 @@ def test_root_identities_match_loop_oracle(d):
         assert worst(*report.values()) <= 1e-13
 
 
-def test_root_identities_memory_is_quadratic_in_d():
+def test_root_identities_memory_is_quadratic_in_d(cost):
     # one (d - 1, d - 1) table of ratios and one (d - 1, d) table of weighted
-    # terms: about 2 MiB at d = 256, where a (d - 1, d, d) complex grid over
-    # i, j and k would take 255 MiB
-    tracemalloc.start()
-    try:
+    # terms: about two (d, d) complex matrices (1 MiB each) at d = 256, where
+    # a (d - 1, d, d) complex grid over i, j and k would take 255
+    with cost.traced():
         check_root_identities(256)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert cost.stacks(1, 256) <= 8
 
 
 def test_fij_structure_canonical_with_aux():
@@ -394,18 +389,13 @@ def test_sos_residual_keeps_both_halves_on_a_mutant(monkeypatch, mutant, side):
     assert abs(residual - expected) <= 1e-12 * expected
 
 
-def test_sos_residual_memory_stays_below_one_dense_operator():
+def test_sos_residual_memory_stays_below_one_dense_operator(cost):
     # d = 3, aux 8 x 8: one dense (576 x 576) complex operator is 5.06 MiB,
     # while the (L, R) stacks of all 21 Kronecker terms take about 0.4 MiB
     r = random_realization(3, rng, dim_a=24, dim_b=24)
-    dense = (24 * 24) ** 2 * 16
-    tracemalloc.start()
-    try:
+    with cost.traced():
         sos_residual_bob(r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < dense
+    assert cost.stacks(1, 24 * 24) < 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
