@@ -263,20 +263,24 @@ def _extraction(
         # sentinel failing check; the diagnostic itself rides in the summary
         report.summary["extraction"] = {"error": str(exc)}
         return {f"extraction-stage-{exc.stage}": 1.0}
-    worst_obs = worst(
-        *(result.residuals[f"{party}_observable_{i}"] for party in ("bob", "alice") for i in (1, 2))
-    )
-    drift = np.abs(result.canonical.correlators - r.correlators).max()
+    residuals = dict(result.residuals)
+    drift = residuals.pop("statistics_drift")
     report.summary["extraction"] = {
-        "fidelity": result.fidelity,
-        "aux_dims": list(result.aux_dims),
-        "residuals": {k: _finite_or_none(v) for k, v in result.residuals.items()},
+        "fidelity": _finite_or_none(result.fidelity),
+        "aux_dims": [n // r.d for n in r.dims],
+        "residuals": {k: _finite_or_none(v) for k, v in residuals.items()},
     }
     return {
         "extraction-fidelity": 1.0 - result.fidelity,
-        "extraction-observables": worst_obs,
-        "extraction-preserves-statistics": float(drift),
+        "extraction-observables": worst(*(v for k, v in residuals.items() if "_observable_" in k)),
+        "extraction-preserves-statistics": drift,
     }
+
+
+def _brute_force_bound(d: int) -> tuple[float, float]:
+    """The local bound enumerated at ``d`` and its gap to the closed form."""
+    brute = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
+    return brute, abs(brute - satwap.classical_bound(d))
 
 
 # Each check group returns {name: residual} in report order and writes its own
@@ -286,8 +290,7 @@ def _extraction(
 def _bounds_group(report: VerificationReport, ideal: bell.Realization) -> dict[str, float]:
     residuals = {"quantum-bound-attained": _bell_value(report, ideal)}
     if ideal.d <= bell.BRUTE_FORCE_CAP:
-        brute = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(ideal.d))
-        residuals["classical-bound-brute-force"] = abs(brute - satwap.classical_bound(ideal.d))
+        residuals["classical-bound-brute-force"] = _brute_force_bound(ideal.d)[1]
     return residuals
 
 
@@ -447,9 +450,9 @@ def cmd_bounds(args) -> int:
         bf = None
         beta_c = satwap.classical_bound(d)
         if d <= BOUNDS_BRUTE_FORCE_MAX_D:
-            bf = bell.local_bound_bruteforce(satwap.BellFunctional.satwap(d))
-            if not abs(bf - beta_c) <= tol:  # a NaN fails too
-                mismatches.append((d, abs(bf - beta_c)))
+            bf, gap = _brute_force_bound(d)
+            if not gap <= tol:  # a NaN fails too
+                mismatches.append((d, gap))
         beta_q = satwap.quantum_bound(d)
         rows.append(
             {

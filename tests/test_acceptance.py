@@ -38,6 +38,7 @@ from qsk.randomness import certified_bits, ideal_guessing_probability, outcome_d
 from qsk.satwap import BellFunctional, classical_bound, evaluate, quantum_bound
 from qsk.selftest import (
     ExtractionError,
+    canonicalized_realization,
     check_multiplicities,
     extract,
     scramble,
@@ -216,7 +217,9 @@ def test_criterion_6_extraction_round_trip():
             worst_stats = max(
                 worst_stats,
                 np.abs(
-                    correlators_from_realization(result.canonical)
+                    correlators_from_realization(
+                        canonicalized_realization(scrambled, result.u_a, result.u_b)
+                    )
                     - correlators_from_realization(scrambled)
                 ).max(),
             )

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _helpers import phase_block_row, swap_block_rows
+
 import qsk
 import qsk.satwap
 import qsk.selftest
@@ -33,6 +35,7 @@ from qsk.cli import (
     realization_from_json,
     realization_to_json,
 )
+from qsk.linalg import haar_random_unitary
 from qsk.satwap import BellFunctional, evaluate
 from qsk.selftest import scramble
 
@@ -330,6 +333,111 @@ def test_perturbed_file_fails_at_maximal_violation(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert check["name"] == "maximal-violation" and check["pass"] is False
     assert check["tolerance"] == 4e-6 < check["residual"]
+
+
+def _kicked_b2_file(tmp_path, eps):
+    """A d = 3 scramble (aux 2x2, seed 5) whose B2 is conjugated by exp(i eps H).
+
+    H is a seeded Hermitian matrix of unit Frobenius norm.  The value moves
+    by O(eps^2) and F F^dag = (4/d^2) I by O(eps), so both the violation
+    gate and the block gate pass, and the witness misses by O(eps).
+    """
+    r = scramble(ideal_realization(3), 2, 2, 5)
+    g = np.random.default_rng(1)
+    n = r.dims[1]
+    h = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    w, v = np.linalg.eigh(h / np.linalg.norm(h))
+    kick = (v * np.exp(1j * eps * w)) @ v.conj().T
+    b1, b2 = r.observables_b
+    kicked = dataclasses.replace(r, observables_b=(b1, kick @ b2 @ kick.conj().T))
+    path = tmp_path / f"kicked-{eps}.json"
+    path.write_text(canonical_dumps(realization_to_json(kicked)))
+    return path
+
+
+def test_a_witness_that_misses_fails_extraction_observables(tmp_path, capsys):
+    # at eps = 3e-7 the witness misses B1 by 2.4e-7 and B2 by 3.4e-7, and,
+    # u_b being unitary only to O(eps), moves the statistics by 1.3e-7: the
+    # report reads each miss at its check, beside the full extraction
+    # summary, where a gate once stopped the extraction at block-alignment
+    path = _kicked_b2_file(tmp_path, 3e-7)
+    capsys.readouterr()
+    assert main(["verify", "--file", str(path), "--extract", "--format", "json"]) == EXIT_CHECK_FAILED
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert set(checks) == FILE_CHECKS
+    assert {n for n, c in checks.items() if not c["pass"]} == {
+        "extraction-observables", "extraction-preserves-statistics"
+    }
+    extraction = report["extraction"]
+    assert 2.4e-7 < extraction["residuals"]["bob_observable_1"] < 2.5e-7
+    assert 3.3e-7 < checks["extraction-observables"]["residual"] < 3.5e-7
+    assert set(extraction) == {"fidelity", "aux_dims", "residuals"}
+    assert extraction["aux_dims"] == [2, 2]
+    assert set(extraction["residuals"]) == {
+        "violation_gap", "bob_observable_1", "bob_observable_2", "alice_observable_1",
+        "alice_observable_2", "state_off_diagonal", "state_diagonal_mismatch",
+    }
+    path = _kicked_b2_file(tmp_path, 1e-8)
+    capsys.readouterr()
+    assert main(["verify", "--file", str(path), "--extract", "--format", "json"]) == EXIT_OK
+
+
+def _rotate_aux(u, d):
+    """(I_d (x) g) u for a Haar-random g on the aux factor, a freedom the claim leaves."""
+    return np.kron(np.eye(d), haar_random_unitary(u.shape[0] // d, np.random.default_rng(d))) @ u
+
+
+# the witness handed to the checker -> the report's failing checks and the
+# observable residuals that extraction-observables reads as failing
+WITNESS_MUTANTS = {
+    "aux-freedom": (lambda u_a, u_b, d: (_rotate_aux(u_a, d), _rotate_aux(u_b, d)), set(), set()),
+    "phase-on-a-block-row-of-u_b": (
+        lambda u_a, u_b, d: (u_a, phase_block_row(u_b, d)),
+        {"extraction-fidelity", "extraction-observables"},
+        {"bob_observable_2"},
+    ),
+    "two-blocks-of-u_a-swapped": (
+        lambda u_a, u_b, d: (swap_block_rows(u_a, d), u_b),
+        {"extraction-fidelity", "extraction-observables"},
+        {"alice_observable_1", "alice_observable_2"},
+    ),
+    "nan": (
+        lambda u_a, u_b, d: (np.full_like(u_a, np.nan), u_b),
+        {"extraction-fidelity", "extraction-observables", "extraction-preserves-statistics"},
+        {"alice_observable_1", "alice_observable_2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("d,aux", [(2, (2, 3)), (3, (3, 1)), (5, (1, 2))], ids=str)
+@pytest.mark.parametrize("mutant", WITNESS_MUTANTS)
+def test_the_report_fails_a_mutated_witness_by_its_named_residual(
+    mutant, d, aux, tmp_path, capsys, monkeypatch
+):
+    # extract's search runs unchanged; the checker is handed the mutated
+    # witness, and the report maps its numbers to the three checks
+    mutate, failing, missed = WITNESS_MUTANTS[mutant]
+    path = tmp_path / "scrambled.json"
+    path.write_text(canonical_dumps(realization_to_json(scramble(ideal_realization(d), *aux, 40 + d))))
+    checker = qsk.selftest.check_self_test
+    monkeypatch.setattr(
+        qsk.selftest,
+        "check_self_test",
+        lambda r, u_a, u_b, ideal: checker(r, *mutate(u_a, u_b, d), ideal),
+    )
+    code = main(["verify", "--file", str(path), "--extract", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (EXIT_CHECK_FAILED if failing else EXIT_OK)
+    assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
+    observables = {k: v for k, v in report["extraction"]["residuals"].items() if "observable" in k}
+    assert {k for k, v in observables.items() if v is None or v > 1e-7} == missed
+    (check,) = [c for c in report["checks"] if c["name"] == "extraction-observables"]
+    if mutant == "nan":
+        assert check["residual"] is None and report["extraction"]["fidelity"] is None
+    else:
+        assert check["residual"] == max(observables.values())
 
 
 def test_no_option_scales_the_tolerances(capsys):
@@ -686,9 +794,9 @@ def test_verify_file_extract_verifies_each_party_once(tmp_path, cost, capsys):
     # its rotation), 20 at n = 6 and 60 at n = 12 for verify --d 6 --extract,
     # which also scrambles.  Which object a verification reads is no cost
     # numpy sees, so each report is held to one extract call on its input:
-    # its observable residuals are those of the rotated realization that the
-    # result carries against the ideal pairs (x) I, Bob's first, and its
-    # fidelity is that realization's.  cli binds no rotation of its own
+    # its observable residuals are those of the input rotated by the
+    # result's witness against the ideal pairs (x) I, Bob's first, and its
+    # fidelity is that rotation's.  cli binds no rotation of its own
     scrambled = tmp_path / "scrambled.json"
     assert main(["scramble", "--d", "6", "--aux-a", "4", "--aux-b", "2", "--out", str(scrambled)]) == EXIT_OK
     capsys.readouterr()
@@ -703,8 +811,9 @@ def test_verify_file_extract_verifies_each_party_once(tmp_path, cost, capsys):
         assert main([*argv, "--format", "json"]) == EXIT_OK
         assert cost.products <= Counter(products)
         extraction = json.loads(capsys.readouterr().out)["extraction"]
-        result = qsk.selftest.extract(source())
-        canon = result.canonical
+        r = source()
+        result = qsk.selftest.extract(r)
+        canon = qsk.selftest.canonicalized_realization(r, result.u_a, result.u_b)
         residuals = {
             f"{party}_observable_{i}": float(np.linalg.norm(o - np.kron(target, np.eye(n // 6))))
             for party, pair, targets, n in (

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import _oracles
-from _helpers import frobenius_distance, omega, random_order_d, random_realization
+from _helpers import (
+    frobenius_distance,
+    omega,
+    phase_block_row,
+    random_order_d,
+    random_realization,
+    swap_block_rows,
+)
 from _oracles import kron_sum
 
 import qsk.selftest
@@ -22,6 +29,7 @@ from qsk.selftest import (
     canonicalize_state,
     canonicalized_realization,
     check_multiplicities,
+    check_self_test,
     extract,
     extract_alice,
     extract_bob,
@@ -227,25 +235,21 @@ def test_extract_round_trip_with_aux(d):
     r = scramble(ideal_realization(d), 2, 2, seed=17 * d)
     result = extract(r)
     assert result.fidelity >= 1 - 1e-7
-    assert result.aux_dims == (2, 2)
+    assert result.u_a.shape == result.u_b.shape == (2 * d, 2 * d)
     for key in ("bob_observable_1", "bob_observable_2", "alice_observable_1", "alice_observable_2"):
         assert result.residuals[key] <= 1e-7
     # extracted unitaries are unitary
     for u in (result.u_a, result.u_b):
         assert frobenius_distance(dagger(u) @ u, np.eye(u.shape[0])) < 1e-10
-    # the result carries the realization rotated by its own unitaries
-    canon = canonicalized_realization(r, result.u_a, result.u_b)
-    assert np.array_equal(result.canonical.state, canon.state)
-    for got, expected in zip(
-        (*result.canonical.observables_a, *result.canonical.observables_b),
-        (*canon.observables_a, *canon.observables_b),
-    ):
-        assert np.array_equal(got, expected)
+    # the result carries the checker's numbers on its own witness
+    checked = check_self_test(r, result.u_a, result.u_b, ideal_realization(d))
+    assert checked.pop("fidelity") == result.fidelity
+    assert {"violation_gap": result.residuals["violation_gap"], **checked} == result.residuals
     # physics unchanged by canonicalization
-    drift = np.abs(
-        correlators_from_realization(result.canonical) - correlators_from_realization(r)
-    ).max()
+    canon = canonicalized_realization(r, result.u_a, result.u_b)
+    drift = np.abs(correlators_from_realization(canon) - correlators_from_realization(r)).max()
     assert drift < 1e-8
+    assert result.residuals["statistics_drift"] == drift
 
 
 @pytest.mark.parametrize("d,aux", [(2, (1, 1)), (3, (2, 3)), (5, (3, 1))], ids=str)
@@ -276,7 +280,8 @@ def test_extract_recovers_aux_schmidt_spectrum():
     r = scramble(ideal_realization(d), ma, mb, seed=seed)
     result = extract(r)
     s_in = np.linalg.svd(aux.reshape(ma, mb), compute_uv=False)
-    s_out = np.linalg.svd(result.aux_state.reshape(ma, mb), compute_uv=False)
+    _, aux_out, _ = canonicalize_state(canonicalized_realization(r, result.u_a, result.u_b))
+    s_out = np.linalg.svd(aux_out.reshape(ma, mb), compute_uv=False)
     assert np.abs(np.sort(s_in) - np.sort(s_out)).max() < 1e-7
 
 
@@ -462,8 +467,71 @@ def test_alignment_refusals_name_the_relation_that_failed():
         assert "maximal violator" not in str(err.value)
 
 
-def test_conjugation_gate_rejects_nan_unitary():
-    ideal = ideal_realization(3)
-    nan = np.full((3, 3), np.nan)
-    with pytest.raises(ExtractionError, match="misses its canonical form"):
-        qsk.selftest._verify_conjugation(canonicalized_realization(ideal, nan, nan), ideal)
+# witness controls: scrambles with unequal aux dimensions, their extracted
+# witness, and that witness moved within or out of the freedom it has
+WITNESS_CASES = [(2, (2, 3)), (3, (3, 1)), (5, (1, 2))]
+OBSERVABLE_KEYS = ("bob_observable_1", "bob_observable_2", "alice_observable_1", "alice_observable_2")
+
+
+def _witness(d, aux):
+    r = scramble(ideal_realization(d), *aux, seed=40 + d)
+    result = extract(r)
+    return r, result.u_a, result.u_b
+
+
+EXTRACTION_TOL = {"fidelity": 1e-7, "statistics_drift": 1e-8}  # 1e-7 for every other residual
+
+
+def _failing(checked):
+    """The checker's keys whose number misses its extraction tolerance (fidelity as 1 - F)."""
+    residuals = {**checked, "fidelity": 1.0 - checked["fidelity"]}
+    return {k for k, v in residuals.items() if not v <= EXTRACTION_TOL.get(k, 1e-7)}
+
+
+@pytest.mark.parametrize("d,aux", WITNESS_CASES, ids=str)
+def test_check_self_test_accepts_the_witness_up_to_the_aux_freedom(d, aux):
+    # (I_d (x) h) u_a and (I_d (x) g) u_b rotate only the aux factors, which
+    # the claim leaves free: every residual stays within tolerance
+    r, u_a, u_b = _witness(d, aux)
+    g = np.random.default_rng(d)
+    h_a, g_b = haar_random_unitary(aux[0], g), haar_random_unitary(aux[1], g)
+    checked = check_self_test(
+        r, np.kron(np.eye(d), h_a) @ u_a, np.kron(np.eye(d), g_b) @ u_b, ideal_realization(d)
+    )
+    assert set(checked) == {*OBSERVABLE_KEYS, "state_off_diagonal", "state_diagonal_mismatch",
+                            "fidelity", "statistics_drift"}
+    assert _failing(checked) == set()
+
+
+@pytest.mark.parametrize("d,aux", WITNESS_CASES, ids=str)
+def test_check_self_test_names_the_observable_a_mutated_witness_misses(d, aux):
+    # a phase on one block row of u_b commutes with Z (x) I but not with
+    # T (x) I; two swapped block rows of u_a move both of Alice's pairs
+    r, u_a, u_b = _witness(d, aux)
+    ideal = ideal_realization(d)
+    phased = check_self_test(r, u_a, phase_block_row(u_b, d), ideal)
+    swapped = check_self_test(r, swap_block_rows(u_a, d), u_b, ideal)
+    assert _failing(phased) & set(OBSERVABLE_KEYS) == {"bob_observable_2"}
+    assert _failing(swapped) & set(OBSERVABLE_KEYS) == {"alice_observable_1", "alice_observable_2"}
+    assert "fidelity" in _failing(phased) & _failing(swapped)
+
+
+def test_check_self_test_gives_nan_for_a_nan_witness():
+    # a NaN witness is a number the report fails, never a raise
+    d, aux = WITNESS_CASES[1]
+    r, u_a, u_b = _witness(d, aux)
+    checked = check_self_test(r, np.full_like(u_a, np.nan), u_b, ideal_realization(d))
+    nan_keys = {k for k, v in checked.items() if np.isnan(v)}
+    assert nan_keys == set(checked) - {"bob_observable_1", "bob_observable_2"}
+    assert _failing(checked) == nan_keys
+
+
+def test_check_self_test_makes_no_decomposition(cost):
+    d, aux = 3, (2, 2)
+    r, u_a, u_b = _witness(d, aux)
+    ideal = ideal_realization(d)
+    fresh = dataclasses.replace(r)  # no statistics cached from the extraction
+    cost.clear()
+    check_self_test(fresh, u_a, u_b, ideal)
+    assert cost.count() == 0  # no eigh, eig, eigvals, svd or qr
+    assert cost.products  # the correlators of the input and of its rotation
