@@ -101,17 +101,3 @@ def projector(decomp: EigenDecomposition, j: int) -> np.ndarray:
     start = sum(decomp.multiplicities[:j])
     cols = decomp.vectors[:, start : start + decomp.multiplicities[j]]
     return cols @ dagger(cols)
-
-
-def phase_block_row(u: np.ndarray, d: int, j: int = 1, theta: float = 0.5) -> np.ndarray:
-    """``u`` with its qudit block row ``j`` multiplied by exp(i theta)."""
-    rows = u.reshape(d, -1, u.shape[1]).copy()
-    rows[j] *= np.exp(1j * theta)
-    return rows.reshape(u.shape)
-
-
-def swap_block_rows(u: np.ndarray, d: int, i: int = 0, j: int = 1) -> np.ndarray:
-    """``u`` with its qudit block rows ``i`` and ``j`` exchanged."""
-    order = list(range(d))
-    order[i], order[j] = j, i
-    return u.reshape(d, -1, u.shape[1])[order].reshape(u.shape)

@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _helpers import phase_block_row, swap_block_rows
-
 import qsk
 import qsk.satwap
 import qsk.selftest
@@ -384,22 +382,37 @@ def test_a_witness_that_misses_fails_extraction_observables(tmp_path, capsys):
     assert main(["verify", "--file", str(path), "--extract", "--format", "json"]) == EXIT_OK
 
 
+def _phase_block_row(u, d):
+    """``u`` with its qudit block row 1 multiplied by exp(0.5 i)."""
+    rows = u.reshape(d, -1, u.shape[1]).copy()
+    rows[1] *= np.exp(0.5j)
+    return rows.reshape(u.shape)
+
+
+def _swap_block_rows(u, d):
+    """``u`` with its qudit block rows 0 and 1 exchanged."""
+    return u.reshape(d, -1, u.shape[1])[[1, 0, *range(2, d)]].reshape(u.shape)
+
+
 def _rotate_aux(u, d):
     """(I_d (x) g) u for a Haar-random g on the aux factor, a freedom the claim leaves."""
     return np.kron(np.eye(d), haar_random_unitary(u.shape[0] // d, np.random.default_rng(d))) @ u
 
 
-# the witness handed to the checker -> the report's failing checks and the
-# observable residuals that extraction-observables reads as failing
+# witness controls on scrambles with unequal aux dimensions: the witness
+# handed to the checker -> the report's failing checks and the observable
+# residuals that extraction-observables reads as failing.  A phase on one
+# block row of u_b commutes with Z (x) I but not with T (x) I; two swapped
+# block rows of u_a move both of Alice's pair
 WITNESS_MUTANTS = {
     "aux-freedom": (lambda u_a, u_b, d: (_rotate_aux(u_a, d), _rotate_aux(u_b, d)), set(), set()),
     "phase-on-a-block-row-of-u_b": (
-        lambda u_a, u_b, d: (u_a, phase_block_row(u_b, d)),
+        lambda u_a, u_b, d: (u_a, _phase_block_row(u_b, d)),
         {"extraction-fidelity", "extraction-observables"},
         {"bob_observable_2"},
     ),
     "two-blocks-of-u_a-swapped": (
-        lambda u_a, u_b, d: (swap_block_rows(u_a, d), u_b),
+        lambda u_a, u_b, d: (_swap_block_rows(u_a, d), u_b),
         {"extraction-fidelity", "extraction-observables"},
         {"alice_observable_1", "alice_observable_2"},
     ),

@@ -27,7 +27,7 @@ def test_the_gate_passes_only_a_child_that_exits_0_under_the_bound(mb, code, rc)
 
 
 def test_the_gate_reads_the_childs_own_peak():
-    # a child that holds 64 MiB peaks above it, however small its parent
+    # the reading is the child's own: one that holds 64 MiB reads at least 64 MB
     proc = _gate("1000", sys.executable, "-c", "b = bytearray(64 * 2**20); b[::4096] = b'x' * len(b[::4096])")
     assert proc.returncode == 0
     assert int(proc.stdout.split("peak RSS ")[1].split()[0]) >= 64
