@@ -403,7 +403,7 @@ def _rotate_aux(u, d):
 # handed to the checker -> the report's failing checks and the observable
 # residuals that extraction-observables reads as failing.  A phase on one
 # block row of u_b commutes with Z (x) I but not with T (x) I; two swapped
-# block rows of u_a move both of Alice's pair
+# block rows of u_a move both observables of Alice's pair
 WITNESS_MUTANTS = {
     "aux-freedom": (lambda u_a, u_b, d: (_rotate_aux(u_a, d), _rotate_aux(u_b, d)), set(), set()),
     "phase-on-a-block-row-of-u_b": (
